@@ -3,9 +3,9 @@
 Everything the parser trains with lives here: a float64 tensor type that
 records a tape of backward closures, the handful of operations the model is
 built from (matrix product, elementwise ops, softmax, concatenation, 1-D
-convolution windows, an LSTM cell, dropout), a named parameter store with
-deterministic initialization, the Adam optimizer, and a finite-difference
-gradient checker.
+convolution windows, an LSTM cell and a fused sequence LSTM, dropout), a
+named parameter store with deterministic initialization, the Adam
+optimizer, and a finite-difference gradient checker.
 
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
@@ -53,6 +53,8 @@ __all__ = [
     "im2col_rows",
     "bilinear_vec",
     "lstm_cell",
+    "lstm_sequence",
+    "dropout_mask",
     "global_grad_norm",
     "clip_gradients",
 ]
@@ -289,15 +291,16 @@ def slice1d(v: Tensor, start: int, stop: int) -> Tensor:
     return _node(v.data[start:stop], (v,), backward)
 
 
-def pick(v: Tensor, i: int) -> Tensor:
-    """Select one entry of a vector as a scalar tensor."""
+def pick(v: Tensor, index) -> Tensor:
+    """Select entries by numpy index: one int gives a scalar tensor, a tuple
+    of index arrays (one per axis) gives the vector of those entries."""
     def backward(g: np.ndarray) -> None:
         if v.requires_grad:
             gv = np.zeros_like(v.data)
-            gv[i] = g
+            np.add.at(gv, index, g)
             _accum(v, gv)
 
-    return _node(np.asarray(v.data[i]), (v,), backward)
+    return _node(np.asarray(v.data[index]), (v,), backward)
 
 
 def sum_all(t: Tensor) -> Tensor:
@@ -312,8 +315,12 @@ def sum_all(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def sigmoid(t: Tensor) -> Tensor:
-    out_data = 1.0 / (1.0 + np.exp(-t.data))
+    out_data = _sigmoid(t.data)
 
     def backward(g: np.ndarray) -> None:
         _accum(t, g * out_data * (1.0 - out_data))
@@ -355,9 +362,11 @@ def relu(t: Tensor) -> Tensor:
 
 
 def _check_softmax_input(values: np.ndarray) -> None:
+    """Reject a score vector, or a matrix with any row, that has no
+    probability mass to spread or holds NaN/+inf."""
     if values.size == 0:
         raise ValueError("softmax of an empty score vector")
-    if np.isneginf(values).all():
+    if np.isneginf(values).all(axis=-1).any():
         raise ValueError("fully masked distribution")
     finite_or_masked = np.isfinite(values) | np.isneginf(values)
     if not finite_or_masked.all():
@@ -379,14 +388,15 @@ def softmax(scores: Tensor) -> Tensor:
 
 
 def log_softmax(scores: Tensor) -> Tensor:
+    """Log-softmax of a score vector, or of every row of a score matrix."""
     v = scores.data
     _check_softmax_input(v)
-    shifted = v - v.max()
-    log_z = math.log(np.exp(shifted).sum())
+    shifted = v - v.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out_data = shifted - log_z
 
     def backward(g: np.ndarray) -> None:
-        _accum(scores, g - np.exp(out_data) * g.sum())
+        _accum(scores, g - np.exp(out_data) * g.sum(axis=-1, keepdims=True))
 
     return _node(out_data, (scores,), backward)
 
@@ -459,6 +469,15 @@ def max_over_rows(m: Tensor) -> Tensor:
     return _node(out_data, (m,), backward)
 
 
+def dropout_mask(shape: tuple[int, ...] | int, rate: float, rng: "Rng") -> np.ndarray:
+    """Inverted-dropout factors: 1/(1-rate) where kept, 0 where dropped.
+
+    Draws ``rng.random(shape)``; Philox streams are contiguous, so one
+    (k, a+b) draw split by columns equals k alternating draws of a and b.
+    """
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
 def dropout(t: Tensor, rate: float, training: bool, rng: "Rng | None" = None) -> Tensor:
     """Inverted dropout: kept entries scaled by 1/(1-rate)."""
     if not training or rate == 0.0:
@@ -467,8 +486,7 @@ def dropout(t: Tensor, rate: float, training: bool, rng: "Rng | None" = None) ->
         raise ValueError(f"dropout rate must be in [0, 1): {rate}")
     if rng is None:
         raise ValueError("training-mode dropout needs an Rng")
-    keep = rng.random(t.data.shape) >= rate
-    factor = keep / (1.0 - rate)
+    factor = dropout_mask(t.data.shape, rate, rng)
     out_data = t.data * factor
 
     def backward(g: np.ndarray) -> None:
@@ -478,19 +496,27 @@ def dropout(t: Tensor, rate: float, training: bool, rng: "Rng | None" = None) ->
 
 
 def bilinear_vec(left: Tensor, weight: Tensor, right: Tensor) -> Tensor:
-    """Per-slice bilinear form: out[l] = left . weight[l] . right.
+    """Per-slice bilinear form: out[..., l] = left[...] . weight[l] . right[...].
 
-    ``weight`` has shape (L, d_left, d_right); output shape (L,).
+    ``weight`` has shape (L, d_left, d_right). ``left`` and ``right`` are
+    vectors (output (L,)) or k paired rows (output (k, L)).
     """
-    out_data = np.einsum("i,lij,j->l", left.data, weight.data, right.data)
+    # Batched rows go through BLAS contractions; for one vector pair the
+    # planner's overhead costs more than the plain loop.
+    opt = left.data.ndim > 1
+    out_data = np.einsum("...i,lij,...j->...l", left.data, weight.data, right.data,
+                         optimize=opt)
 
     def backward(g: np.ndarray) -> None:
         if left.requires_grad:
-            _accum(left, np.einsum("l,lij,j->i", g, weight.data, right.data))
+            _accum(left, np.einsum("...l,lij,...j->...i", g, weight.data, right.data,
+                                   optimize=opt))
         if weight.requires_grad:
-            _accum(weight, np.einsum("l,i,j->lij", g, left.data, right.data))
+            _accum(weight, np.einsum("...l,...i,...j->lij", g, left.data, right.data,
+                                     optimize=opt))
         if right.requires_grad:
-            _accum(right, np.einsum("l,lij,i->j", g, weight.data, left.data))
+            _accum(right, np.einsum("...l,lij,...i->...j", g, weight.data, left.data,
+                                    optimize=opt))
 
     return _node(out_data, (left, weight, right), backward)
 
@@ -507,6 +533,73 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
     c_next = add(mul(f, c), mul(i, g))
     h_next = mul(o, tanh(c_next))
     return h_next, c_next
+
+
+def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+                  h_mask: np.ndarray | None = None) -> Tensor:
+    """LSTM over the rows of ``x`` (T, d) from a zero state; returns the
+    hidden states (T, h). Gate order i, f, g, o, as in :func:`lstm_cell`.
+
+    ``h_mask`` (h,) multiplies the recurrent input at every step (variational
+    dropout: one mask per sequence). The input projection is one (T, d) @
+    (d, 4h) product and the whole sequence is one tape node: its backward is
+    hand-written BPTT whose weight gradients are single (4h, T) @ (T, .)
+    products (the fused recurrent layer of Appleyard et al. 2016).
+    """
+    xs = x.data
+    steps = xs.shape[0]
+    if steps == 0:
+        raise ValueError("LSTM over an empty sequence")
+    hidden = w_hh.data.shape[1]
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    w_rec = w_hh.data
+    z_in = xs @ w_ih.data.T + bias.data
+    gates = np.empty((steps, 4 * hidden))     # activations i, f, g, o
+    h_in = np.zeros((steps, hidden))          # recurrent input of each step
+    cells = np.zeros((steps + 1, hidden))     # cells[t] is step t's incoming c
+    tanh_c = np.empty((steps, hidden))
+    out_data = np.empty((steps, hidden))
+    for t in range(steps):
+        if t:
+            h_in[t] = out_data[t - 1] if h_mask is None else out_data[t - 1] * h_mask
+        z = z_in[t] + w_rec @ h_in[t]
+        act = gates[t]
+        act[i_] = _sigmoid(z[i_])
+        act[f_] = _sigmoid(z[f_])
+        act[g_] = np.tanh(z[g_])
+        act[o_] = _sigmoid(z[o_])
+        cells[t + 1] = act[f_] * cells[t] + act[i_] * act[g_]
+        tanh_c[t] = np.tanh(cells[t + 1])
+        out_data[t] = act[o_] * tanh_c[t]
+
+    def backward(g: np.ndarray) -> None:
+        dz = np.empty((steps, 4 * hidden))
+        dh_next = np.zeros(hidden)
+        dc_next = np.zeros(hidden)
+        for t in range(steps - 1, -1, -1):
+            act = gates[t]
+            i, f, gg, o = act[i_], act[f_], act[g_], act[o_]
+            dh = g[t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
+            dz[t, i_] = dc * gg * i * (1.0 - i)
+            dz[t, f_] = dc * cells[t] * f * (1.0 - f)
+            dz[t, g_] = dc * i * (1.0 - gg * gg)
+            dz[t, o_] = dh * tanh_c[t] * o * (1.0 - o)
+            dc_next = dc * f
+            if t:
+                dh_next = w_rec.T @ dz[t]
+                if h_mask is not None:
+                    dh_next = dh_next * h_mask
+        if w_ih.requires_grad:
+            _accum(w_ih, dz.T @ xs)
+        if w_hh.requires_grad:
+            _accum(w_hh, dz.T @ h_in)
+        if bias.requires_grad:
+            _accum(bias, dz.sum(axis=0))
+        if x.requires_grad:
+            _accum(x, dz @ w_ih.data)
+
+    return _node(out_data, (x, w_ih, w_hh, bias), backward)
 
 
 # ---------------------------------------------------------------------------

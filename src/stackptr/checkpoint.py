@@ -149,15 +149,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if len(parts) != 3:
             raise CheckpointError(f"malformed tensor line {parts!r}")
         name, shape_text, offset_text = parts
-        shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
-        entries.append((name, shape, int(offset_text)))
+        try:
+            shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
+            offset = int(offset_text)
+        except ValueError:
+            raise CheckpointError(f"malformed shape or offset for tensor {name!r}") from None
+        if offset < 0 or any(d < 0 for d in shape):
+            raise CheckpointError(f"negative shape or offset for tensor {name!r}")
+        entries.append((name, shape, offset))
     reader.section("blob")
     blob = reader.rest()
     params = ParameterStore(rng_seed)
+    blob_end = 0
     for name, shape, offset in entries:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        end = offset + 4 * count
+        if end > len(blob):
+            raise CheckpointError(
+                f"tensor {name!r} needs blob bytes {offset}..{end}, "
+                f"but the blob holds {len(blob)}"
+            )
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params.put(name, values.reshape(shape).astype(np.float64))
+        blob_end = max(blob_end, end)
+    if len(blob) != blob_end:
+        raise CheckpointError(
+            f"{len(blob) - blob_end} trailing bytes after the last tensor"
+        )
     _check_names(params)
     return Checkpoint(params=params, vocabs=vocabs, config=config,
                       provenance=provenance, format_version=version)

@@ -2,7 +2,8 @@
 
 Conventions: logs go to stderr, data to files or stdout. Exit status 0 means
 the requested artifact was fully written; 1 is a runtime failure (partial
-outputs are removed); 2 is a usage error. Every artifact-producing run
+outputs are removed); 2 is a usage error, including a fine-tune config that
+changes the checkpoint's architecture. Every artifact-producing run
 writes a `<out>.repro` record (config snapshot, seed, input digests) beside
 its output.
 """
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import TrainConfig
+from .config import ArchitectureMismatch, TrainConfig
 from .metrics import evaluate_domains
 from .model import Parser
 from .trainer import train
@@ -210,7 +211,7 @@ def run(argv: list[str]) -> int:
         for path in args.outputs(args):
             Path(path).unlink(missing_ok=True)
         _log(f"stackptr {args.verb}: error: {exc}")
-        return 1
+        return 2 if isinstance(exc, ArchitectureMismatch) else 1
 
 
 def entry_point() -> None:

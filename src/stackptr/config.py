@@ -7,6 +7,14 @@ from pathlib import Path
 
 CHILD_ORDERS = ("inside_out", "left2right", "right2left")
 ATTENTION_SCALES = ("per_head", "model_dim")
+# The fields that fix some parameter tensor's shape: a checkpoint's values
+# fit only a config that agrees with its own on every one of them.
+ARCHITECTURE_FIELDS = ("d_w", "char_dim", "pos_dim", "num_filters", "filter_width",
+                       "r", "d_h", "arc_mlp_dim", "label_mlp_dim")
+
+
+class ArchitectureMismatch(ValueError):
+    """A config changes a tensor-shaping field of an existing checkpoint."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +87,16 @@ class TrainConfig:
     def decoder_dim(self) -> int:
         """Decoder LSTM width == encoder state width (2 directions x d_h)."""
         return 2 * self.d_h
+
+    def check_architecture(self, base: "TrainConfig") -> None:
+        """Raise :class:`ArchitectureMismatch` naming every tensor-shaping
+        field on which this config differs from ``base``."""
+        changed = [f"{name} {getattr(base, name)} -> {getattr(self, name)}"
+                   for name in ARCHITECTURE_FIELDS
+                   if getattr(self, name) != getattr(base, name)]
+        if changed:
+            raise ArchitectureMismatch(
+                "cannot change the checkpoint's architecture: " + ", ".join(changed))
 
     def replaced(self, **changes) -> "TrainConfig":
         merged = asdict(self)

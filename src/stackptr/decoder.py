@@ -16,6 +16,12 @@ strand them. In ``likelihood`` mode the self-point is always part of the
 normalizer — training scores the pop option even where the executor would
 refuse it — so probabilities over legal actions stay comparable across
 steps. The two masks are identical everywhere else.
+
+Under teacher forcing the gold path fixes every step's stack top, legality
+mask and target in advance (:func:`gold_plan`), so the training objective
+is one whole-path computation over score matrices
+(:func:`path_log_likelihood`). Greedy search keeps a step loop
+(:func:`decode_greedy`).
 """
 
 from __future__ import annotations
@@ -138,6 +144,40 @@ def gold_path(tree: DependencyTree, child_order: str = "inside_out") -> list[int
     return targets
 
 
+@dataclass(frozen=True)
+class GoldPlan:
+    """What teacher forcing fixes in advance for each of the 2n+1 steps.
+
+    ``tops[k]`` is the stack top at step k, ``targets[k]`` the gold pointer
+    target, and ``legal[k]`` the likelihood-mode legality mask over 0..n.
+    """
+
+    tops: np.ndarray
+    targets: np.ndarray
+    legal: np.ndarray
+
+    @property
+    def arc_steps(self) -> np.ndarray:
+        """Boolean (2n+1,): the steps that attach a token (target != top)."""
+        return self.targets != self.tops
+
+
+def gold_plan(tree: DependencyTree, single_root: bool = False,
+              child_order: str = "inside_out") -> GoldPlan:
+    """Replay the canonical gold path, recording top and legality per step."""
+    state = initial_state(len(tree))
+    targets = gold_path(tree, child_order=child_order)
+    tops, legal = [], []
+    for target in targets:
+        tops.append(state.top)
+        legal.append(legal_mask(state, mode="likelihood", single_root=single_root))
+        state = step(state, target, single_root=single_root)
+    assert state.is_terminal()
+    return GoldPlan(tops=np.array(tops, dtype=np.intp),
+                    targets=np.array(targets, dtype=np.intp),
+                    legal=np.array(legal))
+
+
 def replay(n: int, targets: Sequence[int], single_root: bool = False) -> DecoderState:
     """Run a full action sequence from the initial state; must end terminal."""
     state = initial_state(n)
@@ -159,14 +199,16 @@ def biaffine_score(decoder_vec: Tensor, encoder_mat: Tensor, weight: Tensor,
     """score_i = d'Ue_i + w_dec.d + w_enc.e_i + b, over all candidate rows.
 
     ``decoder_vec`` is (d_dec,), ``encoder_mat`` is (n+1, d_enc), ``weight``
-    is (d_dec, d_enc); output is (n+1,). With ``mask`` given, illegal
-    positions come back as -inf so the downstream softmax assigns them
-    exactly zero.
+    is (d_dec, d_enc); output is (n+1,). A (T, d_dec) matrix of decoder rows
+    gives the (T, n+1) matrix of their score rows. With ``mask`` given (same
+    shape as the output), illegal positions come back as -inf so the
+    downstream softmax assigns them exactly zero.
     """
-    through = ad.matmul(encoder_mat, ad.matmul(ad.transpose(weight), decoder_vec))
-    enc_term = ad.matmul(encoder_mat, w_enc)
-    dec_term = ad.add(ad.matmul(w_dec, decoder_vec), bias)
-    scores = ad.add(ad.add(through, enc_term), dec_term)
+    # Column t of `through` is U'd_t + w_enc, so one product with the encoder
+    # rows gives both e-dependent terms; the transposes are no-ops on vectors.
+    through = ad.transpose(ad.add(ad.matmul(decoder_vec, weight), w_enc))
+    dec_term = ad.add(ad.matmul(decoder_vec, w_dec), bias)
+    scores = ad.transpose(ad.add(ad.matmul(encoder_mat, through), dec_term))
     if mask is not None:
         scores = ad.mask_fill(scores, mask)
     return scores
@@ -208,38 +250,35 @@ def create_biaffine_params(store: ad.ParameterStore, encoder_dim: int,
 
 
 # ---------------------------------------------------------------------------
-# Likelihood and greedy search, generic over the scorer
+# Whole-path likelihood, and greedy search generic over the scorer
 # ---------------------------------------------------------------------------
 
 
-def path_log_likelihood(tree: DependencyTree, label_ids: Sequence[int],
-                        score_fn: ScoreFn, label_score_fn: LabelScoreFn,
-                        label_count: int, single_root: bool = False,
-                        child_order: str = "inside_out") -> Tensor:
-    """Sum of log P(action) + log P(label) along the canonical gold path.
+def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor,
+                        label_ids: Sequence[int], label_count: int) -> Tensor:
+    """Sum of log P(action) + log P(label) along a gold path.
 
-    ``score_fn`` is called once per step, in path order, and may carry its
-    own recurrent state; it returns raw (unmasked) scores over 0..n.
+    ``arc_scores`` holds the raw (unmasked) scores over 0..n of every step,
+    (2n+1, n+1); ``label_scores`` the label scores of the arc steps in path
+    order, (n, label_count). ``label_ids`` is the gold label id per token.
     """
-    state = initial_state(len(tree))
-    total: Tensor | None = None
-    for target in gold_path(tree, child_order=child_order):
-        mask = legal_mask(state, mode="likelihood", single_root=single_root)
-        scores = ad.mask_fill(score_fn(state), mask)
-        term = ad.pick(ad.log_softmax(scores), target)
-        if target != state.top:  # arc step: score the relation too
-            label_scores = label_score_fn(state, target)
-            if label_scores.shape != (label_count,):
-                raise ValueError(
-                    f"label scorer returned {label_scores.shape}, "
-                    f"expected ({label_count},)"
-                )
-            term = ad.add(term, ad.pick(ad.log_softmax(label_scores), label_ids[target - 1]))
-        total = term if total is None else ad.add(total, term)
-        state = step(state, target, single_root=single_root)
-    assert state.is_terminal()
-    assert total is not None
-    return total
+    steps, width = plan.legal.shape
+    if arc_scores.shape != (steps, width):
+        raise ValueError(f"arc scorer returned {arc_scores.shape}, "
+                         f"expected ({steps}, {width})")
+    children = plan.targets[plan.arc_steps]
+    if label_scores.shape != (len(children), label_count):
+        raise ValueError(
+            f"label scorer returned {label_scores.shape}, "
+            f"expected ({len(children)}, {label_count})"
+        )
+    arc_logp = ad.log_softmax(ad.mask_fill(arc_scores, plan.legal))
+    label_logp = ad.log_softmax(label_scores)
+    gold_labels = np.asarray(label_ids, dtype=np.intp)[children - 1]
+    return ad.add(
+        ad.sum_all(ad.pick(arc_logp, (np.arange(steps), plan.targets))),
+        ad.sum_all(ad.pick(label_logp, (np.arange(len(children)), gold_labels))),
+    )
 
 
 def decode_greedy(n: int, score_fn: ScoreFn, label_score_fn: LabelScoreFn,

@@ -112,43 +112,33 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
     return ad.matmul(ad.concat(heads, axis=1), ad.transpose(store["encoder.attn.Wm"]))
 
 
-def _run_lstm(rows: list[Tensor], store: ad.ParameterStore, prefix: str,
-              hidden_dim: int, p_rnn: float, training: bool,
-              rng: Rng | None) -> list[Tensor]:
-    w_ih = store[f"{prefix}.W_ih"]
-    w_hh = store[f"{prefix}.W_hh"]
-    bias = store[f"{prefix}.b"]
-    h = Tensor([0.0] * hidden_dim)
-    c = Tensor([0.0] * hidden_dim)
-    # Variational dropout: one input mask and one hidden mask per sequence.
-    in_rng = rng.split(f"{prefix}.in") if training and rng is not None else None
-    hid_rng = rng.split(f"{prefix}.hid") if training and rng is not None else None
-    in_mask = hid_mask = None
-    if training and p_rnn > 0.0:
-        in_mask = (in_rng.random(rows[0].data.shape) >= p_rnn) / (1.0 - p_rnn)
-        hid_mask = (hid_rng.random((hidden_dim,)) >= p_rnn) / (1.0 - p_rnn)
-    outputs: list[Tensor] = []
-    for x in rows:
-        if in_mask is not None:
-            x = ad.mul(x, Tensor(in_mask))
-        h_in = ad.mul(h, Tensor(hid_mask)) if hid_mask is not None else h
-        h, c = ad.lstm_cell(x, h_in, c, w_ih, w_hh, bias)
-        outputs.append(h)
-    return outputs
-
-
 def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
                   training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Bidirectional LSTM over token rows -> (n+1, 2*d_h)."""
+    """Bidirectional LSTM over token rows -> (n+1, 2*d_h).
+
+    Variational dropout: each direction draws one input mask and one
+    recurrent mask per sequence, shared by all of its steps.
+    """
     if x.shape[0] == 0:
         raise ValueError("empty token matrix")
-    rows = [ad.row(x, i) for i in range(x.shape[0])]
-    fw = _run_lstm(rows, store, "encoder.lstm.fw", config.d_h,
-                   config.p_rnn, training, rng)
-    bw = _run_lstm(rows[::-1], store, "encoder.lstm.bw", config.d_h,
-                   config.p_rnn, training, rng)
-    bw = bw[::-1]
-    return ad.stack_rows([ad.concat([f, b]) for f, b in zip(fw, bw)])
+    reverse = list(range(x.shape[0] - 1, -1, -1))
+    outputs = []
+    for direction in ("fw", "bw"):
+        prefix = f"encoder.lstm.{direction}"
+        rows = x
+        hid_mask = None
+        if training and config.p_rnn > 0.0:
+            in_mask = ad.dropout_mask(x.shape[1], config.p_rnn, rng.split(f"{prefix}.in"))
+            hid_mask = ad.dropout_mask(config.d_h, config.p_rnn, rng.split(f"{prefix}.hid"))
+            rows = ad.mul(rows, Tensor(in_mask))
+        if direction == "bw":
+            rows = ad.gather_rows(rows, reverse)
+        states = ad.lstm_sequence(rows, store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"],
+                                  store[f"{prefix}.b"], hid_mask)
+        if direction == "bw":
+            states = ad.gather_rows(states, reverse)
+        outputs.append(states)
+    return ad.concat(outputs, axis=1)
 
 
 def encode_sentence(sent, vocabs: dict[str, Vocabulary],

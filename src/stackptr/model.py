@@ -1,16 +1,22 @@
 """The assembled parser: encoder + pointer decoder + biaffine scorers.
 
 One :class:`Parser` owns a parameter store, the vocabularies, and a config.
-`sentence_loss` gives the teacher-forced training objective for one tree;
-`parse` runs greedy decoding over a bare sentence. Both build the same
-scoring closures: the decoder LSTM advances once per transition, fed the
-encoder state of the current stack top, and its output is pushed through
-small ELU layers before the biaffine arc/label scorers.
+The decoder LSTM is fed the encoder state of the current stack top, and its
+output goes through small ELU layers before the biaffine arc/label scorers.
+
+`sentence_loss` gives the teacher-forced training objective for one tree.
+The gold path fixes every step's stack top in advance, so the decoder runs
+as one sequence LSTM over the 2n+1 gathered top states, and the arc and
+label scores of all steps are single matrix products. `parse` runs greedy
+decoding over a bare sentence, one step at a time, through the scoring
+closures of `_scorers`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from . import autodiff as ad
 from . import decoder as dec
@@ -39,6 +45,23 @@ def _mlp(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
     return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
 
 
+def _arc_scores(store: ParameterStore, dec_rows: Tensor, arc_enc: Tensor) -> Tensor:
+    """Raw arc scores over all positions: (n+1,) per decoder vector, or
+    (T, n+1) for T decoder rows."""
+    return dec.biaffine_score(dec_rows, arc_enc, store["biaffine.arc.U"],
+                              store["biaffine.arc.w_dec"], store["biaffine.arc.w_enc"],
+                              store["biaffine.arc.b"])
+
+
+def _label_scores(store: ParameterStore, dec_rows: Tensor, enc_rows: Tensor) -> Tensor:
+    """Label scores of (decoder, child encoder) pairs: (L,) for one vector
+    pair, (k, L) for k paired rows."""
+    bilin = ad.bilinear_vec(dec_rows, store["biaffine.label.U"], enc_rows)
+    lin = ad.add(ad.matmul(dec_rows, ad.transpose(store["biaffine.label.w_dec"])),
+                 ad.matmul(enc_rows, ad.transpose(store["biaffine.label.w_enc"])))
+    return ad.add(ad.add(bilin, lin), store["biaffine.label.b"])
+
+
 class Parser:
     def __init__(self, config: TrainConfig, vocabs: dict[str, Vocabulary],
                  store: ParameterStore):
@@ -56,72 +79,78 @@ class Parser:
     def label_count(self) -> int:
         return len(self.vocabs["label"])
 
-    # -- scoring closures ---------------------------------------------------
-
-    def _scorers(self, encoder_states: Tensor, training: bool, rng: Rng | None):
-        """Build (score_fn, label_score_fn) sharing one decoder LSTM run.
-
-        Each score_fn call advances the LSTM with the encoder state of the
-        current stack top; label_score_fn for the same step reuses that
-        decoder output, so it must be called before the next score_fn call.
-        """
-        cfg = self.config
-        store = self.store
-        drop_rng = rng.split("p_out") if rng is not None else None
-
-        def drop(t: Tensor) -> Tensor:
-            return ad.dropout(t, cfg.p_out, training, drop_rng)
-
-        arc_enc = drop(_mlp(store, "biaffine.arc.enc", encoder_states))
-        label_enc = drop(_mlp(store, "biaffine.label.enc", encoder_states))
-        hidden = Tensor([0.0] * cfg.decoder_dim)
-        cell = Tensor([0.0] * cfg.decoder_dim)
-        hid_mask: Tensor | None = None
-        if training and cfg.p_rnn > 0.0 and rng is not None:
-            mask = rng.split("decoder.hid").random((cfg.decoder_dim,))
-            hid_mask = Tensor((mask >= cfg.p_rnn) / (1.0 - cfg.p_rnn))
-        state_box: dict[str, Tensor] = {}
-
-        def score_fn(state: dec.DecoderState) -> Tensor:
-            nonlocal hidden, cell
-            top_vec = ad.row(encoder_states, state.top)
-            h_in = ad.mul(hidden, hid_mask) if hid_mask is not None else hidden
-            hidden, cell = ad.lstm_cell(top_vec, h_in, cell,
-                                        store["decoder.lstm.W_ih"],
-                                        store["decoder.lstm.W_hh"],
-                                        store["decoder.lstm.b"])
-            state_box["label_dec"] = drop(_mlp(store, "biaffine.label.dec", hidden))
-            arc_dec = drop(_mlp(store, "biaffine.arc.dec", hidden))
-            return dec.biaffine_score(arc_dec, arc_enc,
-                                      store["biaffine.arc.U"],
-                                      store["biaffine.arc.w_dec"],
-                                      store["biaffine.arc.w_enc"],
-                                      store["biaffine.arc.b"])
-
-        def label_score_fn(state: dec.DecoderState, child: int) -> Tensor:
-            d = state_box["label_dec"]
-            e = ad.row(label_enc, child)
-            bilin = ad.bilinear_vec(d, store["biaffine.label.U"], e)
-            lin = ad.add(ad.matmul(store["biaffine.label.w_dec"], d),
-                         ad.matmul(store["biaffine.label.w_enc"], e))
-            return ad.add(ad.add(bilin, lin), store["biaffine.label.b"])
-
-        return score_fn, label_score_fn
-
     # -- training and inference entry points ---------------------------------
 
     def sentence_loss(self, tree: DependencyTree, training: bool = False,
                       rng: Rng | None = None) -> Tensor:
         """Length-normalized negative log-likelihood of the gold path."""
-        states = enc.encode_sentence(tree, self.vocabs, self.store, self.config,
+        cfg = self.config
+        store = self.store
+        states = enc.encode_sentence(tree, self.vocabs, store, cfg,
                                      training=training, rng=rng)
-        score_fn, label_score_fn = self._scorers(states, training, rng)
+        plan = dec.gold_plan(tree, single_root=cfg.single_root,
+                             child_order=cfg.child_order)
+        drop_rng = rng.split("p_out") if rng is not None else None
+        arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states),
+                             cfg.p_out, training, drop_rng)
+        label_enc = ad.dropout(_mlp(store, "biaffine.label.enc", states),
+                               cfg.p_out, training, drop_rng)
+        hid_mask = None
+        if training and cfg.p_rnn > 0.0:
+            hid_mask = ad.dropout_mask(cfg.decoder_dim, cfg.p_rnn, rng.split("decoder.hid"))
+        hidden = ad.lstm_sequence(ad.gather_rows(states, plan.tops),
+                                  store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
+                                  store["decoder.lstm.b"], hid_mask)
+        arc_rows = np.flatnonzero(plan.arc_steps)
+        label_dec = _mlp(store, "biaffine.label.dec", ad.gather_rows(hidden, arc_rows))
+        arc_dec = _mlp(store, "biaffine.arc.dec", hidden)
+        if training and cfg.p_out > 0.0:
+            # Every step draws its label-row mask, then its arc-row mask, from
+            # the p_out stream: one (2n+1, label+arc) draw split by columns.
+            factors = ad.dropout_mask((len(plan.tops), cfg.label_mlp_dim + cfg.arc_mlp_dim),
+                                      cfg.p_out, drop_rng)
+            label_dec = ad.mul(label_dec, Tensor(factors[arc_rows, :cfg.label_mlp_dim]))
+            arc_dec = ad.mul(arc_dec, Tensor(factors[:, cfg.label_mlp_dim:]))
+        label_scores = _label_scores(store, label_dec,
+                                     ad.gather_rows(label_enc, plan.targets[arc_rows]))
         label_ids = [self.vocabs["label"].index(lbl) for lbl in tree.labels]
-        ll = dec.path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
-                                     self.label_count,
-                                     single_root=self.config.single_root,
-                                     child_order=self.config.child_order)
+        ll = dec.path_log_likelihood(plan, _arc_scores(store, arc_dec, arc_enc),
+                                     label_scores, label_ids, self.label_count)
         return ad.scale(ad.neg(ll), 1.0 / len(tree))
+
+    def _scorers(self, encoder_states: Tensor, training: bool, rng: Rng | None):
+        """Build (score_fn, label_score_fn) sharing one decoder LSTM run, for
+        greedy decoding. Dropout has no place here: training goes through
+        :meth:`sentence_loss`, so ``training`` must be False and ``rng`` is
+        unused.
+
+        Each score_fn call advances the LSTM with the encoder state of the
+        current stack top; label_score_fn for the same step reuses that
+        decoder output, so it must be called before the next score_fn call.
+        """
+        if training:
+            raise ValueError("step-wise scorers are for decoding; "
+                             "training uses sentence_loss")
+        cfg = self.config
+        store = self.store
+        arc_enc = _mlp(store, "biaffine.arc.enc", encoder_states)
+        label_enc = _mlp(store, "biaffine.label.enc", encoder_states)
+        hidden = Tensor(np.zeros(cfg.decoder_dim))
+        cell = Tensor(np.zeros(cfg.decoder_dim))
+
+        def score_fn(state: dec.DecoderState) -> Tensor:
+            nonlocal hidden, cell
+            hidden, cell = ad.lstm_cell(ad.row(encoder_states, state.top), hidden, cell,
+                                        store["decoder.lstm.W_ih"],
+                                        store["decoder.lstm.W_hh"],
+                                        store["decoder.lstm.b"])
+            return _arc_scores(store, _mlp(store, "biaffine.arc.dec", hidden), arc_enc)
+
+        def label_score_fn(state: dec.DecoderState, child: int) -> Tensor:
+            return _label_scores(store, _mlp(store, "biaffine.label.dec", hidden),
+                                 ad.row(label_enc, child))
+
+        return score_fn, label_score_fn
 
     def parse(self, sent: Sentence | DependencyTree) -> DependencyTree:
         """Greedy-decode one sentence into a predicted tree."""

@@ -83,8 +83,10 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
 
     Fresh runs build vocabularies from the training corpus; with ``initial``
     given (fine-tuning), its vocabularies and parameter values are the
-    starting point and the optimizer state starts fresh. Identical seeds,
-    config, and corpora reproduce the returned checkpoint bitwise.
+    starting point and the optimizer state starts fresh; ``config`` must
+    then keep the checkpoint's architecture fields (``ArchitectureMismatch``
+    otherwise). Identical seeds, config, and corpora reproduce the returned
+    checkpoint bitwise.
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")
@@ -97,6 +99,7 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
             parser.store["embeddings.word"].data = table
         origin = f"trained from scratch: {len(train_trees)} train / {len(dev_trees)} dev"
     else:
+        config.check_architecture(initial.config)
         vocabs = initial.vocabs
         store = ParameterStore(initial.params.rng_seed)
         for name, tensor in initial.params.items():

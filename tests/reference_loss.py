@@ -1,0 +1,154 @@
+"""Per-step reference for the teacher-forced loss.
+
+This is the training path the whole-path loss replaced, kept as a test
+oracle: the encoder BiLSTM and the decoder run one ``lstm_cell`` per step,
+and the likelihood walks the gold path calling closure scorers that build
+one biaffine score vector, one label score vector and their dropout masks
+per step. Its dropout draws come in the original order (per step: label
+row, then arc row), so with the same ``rng`` it must agree with
+``Parser.sentence_loss`` on the loss and on every gradient up to rounding.
+"""
+
+from __future__ import annotations
+
+from stackptr import autodiff as ad
+from stackptr import decoder as dec
+from stackptr import encoder as enc
+from stackptr.autodiff import Rng, Tensor
+from stackptr.model import Parser
+
+
+def _run_lstm(rows, store, prefix, hidden_dim, p_rnn, training, rng):
+    w_ih = store[f"{prefix}.W_ih"]
+    w_hh = store[f"{prefix}.W_hh"]
+    bias = store[f"{prefix}.b"]
+    h = Tensor([0.0] * hidden_dim)
+    c = Tensor([0.0] * hidden_dim)
+    in_rng = rng.split(f"{prefix}.in") if training and rng is not None else None
+    hid_rng = rng.split(f"{prefix}.hid") if training and rng is not None else None
+    in_mask = hid_mask = None
+    if training and p_rnn > 0.0:
+        in_mask = (in_rng.random(rows[0].data.shape) >= p_rnn) / (1.0 - p_rnn)
+        hid_mask = (hid_rng.random((hidden_dim,)) >= p_rnn) / (1.0 - p_rnn)
+    outputs = []
+    for x in rows:
+        if in_mask is not None:
+            x = ad.mul(x, Tensor(in_mask))
+        h_in = ad.mul(h, Tensor(hid_mask)) if hid_mask is not None else h
+        h, c = ad.lstm_cell(x, h_in, c, w_ih, w_hh, bias)
+        outputs.append(h)
+    return outputs
+
+
+def bilstm_encode(x, store, config, training=False, rng=None):
+    rows = [ad.row(x, i) for i in range(x.shape[0])]
+    fw = _run_lstm(rows, store, "encoder.lstm.fw", config.d_h,
+                   config.p_rnn, training, rng)
+    bw = _run_lstm(rows[::-1], store, "encoder.lstm.bw", config.d_h,
+                   config.p_rnn, training, rng)
+    bw = bw[::-1]
+    return ad.stack_rows([ad.concat([f, b]) for f, b in zip(fw, bw)])
+
+
+def encode_sentence(sent, vocabs, store, config, training=False, rng=None):
+    tokens = enc.embed_tokens(sent, vocabs, store, config)
+    tokens = ad.dropout(tokens, config.p_in, training,
+                        rng.split("p_in") if rng is not None else None)
+    attended = enc.multi_head_self_attention(tokens, store, config)
+    return bilstm_encode(attended, store, config, training, rng)
+
+
+def _mlp(store, prefix, x):
+    w = store[f"{prefix}.W"]
+    b = store[f"{prefix}.b"]
+    return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
+
+
+def biaffine_score(decoder_vec, encoder_mat, weight, w_dec, w_enc, bias):
+    through = ad.matmul(encoder_mat, ad.matmul(ad.transpose(weight), decoder_vec))
+    enc_term = ad.matmul(encoder_mat, w_enc)
+    dec_term = ad.add(ad.matmul(w_dec, decoder_vec), bias)
+    return ad.add(ad.add(through, enc_term), dec_term)
+
+
+def scorers(parser: Parser, encoder_states, training, rng):
+    """(score_fn, label_score_fn) advancing one decoder LSTM step per call."""
+    cfg = parser.config
+    store = parser.store
+    drop_rng = rng.split("p_out") if rng is not None else None
+
+    def drop(t):
+        return ad.dropout(t, cfg.p_out, training, drop_rng)
+
+    arc_enc = drop(_mlp(store, "biaffine.arc.enc", encoder_states))
+    label_enc = drop(_mlp(store, "biaffine.label.enc", encoder_states))
+    hidden = Tensor([0.0] * cfg.decoder_dim)
+    cell = Tensor([0.0] * cfg.decoder_dim)
+    hid_mask = None
+    if training and cfg.p_rnn > 0.0 and rng is not None:
+        mask = rng.split("decoder.hid").random((cfg.decoder_dim,))
+        hid_mask = Tensor((mask >= cfg.p_rnn) / (1.0 - cfg.p_rnn))
+    state_box = {}
+
+    def score_fn(state):
+        nonlocal hidden, cell
+        top_vec = ad.row(encoder_states, state.top)
+        h_in = ad.mul(hidden, hid_mask) if hid_mask is not None else hidden
+        hidden, cell = ad.lstm_cell(top_vec, h_in, cell,
+                                    store["decoder.lstm.W_ih"],
+                                    store["decoder.lstm.W_hh"],
+                                    store["decoder.lstm.b"])
+        state_box["label_dec"] = drop(_mlp(store, "biaffine.label.dec", hidden))
+        arc_dec = drop(_mlp(store, "biaffine.arc.dec", hidden))
+        return biaffine_score(arc_dec, arc_enc, store["biaffine.arc.U"],
+                              store["biaffine.arc.w_dec"], store["biaffine.arc.w_enc"],
+                              store["biaffine.arc.b"])
+
+    def label_score_fn(state, child):
+        d = state_box["label_dec"]
+        e = ad.row(label_enc, child)
+        bilin = ad.bilinear_vec(d, store["biaffine.label.U"], e)
+        lin = ad.add(ad.matmul(store["biaffine.label.w_dec"], d),
+                     ad.matmul(store["biaffine.label.w_enc"], e))
+        return ad.add(ad.add(bilin, lin), store["biaffine.label.b"])
+
+    return score_fn, label_score_fn
+
+
+def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
+                        single_root=False, child_order="inside_out"):
+    state = dec.initial_state(len(tree))
+    total = None
+    for target in dec.gold_path(tree, child_order=child_order):
+        mask = dec.legal_mask(state, mode="likelihood", single_root=single_root)
+        scores = ad.mask_fill(score_fn(state), mask)
+        term = ad.pick(ad.log_softmax(scores), target)
+        if target != state.top:
+            label_scores = label_score_fn(state, target)
+            term = ad.add(term, ad.pick(ad.log_softmax(label_scores),
+                                        label_ids[target - 1]))
+        total = term if total is None else ad.add(total, term)
+        state = dec.step(state, target, single_root=single_root)
+    assert state.is_terminal()
+    return total
+
+
+def sentence_loss(parser: Parser, tree, training: bool = False,
+                  rng: Rng | None = None) -> Tensor:
+    """The per-step counterpart of ``Parser.sentence_loss``."""
+    states = encode_sentence(tree, parser.vocabs, parser.store, parser.config,
+                             training=training, rng=rng)
+    score_fn, label_score_fn = scorers(parser, states, training, rng)
+    label_ids = [parser.vocabs["label"].index(lbl) for lbl in tree.labels]
+    ll = path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
+                             single_root=parser.config.single_root,
+                             child_order=parser.config.child_order)
+    return ad.scale(ad.neg(ll), 1.0 / len(tree))
+
+
+def parse_heads_labels(parser: Parser, sent):
+    """Greedy decoding driven by the per-step reference encoder and scorers."""
+    states = encode_sentence(sent, parser.vocabs, parser.store, parser.config)
+    score_fn, label_score_fn = scorers(parser, states, False, None)
+    return dec.decode_greedy(len(sent.tokens), score_fn, label_score_fn,
+                             single_root=parser.config.single_root)

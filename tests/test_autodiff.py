@@ -60,6 +60,21 @@ class TestSoftmax:
         b = ad.softmax(Tensor([s + c for s in scores])).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
+    def test_row_wise_log_softmax_checks_every_row(self):
+        good = [0.0, 1.0, -np.inf]
+        with pytest.raises(ValueError, match="fully masked"):
+            ad.log_softmax(Tensor([good, [-np.inf] * 3, good]))
+        with pytest.raises(ValueError, match="finite or -inf"):
+            ad.log_softmax(Tensor([good, good, [0.0, np.nan, 1.0]]))
+
+    def test_row_wise_log_softmax_matches_vectors(self):
+        m = Rng(4).split("rows").random((3, 5)) * 6 - 3
+        m[1, 2] = -np.inf
+        rows = ad.log_softmax(Tensor(m)).data
+        for k in range(3):
+            np.testing.assert_allclose(rows[k], ad.log_softmax(Tensor(m[k])).data,
+                                       atol=1e-15)
+
     def test_log_softmax_consistency(self):
         v = Tensor([0.3, -1.2, 2.0, 0.0])
         np.testing.assert_allclose(np.exp(ad.log_softmax(v).data),
@@ -133,6 +148,14 @@ class TestDropout:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             ad.dropout(Tensor([1.0]), 1.0, training=True, rng=Rng(0))
+
+    def test_split_draw_equals_alternating_draws(self):
+        # What lets one (steps, a+b) mask draw stand in for per-step pairs.
+        joint = ad.dropout_mask((5, 7), 0.5, Rng(8).split("p_out"))
+        stream = Rng(8).split("p_out")
+        for k in range(5):
+            np.testing.assert_array_equal(joint[k, :3], ad.dropout_mask(3, 0.5, stream))
+            np.testing.assert_array_equal(joint[k, 3:], ad.dropout_mask(4, 0.5, stream))
 
 
 class TestGradCheck:
@@ -265,6 +288,29 @@ class TestOpGradients:
 
         _op_gradients(build, [(3,), (4,), (4,), (16, 3), (16, 4), (16,)])
 
+    def test_pick_entries(self):
+        rows, cols = np.array([0, 2, 2, 1]), np.array([1, 0, 0, 3])
+        _op_gradients(lambda a: ad.pick(a, (rows, cols)), [(3, 4)])
+
+    def test_log_softmax_rows(self):
+        mask = np.array([[True, False, True], [True, True, True]])
+        _op_gradients(lambda a: ad.pick(ad.log_softmax(ad.mask_fill(a, mask)),
+                                        np.nonzero(mask)), [(2, 3)])
+
+    def test_bilinear_rows(self):
+        _op_gradients(lambda l, w, r: ad.bilinear_vec(l, w, r),
+                      [(4, 3), (2, 3, 5), (4, 5)])
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_lstm_sequence(self, steps, masked):
+        h_mask = ad.dropout_mask(4, 0.5, Rng(3).split("h")) if masked else None
+
+        def build(x, w_ih, w_hh, b):
+            return ad.lstm_sequence(x, w_ih, w_hh, b, h_mask)
+
+        _op_gradients(build, [(steps, 3), (16, 3), (16, 4), (16,)])
+
     def test_dropout_gradient_with_fixed_mask(self):
         # Same rng seed per evaluation -> the mask is constant, so central
         # differences see a deterministic function.
@@ -275,6 +321,27 @@ class TestOpGradients:
 
     def test_shared_subexpression_accumulates(self):
         _op_gradients(lambda a: ad.mul(ad.sigmoid(a), ad.tanh(a)), [(7,)])
+
+
+class TestLstmSequence:
+    def test_matches_chained_cells(self):
+        rng = Rng(12).split("chain")
+        x = rng.random((5, 3)) - 0.5
+        w_ih, w_hh, b = (Tensor(rng.random(shape) - 0.5)
+                         for shape in [(16, 3), (16, 4), (16,)])
+        h_mask = ad.dropout_mask(4, 0.3, rng.split("mask"))
+        h, c = Tensor(np.zeros(4)), Tensor(np.zeros(4))
+        chained = []
+        for t in range(5):
+            h, c = ad.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c, w_ih, w_hh, b)
+            chained.append(h.data)
+        fused = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask).data
+        np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ad.lstm_sequence(Tensor(np.zeros((0, 3))), Tensor(np.zeros((16, 3))),
+                             Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)))
 
 
 class TestRng:

@@ -103,6 +103,30 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_blob_cut_short_names_the_tensor(self, small_ckpt, tmp_path):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(small_ckpt, path)
+        path.write_bytes(path.read_bytes()[:-10])
+        # The last tensor, a scalar, loses all 4 of its bytes; the one
+        # before it loses 6 of its 32.
+        with pytest.raises(CheckpointError, match="decoder.lstm.b"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, small_ckpt, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(small_ckpt, path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(CheckpointError, match="8 trailing bytes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [b"\t8,-3\t", b"\t8,x\t"])
+    def test_bad_tensor_shape_names_the_tensor(self, small_ckpt, tmp_path, bad):
+        path = tmp_path / "shape.ckpt"
+        save_checkpoint(small_ckpt, path)
+        path.write_bytes(path.read_bytes().replace(b"\t8,3\t", bad, 1))
+        with pytest.raises(CheckpointError, match="encoder.lstm.fw.W_ih"):
+            load_checkpoint(path)
+
     def test_missing_section_header(self, tmp_path):
         path = tmp_path / "g.ckpt"
         path.write_bytes(f"{FORMAT_VERSION}\n[garbage 0]\n".encode())

@@ -135,6 +135,15 @@ class TestSurgeryInspectVerb:
 
 
 class TestExitCodes:
+    def test_finetune_architecture_change_is_usage_error(self, work, tmp_path, capsys):
+        tuned = tmp_path / "wide.ckpt"
+        code = run(["finetune", "--source", str(work.model),
+                    "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(tuned), "--set", "d_h=8"])
+        assert code == 2
+        assert "d_h 4 -> 8" in capsys.readouterr().err
+        assert not tuned.exists()
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -14,6 +14,7 @@ from stackptr.decoder import (
     biaffine_score,
     decode_greedy,
     gold_path,
+    gold_plan,
     initial_state,
     legal_mask,
     path_log_likelihood,
@@ -142,6 +143,21 @@ class TestGoldPath:
         with pytest.raises(ValueError, match="child_order"):
             gold_path(_tree([-1, 0]), "bfs")
 
+    @pytest.mark.parametrize("single_root", [False, True])
+    def test_gold_plan_replays_path(self, single_root):
+        for n in range(1, 5):
+            for heads in all_head_vectors(n):
+                tree = _tree(heads)
+                plan = gold_plan(tree, single_root=single_root, child_order="left2right")
+                state = initial_state(n)
+                assert plan.targets.tolist() == gold_path(tree, "left2right")
+                for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
+                    assert top == state.top
+                    np.testing.assert_array_equal(
+                        legal, legal_mask(state, "likelihood", single_root))
+                    state = step(state, int(target), single_root)
+                assert int(plan.arc_steps.sum()) == n
+
 
 class TestExhaustiveOracle:
     """Brute-force enumeration of every tree with n <= 5."""
@@ -224,6 +240,18 @@ class TestBiaffineScore:
         assert probs[1] == 0.0 and probs[4] == 0.0
         assert abs(probs.sum() - 1.0) < 1e-12
 
+    def test_decoder_rows_give_score_rows(self):
+        rng = Rng(19).split("rows")
+        d, e, u = rng.random((3, 4)), rng.random((5, 2)), rng.random((4, 2))
+        w_dec, w_enc, b = Tensor(rng.random(4)), Tensor(rng.random(2)), Tensor(0.4)
+        mask = rng.random((3, 5)) > 0.3
+        rows = biaffine_score(Tensor(d), Tensor(e), Tensor(u), w_dec, w_enc, b,
+                              mask=mask).data
+        for k in range(3):
+            one = biaffine_score(Tensor(d[k]), Tensor(e), Tensor(u), w_dec, w_enc, b,
+                                 mask=mask[k]).data
+            np.testing.assert_allclose(rows[k], one, atol=1e-12)
+
     def test_matches_manual_form(self):
         rng = Rng(29).split("manual")
         d = rng.random(3)
@@ -240,9 +268,10 @@ class TestBiaffineScore:
 class TestPathLogLikelihood:
     def test_zero_weight_n1(self):
         tree = _tree([-1, 0])
+        plan = gold_plan(tree)
         for label_count in (1, 2, 5):
-            ll = path_log_likelihood(tree, [0], zero_scorer(1),
-                                     zero_labeler(label_count), label_count)
+            ll = path_log_likelihood(plan, Tensor(np.zeros((3, 2))),
+                                     Tensor(np.zeros((1, label_count))), [0], label_count)
             # Arc side: first step has 2 legal targets, the rest 1 each.
             assert ll.data == pytest.approx(math.log(0.5) + math.log(1 / label_count))
 
@@ -250,32 +279,27 @@ class TestPathLogLikelihood:
         rng = Rng(31).split("ll")
         for heads in [(-1, 0, 1), (-1, 2, 0), (-1, 0, 0)]:
             tree = _tree(heads)
-            scorer = lambda state: Tensor(rng.random(len(heads)) * 4 - 2)
-            labeler = lambda state, child: Tensor(rng.random(3) * 4 - 2)
-            ll = path_log_likelihood(tree, [0, 1], scorer, labeler, 3)
+            n = len(heads) - 1
+            arcs = Tensor(rng.random((2 * n + 1, n + 1)) * 4 - 2)
+            labels = Tensor(rng.random((n, 3)) * 4 - 2)
+            ll = path_log_likelihood(gold_plan(tree), arcs, labels, [0, 1], 3)
             assert ll.data <= 0.0
 
     def test_matches_independent_per_step_product(self):
         rng = Rng(37).split("product")
         tree = _tree([-1, 3, 3, 0, 3])
         label_ids = [1, 0, 2, 1]
-        arc_scores, label_scores = [], []
+        plan = gold_plan(tree)
+        arc_scores = rng.random((9, 5)) * 3
+        label_scores = rng.random((4, 3)) * 3
+        ll = path_log_likelihood(plan, Tensor(arc_scores), Tensor(label_scores),
+                                 label_ids, 3)
 
-        def scorer(state):
-            arc_scores.append(rng.random(5) * 3)
-            return Tensor(arc_scores[-1])
-
-        def labeler(state, child):
-            label_scores.append((child, rng.random(3) * 3))
-            return Tensor(label_scores[-1][1])
-
-        ll = path_log_likelihood(tree, label_ids, scorer, labeler, 3)
-
-        # Recompute the same product step by step from the recorded scores.
+        # Recompute the same product step by step from the score rows.
         state = initial_state(4)
         prob = 1.0
         arcs = iter(arc_scores)
-        labels = iter(label_scores)
+        labels = iter(zip(plan.targets[plan.arc_steps], label_scores))
         for target in gold_path(tree):
             mask = legal_mask(state, mode="likelihood")
             scores = np.where(mask, next(arcs), -np.inf)
@@ -292,7 +316,8 @@ class TestPathLogLikelihood:
     def test_label_scorer_shape_enforced(self):
         tree = _tree([-1, 0])
         with pytest.raises(ValueError, match="label scorer"):
-            path_log_likelihood(tree, [0], zero_scorer(1), zero_labeler(4), 3)
+            path_log_likelihood(gold_plan(tree), Tensor(np.zeros((3, 2))),
+                                Tensor(np.zeros((1, 4))), [0], 3)
 
 
 class TestGreedyDecoding:

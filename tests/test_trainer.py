@@ -7,6 +7,7 @@ import pytest
 
 from stackptr.autodiff import Rng
 from stackptr.checkpoint import load_checkpoint, save_checkpoint
+from stackptr.config import ArchitectureMismatch
 from stackptr.model import Parser
 from stackptr.trainer import TrainAbort, compute_loss, evaluate, make_batches, train
 from stackptr.treebank import DependencyTree, Token, build_vocabulary
@@ -39,6 +40,15 @@ class TestComputeLoss:
     def test_loss_nonnegative(self, tiny_config, toy_vocabs, toy_trees):
         parser = Parser.build(tiny_config, toy_vocabs)
         assert compute_loss(parser, toy_trees[:8]).data >= 0.0
+
+    def test_nan_decoder_weight_is_a_numeric_error(self, tiny_config, toy_vocabs,
+                                                   toy_trees):
+        # The whole-path loss checks every row of its score matrices the way
+        # the per-step softmax checked each vector.
+        parser = Parser.build(tiny_config, toy_vocabs)
+        parser.store["decoder.lstm.W_ih"].data[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite or -inf"):
+            compute_loss(parser, toy_trees[:2], training=True, rng=Rng(1))
 
     def test_empty_batch_rejected(self, tiny_config, toy_vocabs):
         parser = Parser.build(tiny_config, toy_vocabs)
@@ -113,6 +123,18 @@ class TestTrain:
         with pytest.raises(TrainAbort, match="param norms"):
             train(quick.replaced(max_epochs=1), toy_trees[:6], toy_trees[:4],
                   initial=base)
+
+    def test_nan_decoder_weight_aborts(self, quick, toy_trees):
+        base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
+        base.params["decoder.lstm.W_hh"].data[3, 1] = np.nan
+        with pytest.raises(TrainAbort, match="numeric failure"):
+            train(quick.replaced(max_epochs=1), toy_trees[:6], toy_trees[:4],
+                  initial=base)
+
+    def test_architecture_change_rejected_up_front(self, quick, toy_trees):
+        base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
+        with pytest.raises(ArchitectureMismatch, match="d_h 4 -> 8"):
+            train(quick.replaced(d_h=8), toy_trees[:6], toy_trees[:4], initial=base)
 
     def test_empty_corpora_rejected(self, quick, toy_trees):
         with pytest.raises(ValueError, match="nonempty"):
