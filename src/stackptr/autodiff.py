@@ -3,9 +3,10 @@
 Everything the parser trains with lives here: a float64 tensor type that
 records a tape of backward closures, the handful of operations the model is
 built from (matrix product, elementwise ops, softmax, concatenation, 1-D
-convolution windows, an LSTM cell and a fused sequence LSTM, dropout), a
-named parameter store with deterministic initialization, the Adam
-optimizer, and a finite-difference gradient checker.
+convolution windows, a fused sequence LSTM whose gate arithmetic decoding
+shares, dropout), a named parameter store with deterministic
+initialization, the Adam optimizer, and a finite-difference gradient
+checker.
 
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
@@ -38,8 +39,6 @@ __all__ = [
     "concat",
     "stack_rows",
     "gather_rows",
-    "row",
-    "slice1d",
     "pick",
     "sum_all",
     "scale",
@@ -52,7 +51,7 @@ __all__ = [
     "mask_fill",
     "im2col_rows",
     "bilinear_vec",
-    "lstm_cell",
+    "lstm_gates",
     "lstm_sequence",
     "dropout_mask",
     "global_grad_norm",
@@ -269,26 +268,6 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
             _accum(table, gt)
 
     return _node(out_data, (table,), backward)
-
-
-def row(m: Tensor, i: int) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if m.requires_grad:
-            gm = np.zeros_like(m.data)
-            gm[i] = g
-            _accum(m, gm)
-
-    return _node(m.data[i], (m,), backward)
-
-
-def slice1d(v: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if v.requires_grad:
-            gv = np.zeros_like(v.data)
-            gv[start:stop] = g
-            _accum(v, gv)
-
-    return _node(v.data[start:stop], (v,), backward)
 
 
 def pick(v: Tensor, index) -> Tensor:
@@ -521,24 +500,31 @@ def bilinear_vec(left: Tensor, weight: Tensor, right: Tensor) -> Tensor:
     return _node(out_data, (left, weight, right), backward)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
-              w_ih: Tensor, w_hh: Tensor, bias: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; gate order i, f, g, o. Returns (h', c')."""
-    hidden = w_hh.data.shape[1]
-    z = add(add(matmul(w_ih, x), matmul(w_hh, h)), bias)
-    i = sigmoid(slice1d(z, 0, hidden))
-    f = sigmoid(slice1d(z, hidden, 2 * hidden))
-    g = tanh(slice1d(z, 2 * hidden, 3 * hidden))
-    o = sigmoid(slice1d(z, 3 * hidden, 4 * hidden))
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
+def lstm_gates(z: np.ndarray, c: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gate arithmetic of one LSTM step, for one sequence or a batch.
+
+    ``z`` holds the pre-activations (..., 4h) in gate order i, f, g, o and
+    ``c`` the incoming cell state (..., h). Returns the gate activations,
+    the new cell state, its tanh and the new hidden state. Training
+    (:func:`lstm_sequence`) and greedy decoding share this one definition.
+    """
+    hidden = c.shape[-1]
+    i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    act = np.empty_like(z)
+    act[..., i_] = _sigmoid(z[..., i_])
+    act[..., f_] = _sigmoid(z[..., f_])
+    act[..., g_] = np.tanh(z[..., g_])
+    act[..., o_] = _sigmoid(z[..., o_])
+    c_next = act[..., f_] * c + act[..., i_] * act[..., g_]
+    tanh_c = np.tanh(c_next)
+    return act, c_next, tanh_c, act[..., o_] * tanh_c
 
 
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
                   h_mask: np.ndarray | None = None) -> Tensor:
     """LSTM over the rows of ``x`` (T, d) from a zero state; returns the
-    hidden states (T, h). Gate order i, f, g, o, as in :func:`lstm_cell`.
+    hidden states (T, h). Each step is one :func:`lstm_gates` call.
 
     ``h_mask`` (h,) multiplies the recurrent input at every step (variational
     dropout: one mask per sequence). The input projection is one (T, d) @
@@ -562,15 +548,8 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
     for t in range(steps):
         if t:
             h_in[t] = out_data[t - 1] if h_mask is None else out_data[t - 1] * h_mask
-        z = z_in[t] + w_rec @ h_in[t]
-        act = gates[t]
-        act[i_] = _sigmoid(z[i_])
-        act[f_] = _sigmoid(z[f_])
-        act[g_] = np.tanh(z[g_])
-        act[o_] = _sigmoid(z[o_])
-        cells[t + 1] = act[f_] * cells[t] + act[i_] * act[g_]
-        tanh_c[t] = np.tanh(cells[t + 1])
-        out_data[t] = act[o_] * tanh_c[t]
+        gates[t], cells[t + 1], tanh_c[t], out_data[t] = lstm_gates(
+            z_in[t] + w_rec @ h_in[t], cells[t])
 
     def backward(g: np.ndarray) -> None:
         dz = np.empty((steps, 4 * hidden))
@@ -685,6 +664,14 @@ class ParameterStore:
         t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
         self._entries[name] = t
         return t
+
+    def constants(self) -> "ParameterStore":
+        """The same values as constant tensors, shared rather than copied.
+        Operations on constants record no tape, so forward passes that
+        nothing differentiates (parsing) read parameters through this."""
+        frozen = ParameterStore(self.rng_seed)
+        frozen._entries = {name: Tensor(t.data) for name, t in self._entries.items()}
+        return frozen
 
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]

@@ -26,6 +26,7 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .config import TrainConfig
+from .model import parameter_shapes
 from .treebank import Vocabulary
 
 FORMAT_VERSION = "stackptr-ckpt/1"
@@ -53,6 +54,20 @@ def _check_names(params: ParameterStore) -> None:
     for name in params.names():
         if not name.startswith(PARAM_PREFIXES):
             raise CheckpointError(f"parameter {name!r} outside the checkpoint namespaces")
+
+
+def _check_tensor_set(found: dict[str, tuple[int, ...]],
+                      expected: dict[str, tuple[int, ...]]) -> None:
+    """The tensors must be exactly those the model registers for the
+    recorded config and vocabulary sizes, with the same shapes."""
+    problems = [f"missing tensor {name!r} (expected shape {shape})"
+                for name, shape in expected.items() if name not in found]
+    problems += [f"unexpected tensor {name!r}" for name in found if name not in expected]
+    problems += [f"tensor {name!r} has shape {found[name]}, expected {shape}"
+                 for name, shape in expected.items()
+                 if name in found and found[name] != shape]
+    if problems:
+        raise CheckpointError("tensors do not match the config: " + "; ".join(problems))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -157,6 +172,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if offset < 0 or any(d < 0 for d in shape):
             raise CheckpointError(f"negative shape or offset for tensor {name!r}")
         entries.append((name, shape, offset))
+    _check_tensor_set({name: shape for name, shape, _ in entries},
+                      parameter_shapes(config, vocabs))
     reader.section("blob")
     blob = reader.rest()
     params = ParameterStore(rng_seed)
@@ -176,6 +193,5 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"{len(blob) - blob_end} trailing bytes after the last tensor"
         )
-    _check_names(params)
     return Checkpoint(params=params, vocabs=vocabs, config=config,
                       provenance=provenance, format_version=version)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -93,9 +94,11 @@ def _cmd_parse(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.model)
     parser = Parser(ckpt.config, ckpt.vocabs, ckpt.params)
     blocks = parse_conll_blocks(args.input)
+    began = time.perf_counter()
+    trees = parser.parse_corpus([sent for sent, _ in blocks])
+    elapsed = time.perf_counter() - began
     with open(args.output, "w", encoding="utf-8") as fh:
-        for sent, rows in blocks:
-            tree = parser.parse(sent)
+        for tree, (_, rows) in zip(trees, blocks):
             for i, row in enumerate(rows, start=1):
                 row = list(row)
                 row[6] = str(tree.heads[i])
@@ -104,7 +107,10 @@ def _cmd_parse(args: argparse.Namespace) -> int:
             fh.write("\n")
     _write_repro(args.output, "parse", ckpt.config,
                  {"model": args.model, "input": args.input})
-    _log(f"parsed {len(blocks)} sentences -> {args.output}")
+    tokens = sum(len(tree) for tree in trees)
+    rate = tokens / elapsed if elapsed > 0 else 0.0
+    _log(f"parsed {len(blocks)} sentences, {tokens} tokens, "
+         f"{rate:.1f} tokens/s -> {args.output}")
     return 0
 
 

@@ -20,8 +20,10 @@ steps. The two masks are identical everywhere else.
 Under teacher forcing the gold path fixes every step's stack top, legality
 mask and target in advance (:func:`gold_plan`), so the training objective
 is one whole-path computation over score matrices
-(:func:`path_log_likelihood`). Greedy search keeps a step loop
-(:func:`decode_greedy`).
+(:func:`path_log_likelihood`). Greedy search (:func:`decode_greedy`) runs a
+batch of sentences of any lengths in lockstep: each step asks one batched
+scorer for the scores of every unfinished sentence, while legality and
+transitions stay per sentence.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .treebank import DependencyTree
-
-ScoreFn = Callable[["DecoderState"], Tensor]
-LabelScoreFn = Callable[["DecoderState", int], Tensor]
-
 
 @dataclass(frozen=True)
 class DecoderState:
@@ -250,7 +248,7 @@ def create_biaffine_params(store: ad.ParameterStore, encoder_dim: int,
 
 
 # ---------------------------------------------------------------------------
-# Whole-path likelihood, and greedy search generic over the scorer
+# Whole-path likelihood, and lockstep greedy search generic over the scorers
 # ---------------------------------------------------------------------------
 
 
@@ -281,24 +279,49 @@ def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor
     )
 
 
-def decode_greedy(n: int, score_fn: ScoreFn, label_score_fn: LabelScoreFn,
-                  single_root: bool = False) -> tuple[list[int], list[int]]:
-    """Greedy argmax decoding. Returns (heads, label id per real token).
+ArcScorer = Callable[[np.ndarray, list[DecoderState]], np.ndarray]
+LabelScorer = Callable[[np.ndarray, list[DecoderState], np.ndarray], np.ndarray]
+
+
+def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
+                  label_scorer: LabelScorer, single_root: bool = False
+                  ) -> list[tuple[list[int], list[int]]]:
+    """Greedy argmax decoding of a batch of sentences, in lockstep.
+
+    Returns (heads, label id per real token) for each of ``lengths``, in
+    order. Each step makes one ``arc_scorer(rows, states)`` call for the
+    unfinished sentences, given their batch indices (ascending) and machine
+    states; it returns their raw scores over positions 0..N, an array
+    (len(rows), N+1) with N = max(lengths), whose entries past a sentence's
+    own n are never chosen. Then one ``label_scorer(rows, states, children)``
+    call for the sentences whose move attaches a token returns their (k,
+    labels) label scores from the same step's decoder output.
 
     Ties break toward the lowest position index. The transition system
-    guarantees termination in exactly 2n+1 steps.
+    guarantees that a sentence of n tokens ends in exactly 2n+1 steps.
     """
-    state = initial_state(n)
-    label_ids = [-1] * n
-    while not state.is_terminal():
-        mask = legal_mask(state, mode="decode", single_root=single_root)
-        raw = score_fn(state).data
-        if not np.isfinite(raw[mask]).all():
+    states = [initial_state(n) for n in lengths]
+    label_ids = [[-1] * n for n in lengths]
+    rows = np.arange(len(states))
+    while len(rows):
+        active = [states[b] for b in rows]
+        raw = arc_scorer(rows, active)
+        legal = np.zeros(raw.shape, dtype=bool)
+        for r, state in enumerate(active):
+            legal[r, :state.n + 1] = legal_mask(state, mode="decode",
+                                                single_root=single_root)
+        if not np.isfinite(raw[legal]).all():
             raise ValueError("non-finite arc scores during decoding")
-        scores = np.where(mask, raw, -np.inf)
-        target = int(scores.argmax())
-        if target != state.top:
-            label_ids[target - 1] = int(label_score_fn(state, target).data.argmax())
-        state = step(state, target, single_root=single_root)
-    assert state.step_count == 2 * n + 1
-    return list(state.heads), label_ids
+        targets = np.where(legal, raw, -np.inf).argmax(axis=1)
+        attach = np.flatnonzero(targets != [state.top for state in active])
+        if len(attach):
+            labels = label_scorer(rows[attach], [active[r] for r in attach],
+                                  targets[attach]).argmax(axis=1)
+            for r, label in zip(attach, labels):
+                label_ids[rows[r]][targets[r] - 1] = int(label)
+        for b, state, target in zip(rows, active, targets):
+            states[b] = step(state, int(target), single_root=single_root)
+        rows = rows[[not states[b].is_terminal() for b in rows]]
+    for n, state in zip(lengths, states):
+        assert state.step_count == 2 * n + 1
+    return [(list(state.heads), ids) for state, ids in zip(states, label_ids)]

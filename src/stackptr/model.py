@@ -7,9 +7,11 @@ output goes through small ELU layers before the biaffine arc/label scorers.
 `sentence_loss` gives the teacher-forced training objective for one tree.
 The gold path fixes every step's stack top in advance, so the decoder runs
 as one sequence LSTM over the 2n+1 gathered top states, and the arc and
-label scores of all steps are single matrix products. `parse` runs greedy
-decoding over a bare sentence, one step at a time, through the scoring
-closures of `_scorers`.
+label scores of all steps are single matrix products. `parse_corpus` runs
+greedy decoding over bare sentences, a chunk of them in lockstep, through
+one batched :class:`LockstepScorer`; it reads parameters as constants, so
+parsing records no tape. Both paths advance the decoder LSTM with the same
+gate arithmetic (`autodiff.lstm_gates`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .autodiff import ParameterStore, Rng, Tensor
 from .config import TrainConfig
 from .treebank import DependencyTree, Sentence, Vocabulary, make_tree
 
+# Most sentences decoded in lockstep at once. It bounds the memory of the
+# chunk's decoder input projection, (sum of n+1, 4 * decoder_dim) float64:
+# 64 MB at full size for 64 sentences of 60 tokens.
+DECODE_CHUNK = 64
+
 
 def create_parameters(store: ParameterStore, config: TrainConfig,
                       vocabs: dict[str, Vocabulary]) -> None:
@@ -38,8 +45,27 @@ def create_parameters(store: ParameterStore, config: TrainConfig,
                                config.label_mlp_dim, len(vocabs["label"]))
 
 
+class _ShapeRecorder:
+    """Stands in for a ParameterStore: records each tensor's shape and
+    draws no values."""
+
+    def __init__(self) -> None:
+        self.shapes: dict[str, tuple[int, ...]] = {}
+
+    def create(self, name: str, shape: tuple[int, ...], init: str = "glorot") -> None:
+        self.shapes[name] = tuple(shape)
+
+
+def parameter_shapes(config: TrainConfig, vocabs: dict[str, Vocabulary]
+                     ) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor :func:`create_parameters` registers."""
+    recorder = _ShapeRecorder()
+    create_parameters(recorder, config, vocabs)
+    return recorder.shapes
+
+
 def _mlp(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    """One ELU layer; works on a matrix of rows or a single vector."""
+    """One ELU layer on the last axis of rows or of a single vector."""
     w = store[f"{prefix}.W"]
     b = store[f"{prefix}.b"]
     return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
@@ -118,51 +144,83 @@ class Parser:
                                      label_scores, label_ids, self.label_count)
         return ad.scale(ad.neg(ll), 1.0 / len(tree))
 
-    def _scorers(self, encoder_states: Tensor, training: bool, rng: Rng | None):
-        """Build (score_fn, label_score_fn) sharing one decoder LSTM run, for
-        greedy decoding. Dropout has no place here: training goes through
-        :meth:`sentence_loss`, so ``training`` must be False and ``rng`` is
-        unused.
-
-        Each score_fn call advances the LSTM with the encoder state of the
-        current stack top; label_score_fn for the same step reuses that
-        decoder output, so it must be called before the next score_fn call.
-        """
-        if training:
-            raise ValueError("step-wise scorers are for decoding; "
-                             "training uses sentence_loss")
-        cfg = self.config
-        store = self.store
-        arc_enc = _mlp(store, "biaffine.arc.enc", encoder_states)
-        label_enc = _mlp(store, "biaffine.label.enc", encoder_states)
-        hidden = Tensor(np.zeros(cfg.decoder_dim))
-        cell = Tensor(np.zeros(cfg.decoder_dim))
-
-        def score_fn(state: dec.DecoderState) -> Tensor:
-            nonlocal hidden, cell
-            hidden, cell = ad.lstm_cell(ad.row(encoder_states, state.top), hidden, cell,
-                                        store["decoder.lstm.W_ih"],
-                                        store["decoder.lstm.W_hh"],
-                                        store["decoder.lstm.b"])
-            return _arc_scores(store, _mlp(store, "biaffine.arc.dec", hidden), arc_enc)
-
-        def label_score_fn(state: dec.DecoderState, child: int) -> Tensor:
-            return _label_scores(store, _mlp(store, "biaffine.label.dec", hidden),
-                                 ad.row(label_enc, child))
-
-        return score_fn, label_score_fn
-
     def parse(self, sent: Sentence | DependencyTree) -> DependencyTree:
         """Greedy-decode one sentence into a predicted tree."""
-        states = enc.encode_sentence(sent, self.vocabs, self.store, self.config,
-                                     training=False, rng=None)
-        score_fn, label_score_fn = self._scorers(states, training=False, rng=None)
-        heads, label_ids = dec.decode_greedy(len(sent.tokens), score_fn,
-                                             label_score_fn,
-                                             single_root=self.config.single_root)
-        labels = [self.vocabs["label"].symbol(i) for i in label_ids]
-        return make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
+        return self.parse_corpus([sent])[0]
 
     def parse_corpus(self, sents: Sequence[Sentence | DependencyTree]
                      ) -> list[DependencyTree]:
-        return [self.parse(s) for s in sents]
+        """Greedy-decode sentences into predicted trees, in input order.
+
+        Sentences are decoded longest first, up to DECODE_CHUNK of them in
+        lockstep, so finished ones leave the end of the active set.
+        """
+        order = sorted(range(len(sents)), key=lambda k: -len(sents[k].tokens))
+        trees: list[DependencyTree] = [None] * len(sents)
+        for start in range(0, len(order), DECODE_CHUNK):
+            chunk = order[start:start + DECODE_CHUNK]
+            batch = [sents[k] for k in chunk]
+            scorer = LockstepScorer(self, batch)
+            decoded = dec.decode_greedy([len(s.tokens) for s in batch], scorer.arc_scores,
+                                        scorer.label_scores,
+                                        single_root=self.config.single_root)
+            for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
+                labels = [self.vocabs["label"].symbol(i) for i in label_ids]
+                trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
+        return trees
+
+
+def _leading(rows: np.ndarray) -> np.ndarray | slice:
+    """Ascending batch indices as a slice when they are 0..k-1, so that
+    selecting them makes views rather than copies."""
+    return slice(0, len(rows)) if rows[-1] == len(rows) - 1 else rows
+
+
+class LockstepScorer:
+    """Arc and label scores for a batch of sentences greedy-decoded in
+    lockstep (the scorers of :func:`decoder.decode_greedy`).
+
+    Each sentence is encoded once; the arc and label encoder-MLP rows are
+    padded to (B, N+1, .), and every encoder state goes through the decoder
+    LSTM's input weights up front (unpadded: sentence b's position p is row
+    starts[b] + p), so a step gathers one projected row per sentence and
+    adds only the recurrent product of the (B, d) batch. Parameters are
+    read as constants: nothing is recorded for differentiation.
+    """
+
+    def __init__(self, parser: Parser, sents: Sequence[Sentence | DependencyTree]):
+        cfg = parser.config
+        self.store = store = parser.store.constants()
+        states = [enc.encode_sentence(s, parser.vocabs, store, cfg).data for s in sents]
+        padded = np.zeros((len(states), max(map(len, states)), states[0].shape[1]))
+        for b, rows in enumerate(states):
+            padded[b, :len(rows)] = rows
+        self.arc_enc = _mlp(store, "biaffine.arc.enc", Tensor(padded)).data
+        self.label_enc = _mlp(store, "biaffine.label.enc", Tensor(padded)).data
+        self.starts = np.cumsum([0] + [len(rows) for rows in states[:-1]])
+        self.x_proj = np.concatenate(states) @ store["decoder.lstm.W_ih"].data.T
+        self.x_proj += store["decoder.lstm.b"].data
+        self.hidden = np.zeros((len(states), cfg.decoder_dim))
+        self.cell = np.zeros_like(self.hidden)
+
+    def arc_scores(self, rows: np.ndarray, states: list[dec.DecoderState]) -> np.ndarray:
+        """Advance the given sentences' decoders by one step, fed the encoder
+        states of their stack tops; return their raw (rows, N+1) arc scores."""
+        store = self.store
+        sel = _leading(rows)
+        z = (self.x_proj[self.starts[rows] + [state.top for state in states]]
+             + self.hidden[sel] @ store["decoder.lstm.W_hh"].data.T)
+        _, self.cell[sel], _, self.hidden[sel] = ad.lstm_gates(z, self.cell[sel])
+        arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[sel])).data
+        # The arithmetic of biaffine_score, one (N+1, a) @ (a,) product per row.
+        through = arc_dec @ store["biaffine.arc.U"].data + store["biaffine.arc.w_enc"].data
+        dec_term = arc_dec @ store["biaffine.arc.w_dec"].data + store["biaffine.arc.b"].data
+        return (self.arc_enc[sel] @ through[:, :, None])[:, :, 0] + dec_term[:, None]
+
+    def label_scores(self, rows: np.ndarray, states: list[dec.DecoderState],
+                     children: np.ndarray) -> np.ndarray:
+        """(k, labels) scores of attaching ``children`` in the given
+        sentences, from the decoder output of the current step."""
+        label_dec = _mlp(self.store, "biaffine.label.dec", Tensor(self.hidden[rows]))
+        return _label_scores(self.store, label_dec,
+                             Tensor(self.label_enc[rows, children])).data

@@ -12,7 +12,8 @@ from .checkpoint import Checkpoint
 from .config import TrainConfig
 from .metrics import attachment_scores
 from .model import Parser
-from .treebank import DependencyTree, build_vocabulary, load_pretrained_embeddings
+from .treebank import (DependencyTree, TreebankError, build_vocabulary,
+                       load_pretrained_embeddings)
 
 
 class TrainAbort(RuntimeError):
@@ -85,11 +86,19 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     given (fine-tuning), its vocabularies and parameter values are the
     starting point and the optimizer state starts fresh; ``config`` must
     then keep the checkpoint's architecture fields (``ArchitectureMismatch``
-    otherwise). Identical seeds, config, and corpora reproduce the returned
-    checkpoint bitwise.
+    otherwise). Under ``single_root`` every training tree must have one
+    root child (``TreebankError`` otherwise): the likelihood gives a second
+    one probability 0. Identical seeds, config, and corpora reproduce the
+    returned checkpoint bitwise.
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")
+    if config.single_root:
+        for index, tree in enumerate(train_trees):
+            roots = [i for i in range(1, len(tree) + 1) if tree.heads[i] == 0]
+            if len(roots) > 1:
+                raise TreebankError(f"training tree {index} has root children {roots}, "
+                                    "but single_root allows one")
     if initial is None:
         vocabs = build_vocabulary(train_trees, config.min_word_count)
         parser = Parser.build(config, vocabs)

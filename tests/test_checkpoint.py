@@ -12,24 +12,34 @@ from stackptr.checkpoint import (
     save_checkpoint,
 )
 from stackptr.config import TrainConfig
+from stackptr.model import create_parameters
 from stackptr.treebank import RESERVED, Vocabulary
+
+# d_model = 3 and d_h = 2: the encoder LSTM input weights are (8, 3).
+SMALL = TrainConfig(d_w=1, char_dim=1, num_filters=1, pos_dim=1, r=3, d_h=2,
+                    arc_mlp_dim=2, label_mlp_dim=2)
+
+
+def _store(config, vocabs, skip=()):
+    """The tensors the model registers for ``config`` and ``vocabs``, bar ``skip``."""
+    full = ParameterStore(rng_seed=7)
+    create_parameters(full, config, vocabs)
+    store = ParameterStore(rng_seed=7)
+    for name, tensor in full.items():
+        if name not in skip:
+            store.put(name, tensor.data)
+    return store
 
 
 @pytest.fixture
 def small_ckpt():
-    store = ParameterStore(rng_seed=7)
-    store.create("embeddings.word", (4, 3), init="embedding")
-    store.create("encoder.lstm.fw.W_ih", (8, 3), init="glorot")
-    store.create("decoder.lstm.b", (8,), init="zeros")
-    store.create("biaffine.arc.b", (), init="zeros")
     vocabs = {
         "word": Vocabulary(RESERVED + ("猫",)),
         "char": Vocabulary(RESERVED + ("猫",)),
         "pos": Vocabulary(RESERVED + ("NN",)),
         "label": Vocabulary(("root", "nsubj"), reserved=False),
     }
-    return Checkpoint(params=store, vocabs=vocabs,
-                      config=TrainConfig(d_w=6, num_filters=3, pos_dim=3, r=3),
+    return Checkpoint(params=_store(SMALL, vocabs), vocabs=vocabs, config=SMALL,
                       provenance=["unit fixture"])
 
 
@@ -107,9 +117,9 @@ class TestValidation:
         path = tmp_path / "short.ckpt"
         save_checkpoint(small_ckpt, path)
         path.write_bytes(path.read_bytes()[:-10])
-        # The last tensor, a scalar, loses all 4 of its bytes; the one
-        # before it loses 6 of its 32.
-        with pytest.raises(CheckpointError, match="decoder.lstm.b"):
+        # The last tensor, the (2,) label bias, loses all 8 of its bytes;
+        # the one before it loses 2 of its 16.
+        with pytest.raises(CheckpointError, match="biaffine.label.w_enc"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, small_ckpt, tmp_path):
@@ -142,6 +152,45 @@ class TestValidation:
     def test_vocab_symbol_resembling_header_is_fine(self, small_ckpt, tmp_path):
         # Counts drive the parse, so a symbol like "[tensors 3]" is data.
         small_ckpt.vocabs["word"] = Vocabulary(RESERVED + ("[tensors 3]",))
+        small_ckpt.params = _store(small_ckpt.config, small_ckpt.vocabs)
         path = tmp_path / "w.ckpt"
         save_checkpoint(small_ckpt, path)
         assert load_checkpoint(path).vocabs["word"].symbols[-1] == "[tensors 3]"
+
+
+class TestTensorSet:
+    """The tensors must be exactly those the model registers for the
+    recorded config and vocabulary sizes."""
+
+    def test_missing_tensor_named(self, small_ckpt, tmp_path):
+        small_ckpt.params = _store(small_ckpt.config, small_ckpt.vocabs,
+                                   skip={"biaffine.arc.U"})
+        path = tmp_path / "missing.ckpt"
+        save_checkpoint(small_ckpt, path)
+        with pytest.raises(CheckpointError, match=r"missing tensor 'biaffine.arc.U' "
+                                                  r"\(expected shape \(2, 2\)\)"):
+            load_checkpoint(path)
+
+    def test_unexpected_tensor_named(self, small_ckpt, tmp_path):
+        small_ckpt.params.create("biaffine.arc.extra", (2,), init="zeros")
+        path = tmp_path / "extra.ckpt"
+        save_checkpoint(small_ckpt, path)
+        with pytest.raises(CheckpointError, match="unexpected tensor 'biaffine.arc.extra'"):
+            load_checkpoint(path)
+
+    def test_wrong_shape_gives_expected_and_found(self, small_ckpt, tmp_path):
+        small_ckpt.params["decoder.lstm.W_hh"].data = np.zeros((16, 3))
+        path = tmp_path / "shape.ckpt"
+        save_checkpoint(small_ckpt, path)
+        with pytest.raises(CheckpointError, match=r"tensor 'decoder.lstm.W_hh' has shape "
+                                                  r"\(16, 3\), expected \(16, 4\)"):
+            load_checkpoint(path)
+
+    def test_vocabulary_size_sets_embedding_rows(self, small_ckpt, tmp_path):
+        small_ckpt.vocabs["word"] = Vocabulary(RESERVED + ("猫", "狗"))
+        path = tmp_path / "vocab.ckpt"
+        save_checkpoint(small_ckpt, path)
+        rows = len(RESERVED) + 1
+        with pytest.raises(CheckpointError, match=rf"'embeddings.word' has shape "
+                                                  rf"\({rows}, 1\), expected \({rows + 1}, 1\)"):
+            load_checkpoint(path)

@@ -67,6 +67,12 @@ class TestParseVerb:
                     "--input", str(work.dev), "--output", str(pred)]) == 0
         trees = parse_conll(pred, allow_multiple_roots=True)
         assert len(trees) == 6
+        last = capsys.readouterr().err.splitlines()[-1]
+        report = re.fullmatch(r"parsed 6 sentences, (\d+) tokens, ([\d.]+) tokens/s -> (.+)",
+                              last)
+        assert report, last
+        assert int(report[1]) == sum(len(t) for t in trees)
+        assert float(report[2]) > 0 and report[3] == str(pred)
         assert run(["eval", "--gold", str(pred), "--pred", str(pred)]) == 0
         out = capsys.readouterr().out
         assert "average_las=100.0" in out

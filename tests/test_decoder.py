@@ -23,6 +23,8 @@ from stackptr.decoder import (
 )
 from stackptr.treebank import DependencyTree, Token, TreebankError, validate_tree
 
+from reference_loss import decode_one, lockstep_scorers
+
 
 def _tree(heads, labels=None):
     n = len(heads) - 1
@@ -189,8 +191,34 @@ class TestExhaustiveOracle:
                     scores[next(path)] = 1.0
                     return Tensor(scores)
 
-                got_heads, _ = decode_greedy(n, score_fn, zero_labeler(2))
+                got_heads, _ = decode_one(n, score_fn, zero_labeler(2))
                 assert tuple(got_heads) == heads
+
+    def test_oracle_scorers_recover_every_tree_in_one_lockstep_batch(self):
+        trees = [_tree(heads) for n in range(1, 5) for heads in all_head_vectors(n)]
+        order = Rng(5).split("order").permutation(len(trees))
+        trees = [trees[int(k)] for k in order]          # lengths mixed
+        paths = [iter(gold_path(tree)) for tree in trees]
+
+        def oracle(path):
+            def score_fn(state):
+                scores = np.zeros(state.n + 1)
+                scores[next(path)] = 1.0
+                return Tensor(scores)
+            return score_fn
+
+        def labeler(state, child):
+            scores = np.zeros(3)
+            scores[(child - 1) % 3] = 1.0
+            return Tensor(scores)
+
+        arcs, labels = lockstep_scorers([oracle(p) for p in paths], [labeler] * len(trees),
+                                        width=5)
+        decoded = decode_greedy([len(t) for t in trees], arcs, labels)
+        assert len(trees) == 145
+        for tree, (heads, label_ids) in zip(trees, decoded):
+            assert tuple(heads) == tree.heads
+            assert label_ids == [i % 3 for i in range(len(tree))]
 
     def test_non_projective_tree_included(self):
         heads = (-1, 3, 4, 0, 3)
@@ -330,7 +358,7 @@ class TestGreedyDecoding:
             def scorer(state, off=offset):
                 return Tensor(next(calls) + off)
 
-            heads, labels = decode_greedy(3, scorer, zero_labeler(2))
+            heads, labels = decode_one(3, scorer, zero_labeler(2))
             if offset == 0.0:
                 reference = (heads, labels)
             else:
@@ -342,7 +370,7 @@ class TestGreedyDecoding:
             scores[child % 4] = 1.0
             return Tensor(scores)
 
-        heads, label_ids = decode_greedy(3, zero_scorer(3), labeler)
+        heads, label_ids = decode_one(3, zero_scorer(3), labeler)
         validate_tree(heads, allow_multiple_roots=True)
         assert all(i >= 0 for i in label_ids)
 
@@ -351,8 +379,17 @@ class TestGreedyDecoding:
         for trial in range(50):
             n = 1 + trial % 6
             scorer = lambda state: Tensor(rng.random(n + 1) * 10 - 5)
-            heads, _ = decode_greedy(n, scorer, zero_labeler(3))
+            heads, _ = decode_one(n, scorer, zero_labeler(3))
             validate_tree(heads, allow_multiple_roots=True)
+
+    def test_nan_in_one_sentence_of_a_batch_raises(self):
+        def scorer(scores):
+            return lambda state: Tensor(scores)
+
+        fns = [scorer(np.zeros(4)), scorer(np.array([0.0, np.nan, 0.0])), scorer(np.zeros(2))]
+        arcs, labels = lockstep_scorers(fns, [zero_labeler(2)] * 3, width=4)
+        with pytest.raises(ValueError, match="non-finite arc scores"):
+            decode_greedy([3, 2, 1], arcs, labels)
 
     def test_single_root_flag_respected_when_possible(self):
         # A scorer trying to hang everything off ROOT: with single_root the
@@ -365,5 +402,5 @@ class TestGreedyDecoding:
             scores[2] = 1.0
             return Tensor(scores)
 
-        heads, _ = decode_greedy(2, root_greedy, zero_labeler(2), single_root=True)
+        heads, _ = decode_one(2, root_greedy, zero_labeler(2), single_root=True)
         assert heads == [-1, 0, 0]  # duress path: both end up root children

@@ -1,16 +1,21 @@
-"""The whole-path training loss and greedy parsing against the per-step
-reference in ``reference_loss.py``."""
+"""The whole-path training loss and lockstep greedy parsing against the
+per-step reference in ``reference_loss.py``."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stackptr import autodiff as ad
+from stackptr import decoder as dec
+from stackptr import model
 from stackptr.autodiff import Rng
 from stackptr.config import CHILD_ORDERS
 from stackptr.encoder import encode_sentence
-from stackptr.model import Parser
-from stackptr.treebank import DependencyTree, Token, build_vocabulary
+from stackptr.model import LockstepScorer, Parser
+from stackptr.treebank import DependencyTree, Sentence, Token, build_vocabulary
 
 import reference_loss
 from synthetic import SOURCE_POOLS, TEMPLATES, corpus
@@ -92,8 +97,69 @@ def test_greedy_parse_matches_reference(tiny_config, toy_vocabs, toy_trees):
         assert list(got.labels) == [toy_vocabs["label"].symbol(i) for i in label_ids]
 
 
-def test_step_scorers_refuse_training(tiny_config, toy_vocabs, toy_trees):
+def _sentence(rng, n):
+    pos_seq = [sorted(SOURCE_POOLS)[rng.integers(0, len(SOURCE_POOLS))] for _ in range(n)]
+    return Sentence(tuple(Token(SOURCE_POOLS[pos][rng.integers(0, len(SOURCE_POOLS[pos]))],
+                                pos) for pos in pos_seq))
+
+
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=7),
+       single_root=st.booleans(), chunk=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(lengths=[3, 1, 5, 3, 1, 7], single_root=False, chunk=2, seed=0)
+@example(lengths=[1, 2, 2, 4, 1], single_root=True, chunk=64, seed=1)
+@settings(max_examples=25, deadline=None)
+def test_lockstep_parse_matches_per_sentence_reference(tiny_config, lengths, single_root,
+                                                       chunk, seed):
+    rng = Rng(seed).split("sentences")
+    sents = [_sentence(rng, n) for n in lengths]
+    parser = Parser.build(tiny_config.replaced(single_root=single_root, seed=seed), VOCABS)
+    with mock.patch.object(model, "DECODE_CHUNK", chunk):
+        got = parser.parse_corpus(sents)
+    assert len(got) == len(sents)
+    for sent, tree in zip(sents, got):
+        heads, label_ids = reference_loss.parse_heads_labels(parser, sent)
+        assert tree.tokens == sent.tokens
+        assert list(tree.heads) == heads
+        assert list(tree.labels) == [VOCABS["label"].symbol(i) for i in label_ids]
+
+
+def test_scorer_serves_sentences_in_any_order(tiny_config, toy_vocabs, toy_trees):
+    # parse_corpus decodes longest first, so its unfinished sentences are
+    # always a leading slice of the batch; in input order they are not.
     parser = Parser.build(tiny_config, toy_vocabs)
-    states = encode_sentence(toy_trees[0], toy_vocabs, parser.store, tiny_config)
-    with pytest.raises(ValueError, match="sentence_loss"):
-        parser._scorers(states, training=True, rng=Rng(0))
+    sents = toy_trees[:8]
+    assert sorted(map(len, sents), reverse=True) != list(map(len, sents))
+    scorer = LockstepScorer(parser, sents)
+    decoded = dec.decode_greedy([len(t) for t in sents], scorer.arc_scores,
+                                scorer.label_scores)
+    for tree, (heads, label_ids) in zip(parser.parse_corpus(sents), decoded):
+        assert list(tree.heads) == heads
+        assert list(tree.labels) == [toy_vocabs["label"].symbol(i) for i in label_ids]
+
+
+def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vocabs,
+                                                             toy_trees):
+    parser = Parser.build(tiny_config, toy_vocabs)
+    store = parser.store
+    for tree in toy_trees[:10]:
+        plan = dec.gold_plan(tree)
+        states = encode_sentence(tree, toy_vocabs, store, tiny_config)
+        want = ad.lstm_sequence(ad.gather_rows(states, plan.tops), store["decoder.lstm.W_ih"],
+                                store["decoder.lstm.W_hh"], store["decoder.lstm.b"]).data
+        scorer = LockstepScorer(parser, [tree])
+        state = dec.initial_state(len(tree))
+        for k, target in enumerate(plan.targets):
+            scorer.arc_scores(np.array([0]), [state])
+            assert np.abs(scorer.hidden[0] - want[k]).max() <= 1e-12
+            state = dec.step(state, int(target))
+
+
+def test_parsing_reads_parameters_as_constants(tiny_config, toy_vocabs, toy_trees):
+    # Decoding differentiates nothing, so it records no tape: the scorer's
+    # parameters and the encoder states it computes are constants.
+    parser = Parser.build(tiny_config, toy_vocabs)
+    scorer = LockstepScorer(parser, toy_trees[:3])
+    assert not any(t.requires_grad for _, t in scorer.store.items())
+    assert scorer.store["biaffine.arc.U"].data is parser.store["biaffine.arc.U"].data
+    assert not encode_sentence(toy_trees[0], toy_vocabs, scorer.store,
+                               tiny_config).requires_grad

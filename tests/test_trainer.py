@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from stackptr.autodiff import Rng
-from stackptr.checkpoint import load_checkpoint, save_checkpoint
+from stackptr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from stackptr.config import ArchitectureMismatch
 from stackptr.model import Parser
 from stackptr.trainer import TrainAbort, compute_loss, evaluate, make_batches, train
-from stackptr.treebank import DependencyTree, Token, build_vocabulary
+from stackptr.treebank import DependencyTree, Token, TreebankError, build_vocabulary
 
 
 def _zero_biaffine_output(parser):
@@ -130,6 +130,25 @@ class TestTrain:
         with pytest.raises(TrainAbort, match="numeric failure"):
             train(quick.replaced(max_epochs=1), toy_trees[:6], toy_trees[:4],
                   initial=base)
+
+    def test_nan_scores_in_one_dev_sentence_abort_evaluation(self, quick, toy_trees):
+        # A NaN embedding row reaches the arc scores of the one dev sentence
+        # holding that word; the lockstep batch still fails as a whole.
+        dev = toy_trees[4:10]
+        vocabs = build_vocabulary(toy_trees, min_word_count=1)
+        word = next(t.form for t in dev[2].tokens
+                    if sum(t.form in {u.form for u in d.tokens} for d in dev) == 1)
+        parser = Parser.build(quick, vocabs)
+        parser.store["embeddings.word"].data[vocabs["word"].index(word)] = np.nan
+        start = Checkpoint(params=parser.store, vocabs=vocabs, config=quick)
+        with pytest.raises(TrainAbort, match="initial evaluation: non-finite arc scores"):
+            train(quick, toy_trees[:4], dev, initial=start)
+
+    def test_multi_root_tree_rejected_under_single_root(self, quick, toy_trees):
+        tokens = tuple(Token(w, "NN") for w in ("猫", "狗", "鱼"))
+        tree = DependencyTree(tokens, (-1, 0, 0, 2), ("root", "root", "dobj"))
+        with pytest.raises(TreebankError, match=r"training tree 4 has root children \[1, 2\]"):
+            train(quick.replaced(single_root=True), toy_trees[:4] + [tree], toy_trees[:2])
 
     def test_architecture_change_rejected_up_front(self, quick, toy_trees):
         base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
