@@ -38,14 +38,12 @@ __all__ = [
     "transpose",
     "concat",
     "stack_rows",
-    "gather_rows",
     "pick",
     "sum_all",
     "scale",
     "sigmoid",
     "tanh",
     "elu",
-    "relu",
     "max_over_rows",
     "dropout",
     "mask_fill",
@@ -82,13 +80,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Run reverse-mode accumulation from this (seed gradient = ones)."""
         topo: list[Tensor] = []
@@ -112,22 +103,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    # Operator sugar; the free functions below do the work.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -257,22 +232,10 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _node(out_data, rows, backward)
 
 
-def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    idx = np.asarray(indices, dtype=np.intp)
-    out_data = table.data[idx]
-
-    def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
-            _accum(table, gt)
-
-    return _node(out_data, (table,), backward)
-
-
 def pick(v: Tensor, index) -> Tensor:
-    """Select entries by numpy index: one int gives a scalar tensor, a tuple
-    of index arrays (one per axis) gives the vector of those entries."""
+    """Select entries by numpy index: one int gives a scalar tensor, an
+    index array or list gives those rows (repeats allowed), and a tuple of
+    index arrays (one per axis) gives the vector of those entries."""
     def backward(g: np.ndarray) -> None:
         if v.requires_grad:
             gv = np.zeros_like(v.data)
@@ -322,15 +285,6 @@ def elu(t: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accum(t, g * np.where(t.data > 0.0, 1.0, neg_part + 1.0))
-
-    return _node(out_data, (t,), backward)
-
-
-def relu(t: Tensor) -> Tensor:
-    out_data = np.maximum(t.data, 0.0)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(t, g * (t.data > 0.0))
 
     return _node(out_data, (t,), backward)
 
@@ -701,13 +655,6 @@ class ParameterStore:
 
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._entries.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, data in values.items():
-            t = self._entries[name]
-            if t.data.shape != data.shape:
-                raise ValueError(f"shape mismatch loading {name}")
-            t.data = np.array(data, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,21 @@ Layout (UTF-8 until the blob marker, then raw bytes):
     [store]         one rng_seed=... line
     [provenance N]  N lines, each prefixed "- "
     [vocab.word N]  N symbol lines   (same for char / pos / label)
-    [tensors N]     N lines: name<TAB>dim,dim,...<TAB>byte-offset
+    [tensors N]     N lines: name<TAB>dim,dim,...<TAB>byte-offset (back to back)
     [blob]
     <float32 data>
 
 Section counts make the parse unambiguous — a vocabulary symbol that happens
 to look like a section header is just a line to consume. Values are stored
-as 32-bit floats (training math stays 64-bit); loading then saving a file
-reproduces it byte for byte.
+as 32-bit floats (training math stays 64-bit; :func:`as_stored` gives the
+stored values); loading then saving a file reproduces it byte for byte.
+Every fault in a file is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +29,10 @@ import numpy as np
 from .autodiff import ParameterStore
 from .config import TrainConfig
 from .model import parameter_shapes
-from .treebank import Vocabulary
+from .treebank import TreebankError, Vocabulary
 
 FORMAT_VERSION = "stackptr-ckpt/1"
+STORED_DTYPE = "<f4"
 VOCAB_KEYS = ("word", "char", "pos", "label")
 PARAM_PREFIXES = ("embeddings.", "encoder.", "decoder.", "biaffine.")
 
@@ -44,10 +47,12 @@ class Checkpoint:
     vocabs: dict[str, Vocabulary]
     config: TrainConfig
     provenance: list[str] = field(default_factory=list)
-    format_version: str = FORMAT_VERSION
 
-    def with_note(self, note: str) -> "Checkpoint":
-        return replace(self, provenance=self.provenance + [note])
+
+def as_stored(values: np.ndarray) -> np.ndarray:
+    """``values`` as a checkpoint file holds them: rounded to float32 and
+    widened back to float64, exactly what loading the saved file gives."""
+    return np.asarray(values, dtype=STORED_DTYPE).astype(np.float64)
 
 
 def _check_names(params: ParameterStore) -> None:
@@ -72,7 +77,7 @@ def _check_tensor_set(found: dict[str, tuple[int, ...]],
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     _check_names(ckpt.params)
-    lines: list[str] = [ckpt.format_version]
+    lines: list[str] = [FORMAT_VERSION]
     flat = ckpt.config.to_flat()
     lines.append(f"[config {len(flat)}]")
     lines.extend(f"{k}={v}" for k, v in flat.items())
@@ -89,7 +94,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     offset = 0
     tensor_lines: list[str] = []
     for name, tensor in ckpt.params.items():
-        raw = np.ascontiguousarray(tensor.data, dtype="<f4").tobytes()
+        raw = np.ascontiguousarray(tensor.data, dtype=STORED_DTYPE).tobytes()
         shape_text = ",".join(str(d) for d in tensor.data.shape)
         tensor_lines.append(f"{name}\t{shape_text}\t{offset}")
         blobs.append(raw)
@@ -105,12 +110,17 @@ class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        self.lineno = 0
 
     def line(self) -> str:
         nl = self.data.find(b"\n", self.pos)
         if nl < 0:
             raise CheckpointError("truncated manifest")
-        out = self.data[self.pos:nl].decode("utf-8")
+        self.lineno += 1
+        try:
+            out = self.data[self.pos:nl].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"manifest line {self.lineno} is not UTF-8") from None
         self.pos = nl + 1
         return out
 
@@ -123,7 +133,7 @@ class _Reader:
         if body == name:
             return 0
         count = body[len(name):].strip()
-        if not count.isdigit():
+        if not (count.isascii() and count.isdigit()):
             raise CheckpointError(f"bad section count in {text!r}")
         return int(count)
 
@@ -142,12 +152,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if not sep:
             raise CheckpointError(f"malformed config line {key!r}")
         flat[key] = value
-    config = TrainConfig.from_flat(flat)
+    try:
+        config = TrainConfig.from_flat(flat)
+    except ValueError as exc:
+        raise CheckpointError(f"bad [config] section: {exc}") from None
     reader.section("store")
     seed_line = reader.line()
-    if not seed_line.startswith("rng_seed="):
-        raise CheckpointError(f"expected rng_seed line, got {seed_line!r}")
-    rng_seed = int(seed_line.removeprefix("rng_seed="))
+    seed_text = seed_line.removeprefix("rng_seed=")
+    if seed_text == seed_line or not (seed_text.isascii() and seed_text.isdigit()):
+        raise CheckpointError(f"expected rng_seed=<integer> line, got {seed_line!r}")
+    rng_seed = int(seed_text)
     provenance = []
     for _ in range(reader.section("provenance")):
         note = reader.line()
@@ -157,41 +171,51 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     vocabs: dict[str, Vocabulary] = {}
     for key in VOCAB_KEYS:
         symbols = tuple(reader.line() for _ in range(reader.section(f"vocab.{key}")))
-        vocabs[key] = Vocabulary(symbols, reserved=key != "label")
-    entries: list[tuple[str, tuple[int, ...], int]] = []
+        try:
+            vocabs[key] = Vocabulary(symbols, reserved=key != "label")
+        except TreebankError as exc:
+            raise CheckpointError(f"bad [vocab.{key}] section: {exc}") from None
+    # Tensors lie back to back in manifest order: each starts where the
+    # previous one ends, and the last one ends the file.
+    shapes: dict[str, tuple[int, ...]] = {}
+    blob_end = 0
     for _ in range(reader.section("tensors")):
         parts = reader.line().split("\t")
         if len(parts) != 3:
             raise CheckpointError(f"malformed tensor line {parts!r}")
         name, shape_text, offset_text = parts
+        if name in shapes:
+            raise CheckpointError(f"duplicate tensor {name!r}")
         try:
             shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
             offset = int(offset_text)
         except ValueError:
             raise CheckpointError(f"malformed shape or offset for tensor {name!r}") from None
-        if offset < 0 or any(d < 0 for d in shape):
-            raise CheckpointError(f"negative shape or offset for tensor {name!r}")
-        entries.append((name, shape, offset))
-    _check_tensor_set({name: shape for name, shape, _ in entries},
-                      parameter_shapes(config, vocabs))
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"negative shape for tensor {name!r}")
+        if offset != blob_end:
+            raise CheckpointError(f"tensor {name!r} starts at blob byte {offset}, "
+                                  f"expected {blob_end}: tensors lie back to back")
+        shapes[name] = shape
+        blob_end += 4 * math.prod(shape)
+    _check_tensor_set(shapes, parameter_shapes(config, vocabs))
     reader.section("blob")
     blob = reader.rest()
     params = ParameterStore(rng_seed)
-    blob_end = 0
-    for name, shape, offset in entries:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    offset = 0
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         end = offset + 4 * count
         if end > len(blob):
             raise CheckpointError(
                 f"tensor {name!r} needs blob bytes {offset}..{end}, "
                 f"but the blob holds {len(blob)}"
             )
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        values = np.frombuffer(blob, dtype=STORED_DTYPE, count=count, offset=offset)
         params.put(name, values.reshape(shape).astype(np.float64))
-        blob_end = max(blob_end, end)
+        offset = end
     if len(blob) != blob_end:
         raise CheckpointError(
             f"{len(blob) - blob_end} trailing bytes after the last tensor"
         )
-    return Checkpoint(params=params, vocabs=vocabs, config=config,
-                      provenance=provenance, format_version=version)
+    return Checkpoint(params=params, vocabs=vocabs, config=config, provenance=provenance)

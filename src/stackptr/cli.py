@@ -18,13 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ArchitectureMismatch, TrainConfig
 from .metrics import evaluate_domains
 from .model import Parser
 from .trainer import train
 from .transfer import SurgeryPlan, finetune, transplant
-from .treebank import parse_conll, parse_conll_blocks, write_conll
+from .treebank import parse_conll, parse_conll_blocks
 
 
 def _log(message: str) -> None:

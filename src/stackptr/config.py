@@ -60,7 +60,7 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.d_model % self.r != 0:
+        if self.r < 1 or self.d_model % self.r != 0:
             raise ValueError(f"d_model={self.d_model} not divisible by r={self.r}")
         if self.attention_scale not in ATTENTION_SCALES:
             raise ValueError(f"unknown attention_scale: {self.attention_scale!r}")

@@ -58,9 +58,6 @@ class DecoderState:
     def is_terminal(self) -> bool:
         return not self.stack
 
-    def unattached(self) -> list[int]:
-        return [i for i in range(1, self.n + 1) if self.heads[i] == -1]
-
 
 def initial_state(n: int) -> DecoderState:
     if n < 1:
@@ -76,14 +73,14 @@ def legal_mask(state: DecoderState, mode: str = "decode",
     if state.is_terminal():
         raise ValueError("no legal actions in a terminal state")
     t = state.top
-    on_stack = set(state.stack)
-    any_unattached = any(state.heads[p] == -1 for p in range(1, state.n + 1))
+    # A token is pushed exactly when it is attached, so the unattached
+    # tokens are the ones still open to point at; ROOT's -1 is not a target.
+    mask = np.array(state.heads) == -1
+    mask[0] = False
+    any_unattached = mask.any()
     # Self-point: always available off ROOT; on ROOT only once everything is
     # attached (decode) or unconditionally in the likelihood normalizer.
     self_ok = t != 0 or not any_unattached or mode == "likelihood"
-    mask = np.zeros(state.n + 1, dtype=bool)
-    for p in range(1, state.n + 1):
-        mask[p] = state.heads[p] == -1 and p not in on_stack
     if single_root and t == 0 and any(h == 0 for h in state.heads[1:]) and self_ok:
         # A second root child is excluded whenever some other action exists;
         # if pointing is the machine's only way forward, the restriction yields.

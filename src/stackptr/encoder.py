@@ -61,7 +61,7 @@ def char_cnn(form: str, char_vocab: Vocabulary, store: ad.ParameterStore,
              config: TrainConfig) -> Tensor:
     """Convolve over a word's characters, tanh, max-over-time pool."""
     ids = char_ids(form, char_vocab, config.filter_width)
-    chars = ad.gather_rows(store["embeddings.char"], ids)
+    chars = ad.pick(store["embeddings.char"], ids)
     windows = ad.im2col_rows(chars, config.filter_width)
     conv = ad.add(ad.matmul(windows, ad.transpose(store["encoder.charcnn.W"])),
                   store["encoder.charcnn.b"])
@@ -78,8 +78,8 @@ def embed_tokens(sent, vocabs: dict[str, Vocabulary],
     forms = (ROOT_FORM,) + tuple(t.form for t in sent.tokens)
     word_ids = [ROOT_ID] + [vocabs["word"].index(t.form) for t in sent.tokens]
     pos_ids = [ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
-    words = ad.gather_rows(store["embeddings.word"], word_ids)
-    poses = ad.gather_rows(store["embeddings.pos"], pos_ids)
+    words = ad.pick(store["embeddings.word"], word_ids)
+    poses = ad.pick(store["embeddings.pos"], pos_ids)
     chars = ad.stack_rows([char_cnn(f, vocabs["char"], store, config) for f in forms])
     return ad.concat([words, chars, poses], axis=1)
 
@@ -132,11 +132,11 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
             hid_mask = ad.dropout_mask(config.d_h, config.p_rnn, rng.split(f"{prefix}.hid"))
             rows = ad.mul(rows, Tensor(in_mask))
         if direction == "bw":
-            rows = ad.gather_rows(rows, reverse)
+            rows = ad.pick(rows, reverse)
         states = ad.lstm_sequence(rows, store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"],
                                   store[f"{prefix}.b"], hid_mask)
         if direction == "bw":
-            states = ad.gather_rows(states, reverse)
+            states = ad.pick(states, reverse)
         outputs.append(states)
     return ad.concat(outputs, axis=1)
 

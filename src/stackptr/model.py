@@ -124,11 +124,11 @@ class Parser:
         hid_mask = None
         if training and cfg.p_rnn > 0.0:
             hid_mask = ad.dropout_mask(cfg.decoder_dim, cfg.p_rnn, rng.split("decoder.hid"))
-        hidden = ad.lstm_sequence(ad.gather_rows(states, plan.tops),
+        hidden = ad.lstm_sequence(ad.pick(states, plan.tops),
                                   store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
                                   store["decoder.lstm.b"], hid_mask)
         arc_rows = np.flatnonzero(plan.arc_steps)
-        label_dec = _mlp(store, "biaffine.label.dec", ad.gather_rows(hidden, arc_rows))
+        label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, arc_rows))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)
         if training and cfg.p_out > 0.0:
             # Every step draws its label-row mask, then its arc-row mask, from
@@ -138,7 +138,7 @@ class Parser:
             label_dec = ad.mul(label_dec, Tensor(factors[arc_rows, :cfg.label_mlp_dim]))
             arc_dec = ad.mul(arc_dec, Tensor(factors[:, cfg.label_mlp_dim:]))
         label_scores = _label_scores(store, label_dec,
-                                     ad.gather_rows(label_enc, plan.targets[arc_rows]))
+                                     ad.pick(label_enc, plan.targets[arc_rows]))
         label_ids = [self.vocabs["label"].index(lbl) for lbl in tree.labels]
         ll = dec.path_log_likelihood(plan, _arc_scores(store, arc_dec, arc_enc),
                                      label_scores, label_ids, self.label_count)

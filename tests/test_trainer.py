@@ -92,6 +92,15 @@ class TestTrain:
             runs.append(path.read_bytes())
         assert runs[0] == runs[1]
 
+    def test_returned_parameters_are_what_the_file_holds(self, quick, toy_trees, tmp_path):
+        ckpt = train(quick, toy_trees[:6], toy_trees[:4])
+        path = tmp_path / "r.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.params.names() == ckpt.params.names()
+        for name, tensor in ckpt.params.items():
+            assert loaded.params[name].data.tobytes() == tensor.data.tobytes(), name
+
     def test_loss_history_improves(self, tiny_config, toy_trees):
         config = tiny_config.replaced(max_epochs=5, batch_size=4,
                                       p_in=0.0, p_rnn=0.0, p_out=0.0)

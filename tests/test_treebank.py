@@ -101,6 +101,14 @@ class TestParseConll:
         with pytest.raises(TreebankError):
             parse_conll(io.StringIO(text))
 
+    @pytest.mark.parametrize("read", [parse_conll, parse_conll_blocks])
+    def test_non_utf8_file_names_line(self, tmp_path, read):
+        path = tmp_path / "latin1.conllx"
+        latin1 = TWO_TOKEN.replace("睡", "café").replace("猫", "chat").encode("latin-1")
+        path.write_bytes(TWO_TOKEN.encode() + b"\n" + latin1)
+        with pytest.raises(TreebankError, match="line 5: invalid UTF-8 byte 0xe9"):
+            read(path)
+
 
 class TestTreeValidation:
     def test_self_head(self):
@@ -110,14 +118,6 @@ class TestTreeValidation:
     def test_no_root_child(self):
         with pytest.raises(TreebankError, match="no token attaches"):
             validate_tree([-1, 2, 1], allow_multiple_roots=True)
-
-    def test_projectivity(self):
-        assert _tree([-1, 0, 1, 2]).is_projective()
-        assert not _tree([-1, 3, 4, 0, 3]).is_projective()
-
-    def test_children_ordering(self):
-        t = _tree([-1, 3, 3, 0, 3])
-        assert t.children(3) == [1, 2, 4]
 
 
 class TestWriteConll:
@@ -163,6 +163,58 @@ def test_round_trip_random_trees(seed, n):
     buf = io.StringIO()
     write_conll([tree], buf)
     assert parse_conll(io.StringIO(buf.getvalue()), allow_multiple_roots=True) == [tree]
+
+
+_FIELD = st.text(st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+                 max_size=4)
+
+
+@st.composite
+def ten_column_text(draw):
+    """CoNLL-shaped text: blank-line separated blocks of 10-column rows whose
+    ID, FORM and HEAD columns are mostly, but not always, plausible."""
+    def mostly(plausible):
+        return plausible if draw(st.sampled_from(range(20))) else draw(_FIELD)
+
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        n = draw(st.integers(1, 5))
+        rows = []
+        for i in range(1, n + 1):
+            fields = [draw(_FIELD) for _ in range(10)]
+            fields[0] = mostly(str(i))
+            fields[1] = mostly(fields[1] or "w")
+            fields[6] = mostly(str(draw(st.integers(0, n))))
+            rows.append("\t".join(fields))
+        blocks.append("\n".join(rows))
+    return "\n\n".join(blocks)
+
+
+@given(ten_column_text(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_random_ten_column_text_parses_or_raises_treebank_error(text, multi_root):
+    try:
+        trees = parse_conll(io.StringIO(text), allow_multiple_roots=multi_root)
+    except TreebankError:
+        return
+    buf = io.StringIO()
+    write_conll(trees, buf)
+    assert parse_conll(io.StringIO(buf.getvalue()), allow_multiple_roots=True) == trees
+
+
+@given(ten_column_text(), st.integers(0, 10_000), st.binary(min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_random_bytes_in_a_file_parse_or_raise_treebank_error(tmp_path_factory, text, at,
+                                                               inserted):
+    data = text.encode()
+    at %= len(data) + 1
+    path = tmp_path_factory.getbasetemp() / "fuzz.conllx"
+    path.write_bytes(data[:at] + inserted + data[at:])
+    for read in (parse_conll, parse_conll_blocks):
+        try:
+            read(path)
+        except TreebankError:
+            pass
 
 
 class TestVocabulary:
