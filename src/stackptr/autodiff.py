@@ -2,8 +2,8 @@
 
 Everything the parser trains with lives here: a float64 tensor type that
 records a tape of backward closures, the handful of operations the model is
-built from (matrix product, elementwise ops, softmax, concatenation, 1-D
-convolution windows, a fused sequence LSTM whose gate arithmetic decoding
+built from (matrix product, elementwise ops, softmax, concatenation, masked
+max-over-time pooling, a fused sequence LSTM whose gate arithmetic decoding
 shares, dropout), a named parameter store with deterministic
 initialization, the Adam optimizer, and a finite-difference gradient
 checker.
@@ -37,17 +37,16 @@ __all__ = [
     "matmul",
     "transpose",
     "concat",
-    "stack_rows",
+    "reshape",
     "pick",
     "sum_all",
     "scale",
     "sigmoid",
     "tanh",
     "elu",
-    "max_over_rows",
+    "max_over_windows",
     "dropout",
     "mask_fill",
-    "im2col_rows",
     "bilinear_vec",
     "lstm_gates",
     "lstm_sequence",
@@ -221,15 +220,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(out_data, parts, backward)
 
 
-def stack_rows(rows: Sequence[Tensor]) -> Tensor:
-    rows = list(rows)
-    out_data = np.stack([r.data for r in rows], axis=0)
-
+def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in C order under a new shape."""
     def backward(g: np.ndarray) -> None:
-        for i, r in enumerate(rows):
-            _accum(r, g[i])
+        _accum(t, g.reshape(t.data.shape))
 
-    return _node(out_data, rows, backward)
+    return _node(t.data.reshape(shape), (t,), backward)
 
 
 def pick(v: Tensor, index) -> Tensor:
@@ -360,43 +356,24 @@ def mask_fill(scores: Tensor, legal: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convolution windows, pooling, dropout
+# Pooling, dropout
 # ---------------------------------------------------------------------------
 
 
-def im2col_rows(m: Tensor, width: int) -> Tensor:
-    """Stack sliding windows of ``width`` consecutive rows, flattened.
+def max_over_windows(m: Tensor, real: np.ndarray) -> Tensor:
+    """Max-over-time pooling of many sequences at once: (B, W, F) -> (B, F).
 
-    (n, d) -> (n - width + 1, width * d); requires n >= width.
+    ``real`` (B, W) marks each sequence's windows, at least one per
+    sequence; the others never win. Ties go to the first window.
     """
-    n, d = m.data.shape
-    if n < width:
-        raise ValueError(f"sequence of {n} rows is shorter than window {width}")
-    windows = n - width + 1
-    out_data = np.empty((windows, width * d))
-    for w in range(width):
-        out_data[:, w * d:(w + 1) * d] = m.data[w:w + windows]
+    arg = np.where(real[:, :, None], m.data, NEG_INF).argmax(axis=1)
+    rows, cols = np.indices(arg.shape)
+    out_data = m.data[rows, arg, cols]
 
     def backward(g: np.ndarray) -> None:
         if m.requires_grad:
             gm = np.zeros_like(m.data)
-            for w in range(width):
-                gm[w:w + windows] += g[:, w * d:(w + 1) * d]
-            _accum(m, gm)
-
-    return _node(out_data, (m,), backward)
-
-
-def max_over_rows(m: Tensor) -> Tensor:
-    """Column-wise max over rows (max-over-time pooling)."""
-    arg = m.data.argmax(axis=0)
-    cols = np.arange(m.data.shape[1])
-    out_data = m.data[arg, cols]
-
-    def backward(g: np.ndarray) -> None:
-        if m.requires_grad:
-            gm = np.zeros_like(m.data)
-            gm[arg, cols] = g
+            gm[rows, arg, cols] = g
             _accum(m, gm)
 
     return _node(out_data, (m,), backward)
@@ -432,26 +409,25 @@ def bilinear_vec(left: Tensor, weight: Tensor, right: Tensor) -> Tensor:
     """Per-slice bilinear form: out[..., l] = left[...] . weight[l] . right[...].
 
     ``weight`` has shape (L, d_left, d_right). ``left`` and ``right`` are
-    vectors (output (L,)) or k paired rows (output (k, L)).
+    vectors (output (L,)) or k paired rows (output (k, L)); a vector pair
+    runs as one pair of rows. Every product is a batched matmul over L.
     """
-    # Batched rows go through BLAS contractions; for one vector pair the
-    # planner's overhead costs more than the plain loop.
-    opt = left.data.ndim > 1
-    out_data = np.einsum("...i,lij,...j->...l", left.data, weight.data, right.data,
-                         optimize=opt)
+    lefts, rights = np.atleast_2d(left.data), np.atleast_2d(right.data)
+    through = lefts @ weight.data                      # (L, k, d_right)
+    out_data = (through * rights).sum(axis=-1).T       # (k, L)
 
     def backward(g: np.ndarray) -> None:
+        g_t = np.atleast_2d(g).T[:, :, None]           # (L, k, 1)
         if left.requires_grad:
-            _accum(left, np.einsum("...l,lij,...j->...i", g, weight.data, right.data,
-                                   optimize=opt))
+            back = rights @ weight.data.transpose(0, 2, 1)   # (L, k, d_left)
+            _accum(left, (back * g_t).sum(axis=0).reshape(left.data.shape))
         if weight.requires_grad:
-            _accum(weight, np.einsum("...l,...i,...j->lij", g, left.data, right.data,
-                                     optimize=opt))
+            _accum(weight, (lefts * g_t).transpose(0, 2, 1) @ rights)
         if right.requires_grad:
-            _accum(right, np.einsum("...l,lij,...i->...j", g, weight.data, left.data,
-                                    optimize=opt))
+            _accum(right, (through * g_t).sum(axis=0).reshape(right.data.shape))
 
-    return _node(out_data, (left, weight, right), backward)
+    return _node(out_data[0] if left.data.ndim == 1 else out_data, (left, weight, right),
+                 backward)
 
 
 def lstm_gates(z: np.ndarray, c: np.ndarray

@@ -15,7 +15,8 @@ Section counts make the parse unambiguous — a vocabulary symbol that happens
 to look like a section header is just a line to consume. Values are stored
 as 32-bit floats (training math stays 64-bit; :func:`as_stored` gives the
 stored values); loading then saving a file reproduces it byte for byte.
-Every fault in a file is a :class:`CheckpointError`.
+Every value must be finite. Every fault in a file is a
+:class:`CheckpointError`, and saving refuses what loading would refuse.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .treebank import TreebankError, Vocabulary
 FORMAT_VERSION = "stackptr-ckpt/1"
 STORED_DTYPE = "<f4"
 VOCAB_KEYS = ("word", "char", "pos", "label")
-PARAM_PREFIXES = ("embeddings.", "encoder.", "decoder.", "biaffine.")
 
 
 class CheckpointError(ValueError):
@@ -55,12 +55,6 @@ def as_stored(values: np.ndarray) -> np.ndarray:
     return np.asarray(values, dtype=STORED_DTYPE).astype(np.float64)
 
 
-def _check_names(params: ParameterStore) -> None:
-    for name in params.names():
-        if not name.startswith(PARAM_PREFIXES):
-            raise CheckpointError(f"parameter {name!r} outside the checkpoint namespaces")
-
-
 def _check_tensor_set(found: dict[str, tuple[int, ...]],
                       expected: dict[str, tuple[int, ...]]) -> None:
     """The tensors must be exactly those the model registers for the
@@ -75,8 +69,15 @@ def _check_tensor_set(found: dict[str, tuple[int, ...]],
         raise CheckpointError("tensors do not match the config: " + "; ".join(problems))
 
 
+def _check_finite(name: str, stored: np.ndarray) -> None:
+    if not np.isfinite(stored).all():
+        raise CheckpointError(f"tensor {name!r} holds NaN or infinite values")
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    _check_names(ckpt.params)
+    """Write ``ckpt``, or raise, writing nothing, where loading would."""
+    _check_tensor_set({name: t.data.shape for name, t in ckpt.params.items()},
+                      parameter_shapes(ckpt.config, ckpt.vocabs))
     lines: list[str] = [FORMAT_VERSION]
     flat = ckpt.config.to_flat()
     lines.append(f"[config {len(flat)}]")
@@ -94,11 +95,13 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     offset = 0
     tensor_lines: list[str] = []
     for name, tensor in ckpt.params.items():
-        raw = np.ascontiguousarray(tensor.data, dtype=STORED_DTYPE).tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            stored = np.ascontiguousarray(tensor.data, dtype=STORED_DTYPE)
+        _check_finite(name, stored)
         shape_text = ",".join(str(d) for d in tensor.data.shape)
         tensor_lines.append(f"{name}\t{shape_text}\t{offset}")
-        blobs.append(raw)
-        offset += len(raw)
+        blobs.append(stored.tobytes())
+        offset += stored.nbytes
     lines.append(f"[tensors {len(tensor_lines)}]")
     lines.extend(tensor_lines)
     lines.append("[blob]")
@@ -212,6 +215,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 f"but the blob holds {len(blob)}"
             )
         values = np.frombuffer(blob, dtype=STORED_DTYPE, count=count, offset=offset)
+        _check_finite(name, values)
         params.put(name, values.reshape(shape).astype(np.float64))
         offset = end
     if len(blob) != blob_end:

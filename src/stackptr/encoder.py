@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Rng, Tensor
 from .config import TrainConfig
@@ -57,15 +59,24 @@ def char_ids(form: str, char_vocab: Vocabulary, width: int) -> list[int]:
     return ids
 
 
-def char_cnn(form: str, char_vocab: Vocabulary, store: ad.ParameterStore,
+def char_cnn(forms, char_vocab: Vocabulary, store: ad.ParameterStore,
              config: TrainConfig) -> Tensor:
-    """Convolve over a word's characters, tanh, max-over-time pool."""
-    ids = char_ids(form, char_vocab, config.filter_width)
-    chars = ad.pick(store["embeddings.char"], ids)
-    windows = ad.im2col_rows(chars, config.filter_width)
-    conv = ad.add(ad.matmul(windows, ad.transpose(store["encoder.charcnn.W"])),
+    """Convolve over each form's characters, tanh, max-over-time pool:
+    (len(forms), num_filters). All forms share one (len(forms), W) grid of
+    windows, W the most any form has; a form's max skips those past its own."""
+    width = config.filter_width
+    ids = [char_ids(form, char_vocab, width) for form in forms]
+    counts = [len(word) - width + 1 for word in ids]
+    windows = np.zeros((len(ids), max(counts), width), dtype=np.intp)
+    for k, word in enumerate(ids):
+        windows[k, :counts[k]] = np.lib.stride_tricks.sliding_window_view(word, width)
+    real = np.arange(windows.shape[1]) < np.array(counts)[:, None]
+    chars = ad.pick(store["embeddings.char"], windows.reshape(-1, width))
+    flat = ad.reshape(chars, (-1, width * config.char_dim))
+    conv = ad.add(ad.matmul(flat, ad.transpose(store["encoder.charcnn.W"])),
                   store["encoder.charcnn.b"])
-    return ad.max_over_rows(ad.tanh(conv))
+    pooled = ad.reshape(ad.tanh(conv), windows.shape[:2] + (config.num_filters,))
+    return ad.max_over_windows(pooled, real)
 
 
 def embed_tokens(sent, vocabs: dict[str, Vocabulary],
@@ -80,7 +91,7 @@ def embed_tokens(sent, vocabs: dict[str, Vocabulary],
     pos_ids = [ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
     words = ad.pick(store["embeddings.word"], word_ids)
     poses = ad.pick(store["embeddings.pos"], pos_ids)
-    chars = ad.stack_rows([char_cnn(f, vocabs["char"], store, config) for f in forms])
+    chars = char_cnn(forms, vocabs["char"], store, config)
     return ad.concat([words, chars, poses], axis=1)
 
 

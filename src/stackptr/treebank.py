@@ -260,9 +260,10 @@ class Vocabulary:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        index = {s: i for i, s in enumerate(self.symbols)}
-        if len(index) != len(self.symbols):
-            raise TreebankError("duplicate symbol in vocabulary")
+        index: dict[str, int] = {}
+        for i, s in enumerate(self.symbols):
+            if index.setdefault(s, i) != i:
+                raise TreebankError(f"duplicate symbol {s!r} in vocabulary")
         if self.reserved and self.symbols[:3] != RESERVED:
             raise TreebankError(f"reserved slots must be {RESERVED}")
         object.__setattr__(self, "_index", index)
@@ -315,14 +316,15 @@ def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
     Returns keys "word", "char", "pos", "label". Symbols beyond the reserved
     block are ordered by (-frequency, lexicographic); ``min_word_count``
     applies to words only — rarer words hit UNK at lookup. Chars, POS tags
-    and labels are kept regardless of frequency.
+    and labels are kept regardless of frequency; a reserved spelling keeps
+    its reserved id, as in :meth:`Vocabulary.extended_with`.
     """
     counts = count_symbols(trees)
     words = tuple(w for w, c in counts["word"].items() if c >= min_word_count)
     return {
-        "word": Vocabulary(RESERVED + words),
-        "char": Vocabulary(RESERVED + tuple(counts["char"])),
-        "pos": Vocabulary(RESERVED + tuple(counts["pos"])),
+        "word": Vocabulary(RESERVED).extended_with(words),
+        "char": Vocabulary(RESERVED).extended_with(list(counts["char"])),
+        "pos": Vocabulary(RESERVED).extended_with(list(counts["pos"])),
         "label": Vocabulary(tuple(counts["label"]), reserved=False),
     }
 

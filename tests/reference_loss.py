@@ -8,8 +8,11 @@ per step. Its dropout draws come in the original order (per step: label
 row, then arc row), so with the same ``rng`` it must agree with
 ``Parser.sentence_loss`` on the loss and on every gradient up to rounding.
 The same closures, one sentence at a time, are the oracle for the lockstep
-greedy parse. The per-step tape ops it needs (``row``, ``slice1d``,
-``lstm_cell``) are defined here: the package itself has no per-step path.
+greedy parse. Its token rows stack one character CNN per word, the oracle
+for the encoder's whole-sentence ``char_cnn``. The per-step and per-word
+tape ops it needs (``row``, ``slice1d``, ``stack_rows``, ``lstm_cell``,
+``im2col_rows``, ``max_over_rows``) are defined here: the package itself
+has no per-step or per-word path.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from stackptr import decoder as dec
 from stackptr import encoder as enc
 from stackptr.autodiff import Rng, Tensor
 from stackptr.model import Parser
+from stackptr.treebank import ROOT_FORM, ROOT_ID
 
 
 def row(m, i):
@@ -41,6 +45,74 @@ def slice1d(v, start, stop):
             ad._accum(v, gv)
 
     return ad._node(v.data[start:stop], (v,), backward)
+
+
+def stack_rows(rows):
+    rows = list(rows)
+
+    def backward(g):
+        for i, r in enumerate(rows):
+            ad._accum(r, g[i])
+
+    return ad._node(np.stack([r.data for r in rows], axis=0), rows, backward)
+
+
+def im2col_rows(m, width):
+    """Stack sliding windows of ``width`` consecutive rows, flattened.
+
+    (n, d) -> (n - width + 1, width * d); requires n >= width.
+    """
+    n, d = m.data.shape
+    if n < width:
+        raise ValueError(f"sequence of {n} rows is shorter than window {width}")
+    windows = n - width + 1
+    out_data = np.empty((windows, width * d))
+    for w in range(width):
+        out_data[:, w * d:(w + 1) * d] = m.data[w:w + windows]
+
+    def backward(g):
+        if m.requires_grad:
+            gm = np.zeros_like(m.data)
+            for w in range(width):
+                gm[w:w + windows] += g[:, w * d:(w + 1) * d]
+            ad._accum(m, gm)
+
+    return ad._node(out_data, (m,), backward)
+
+
+def max_over_rows(m):
+    """Column-wise max over rows (max-over-time pooling)."""
+    arg = m.data.argmax(axis=0)
+    cols = np.arange(m.data.shape[1])
+
+    def backward(g):
+        if m.requires_grad:
+            gm = np.zeros_like(m.data)
+            gm[arg, cols] = g
+            ad._accum(m, gm)
+
+    return ad._node(m.data[arg, cols], (m,), backward)
+
+
+def char_cnn(form, char_vocab, store, config):
+    """One word's character CNN: convolve, tanh, max-over-time pool."""
+    ids = enc.char_ids(form, char_vocab, config.filter_width)
+    chars = ad.pick(store["embeddings.char"], ids)
+    windows = im2col_rows(chars, config.filter_width)
+    conv = ad.add(ad.matmul(windows, ad.transpose(store["encoder.charcnn.W"])),
+                  store["encoder.charcnn.b"])
+    return max_over_rows(ad.tanh(conv))
+
+
+def embed_tokens(sent, vocabs, store, config):
+    """``encoder.embed_tokens`` with one ``char_cnn`` per form."""
+    forms = (ROOT_FORM,) + tuple(t.form for t in sent.tokens)
+    word_ids = [ROOT_ID] + [vocabs["word"].index(t.form) for t in sent.tokens]
+    pos_ids = [ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
+    words = ad.pick(store["embeddings.word"], word_ids)
+    poses = ad.pick(store["embeddings.pos"], pos_ids)
+    chars = stack_rows([char_cnn(f, vocabs["char"], store, config) for f in forms])
+    return ad.concat([words, chars, poses], axis=1)
 
 
 def lstm_cell(x, h, c, w_ih, w_hh, bias):
@@ -85,11 +157,11 @@ def bilstm_encode(x, store, config, training=False, rng=None):
     bw = _run_lstm(rows[::-1], store, "encoder.lstm.bw", config.d_h,
                    config.p_rnn, training, rng)
     bw = bw[::-1]
-    return ad.stack_rows([ad.concat([f, b]) for f, b in zip(fw, bw)])
+    return stack_rows([ad.concat([f, b]) for f, b in zip(fw, bw)])
 
 
 def encode_sentence(sent, vocabs, store, config, training=False, rng=None):
-    tokens = enc.embed_tokens(sent, vocabs, store, config)
+    tokens = embed_tokens(sent, vocabs, store, config)
     tokens = ad.dropout(tokens, config.p_in, training,
                         rng.split("p_in") if rng is not None else None)
     attended = enc.multi_head_self_attention(tokens, store, config)

@@ -246,7 +246,7 @@ class TestOpGradients:
         _op_gradients(lambda a, b: ad.concat([a, b], axis=1), [(2, 3), (2, 2)])
 
     def test_stack_and_row(self):
-        _op_gradients(lambda a, b: ad.stack_rows([reference_loss.row(a, 1), b]),
+        _op_gradients(lambda a, b: reference_loss.stack_rows([reference_loss.row(a, 1), b]),
                       [(3, 4), (4,)])
 
     def test_gather_rows_with_repeats(self):
@@ -254,7 +254,7 @@ class TestOpGradients:
 
     def test_slice_and_pick(self):
         _op_gradients(lambda a: ad.add(reference_loss.slice1d(a, 1, 4),
-                                       ad.stack_rows([ad.pick(a, 0)] * 3)), [(6,)])
+                                       reference_loss.stack_rows([ad.pick(a, 0)] * 3)), [(6,)])
 
     def test_sigmoid_tanh_elu(self):
         _op_gradients(
@@ -275,10 +275,29 @@ class TestOpGradients:
         _op_gradients(lambda a: ad.softmax(ad.mask_fill(a, mask)), [(4,)])
 
     def test_im2col(self):
-        _op_gradients(lambda a: ad.im2col_rows(a, 3), [(5, 2)])
+        _op_gradients(lambda a: reference_loss.im2col_rows(a, 3), [(5, 2)])
 
     def test_max_over_rows(self):
-        _op_gradients(lambda a: ad.max_over_rows(a), [(5, 4)])
+        _op_gradients(lambda a: reference_loss.max_over_rows(a), [(5, 4)])
+
+    def test_reshape(self):
+        _op_gradients(lambda a: ad.reshape(a, (2, 6)), [(3, 4)])
+
+    def test_max_over_windows(self):
+        real = np.array([[True, True, False], [True, False, False]])
+        _op_gradients(lambda a: ad.max_over_windows(a, real), [(2, 3, 4)])
+
+    def test_max_over_windows_masks_and_breaks_ties_first(self):
+        m = Tensor(np.array([[[1.0, 2.0], [1.0, 5.0], [9.0, 9.0]],
+                             [[0.0, -1.0], [-2.0, 7.0], [3.0, 3.0]]]),
+                   requires_grad=True)
+        real = np.array([[True, True, False], [True, False, False]])
+        out = ad.max_over_windows(m, real)
+        np.testing.assert_array_equal(out.data, [[1.0, 5.0], [0.0, -1.0]])
+        out.backward()
+        want = np.zeros((2, 3, 2))
+        want[0, 0, 0] = want[0, 1, 1] = want[1, 0, 0] = want[1, 0, 1] = 1.0
+        np.testing.assert_array_equal(m.grad, want)
 
     def test_bilinear_vec(self):
         _op_gradients(lambda l, w, r: ad.bilinear_vec(l, w, r),

@@ -1,12 +1,15 @@
 """Checkpoint file format: round trips, corruption detection."""
 
 import dataclasses
+import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stackptr import checkpoint
 from stackptr.autodiff import ParameterStore
 from stackptr.checkpoint import (
     Checkpoint,
@@ -49,6 +52,14 @@ def _small_checkpoint():
 @pytest.fixture
 def small_ckpt():
     return _small_checkpoint()
+
+
+def _saved_unchecked(ckpt, path):
+    """Write ``ckpt`` as a writer without the tensor-set check would, so
+    that loading's own check can be tested; returns ``path``."""
+    with mock.patch.object(checkpoint, "_check_tensor_set"):
+        save_checkpoint(ckpt, path)
+    return path
 
 
 def _saved_with(ckpt, path, old: bytes, new: bytes):
@@ -122,7 +133,7 @@ class TestValidation:
 
     def test_foreign_parameter_namespace_rejected(self, small_ckpt, tmp_path):
         small_ckpt.params.create("optimizer.m", (2,), init="zeros")
-        with pytest.raises(CheckpointError, match="namespace"):
+        with pytest.raises(CheckpointError, match="unexpected tensor 'optimizer.m'"):
             save_checkpoint(small_ckpt, tmp_path / "x.ckpt")
 
     def test_truncated_file(self, small_ckpt, tmp_path):
@@ -225,35 +236,69 @@ class TestTensorSet:
     def test_missing_tensor_named(self, small_ckpt, tmp_path):
         small_ckpt.params = _store(small_ckpt.config, small_ckpt.vocabs,
                                    skip={"biaffine.arc.U"})
-        path = tmp_path / "missing.ckpt"
-        save_checkpoint(small_ckpt, path)
+        path = _saved_unchecked(small_ckpt, tmp_path / "missing.ckpt")
         with pytest.raises(CheckpointError, match=r"missing tensor 'biaffine.arc.U' "
                                                   r"\(expected shape \(2, 2\)\)"):
             load_checkpoint(path)
 
     def test_unexpected_tensor_named(self, small_ckpt, tmp_path):
         small_ckpt.params.create("biaffine.arc.extra", (2,), init="zeros")
-        path = tmp_path / "extra.ckpt"
-        save_checkpoint(small_ckpt, path)
+        path = _saved_unchecked(small_ckpt, tmp_path / "extra.ckpt")
         with pytest.raises(CheckpointError, match="unexpected tensor 'biaffine.arc.extra'"):
             load_checkpoint(path)
 
     def test_wrong_shape_gives_expected_and_found(self, small_ckpt, tmp_path):
         small_ckpt.params["decoder.lstm.W_hh"].data = np.zeros((16, 3))
-        path = tmp_path / "shape.ckpt"
-        save_checkpoint(small_ckpt, path)
+        path = _saved_unchecked(small_ckpt, tmp_path / "shape.ckpt")
         with pytest.raises(CheckpointError, match=r"tensor 'decoder.lstm.W_hh' has shape "
                                                   r"\(16, 3\), expected \(16, 4\)"):
             load_checkpoint(path)
 
     def test_vocabulary_size_sets_embedding_rows(self, small_ckpt, tmp_path):
         small_ckpt.vocabs["word"] = Vocabulary(RESERVED + ("猫", "狗"))
-        path = tmp_path / "vocab.ckpt"
-        save_checkpoint(small_ckpt, path)
+        path = _saved_unchecked(small_ckpt, tmp_path / "vocab.ckpt")
         rows = len(RESERVED) + 1
         with pytest.raises(CheckpointError, match=rf"'embeddings.word' has shape "
                                                   rf"\({rows}, 1\), expected \({rows + 1}, 1\)"):
             load_checkpoint(path)
+
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ckpt: setattr(ckpt, "params", _store(ckpt.config, ckpt.vocabs,
+                                                     skip={"biaffine.arc.U"})),
+         r"missing tensor 'biaffine.arc.U' \(expected shape \(2, 2\)\)"),
+        (lambda ckpt: setattr(ckpt.params["decoder.lstm.W_hh"], "data", np.zeros((16, 3))),
+         r"tensor 'decoder.lstm.W_hh' has shape \(16, 3\), expected \(16, 4\)"),
+        (lambda ckpt: ckpt.params.create("encoder.extra", (2,), init="zeros"),
+         "unexpected tensor 'encoder.extra'"),
+    ], ids=["missing", "shape", "extra"])
+    def test_save_refuses_what_load_refuses(self, small_ckpt, tmp_path, change, message):
+        change(small_ckpt)
+        path = tmp_path / "refused.ckpt"
+        with pytest.raises(CheckpointError, match=message):
+            save_checkpoint(small_ckpt, path)
+        assert not path.exists()
+
+
+# The last tensor in the file is the (2,) label bias: its last 4 bytes end the file.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bits", [0x7FC00000, 0x7F800000, 0xFF800000])
+def test_non_finite_value_names_the_tensor(small_ckpt, tmp_path, bits):
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(small_ckpt, path)
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<I", bits))
+    with pytest.raises(CheckpointError, match="'biaffine.label.b' holds NaN or infinite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])
+def test_save_refuses_values_not_finite_in_float32(small_ckpt, tmp_path, value):
+    small_ckpt.params["encoder.charcnn.W"].data[0, 0] = value
+    path = tmp_path / "nan.ckpt"
+    with pytest.raises(CheckpointError, match="'encoder.charcnn.W' holds NaN or infinite"):
+        save_checkpoint(small_ckpt, path)
+    assert not path.exists()
 
 
 @pytest.fixture(scope="module")

@@ -4,11 +4,13 @@ import re
 import subprocess
 import sys
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from stackptr.checkpoint import load_checkpoint, save_checkpoint
+from stackptr import cli
+from stackptr.checkpoint import load_checkpoint
 from stackptr.cli import run
 from stackptr.treebank import parse_conll, write_conll
 
@@ -92,13 +94,17 @@ class TestParseVerb:
         assert fields[7] in load_checkpoint(work.model).vocabs["label"].symbols
 
     def test_failure_removes_partial_output(self, work, tmp_path):
-        broken = tmp_path / "broken.ckpt"
-        ckpt = load_checkpoint(work.model)
-        ckpt.params["encoder.attn.Wm"].data[0, 0] = np.nan
-        save_checkpoint(ckpt, broken)
+        # A NaN weight makes decoding fail; no file can hold one, so it is
+        # put into the loaded parameters.
+        def load_broken(path):
+            ckpt = load_checkpoint(path)
+            ckpt.params["encoder.attn.Wm"].data[0, 0] = np.nan
+            return ckpt
+
         out = tmp_path / "pred.conllx"
-        code = run(["parse", "--model", str(broken),
-                    "--input", str(work.dev), "--output", str(out)])
+        with mock.patch.object(cli, "load_checkpoint", load_broken):
+            code = run(["parse", "--model", str(work.model),
+                        "--input", str(work.dev), "--output", str(out)])
         assert code == 1
         assert not out.exists()
         assert not (tmp_path / "pred.conllx.repro").exists()

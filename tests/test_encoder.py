@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackptr import autodiff as ad
 from stackptr.autodiff import ParameterStore, Rng, Tensor, grad_check
@@ -17,8 +19,9 @@ from stackptr.encoder import (
     encode_sentence,
     multi_head_self_attention,
 )
-from stackptr.treebank import Token, make_tree
+from stackptr.treebank import ROOT_FORM, Sentence, Token, make_tree
 
+import reference_loss
 from synthetic import corpus
 
 
@@ -33,7 +36,7 @@ def _setup(tiny_config, toy_vocabs, seed=3):
 class TestCharCnn:
     def test_output_dimension(self, tiny_config, toy_vocabs):
         store = _setup(tiny_config, toy_vocabs)
-        out = char_cnn("猫", toy_vocabs["char"], store, tiny_config)
+        out = char_cnn(["猫"], toy_vocabs["char"], store, tiny_config).data[0]
         assert out.shape == (tiny_config.num_filters,)
 
     def test_single_char_word_padded(self, tiny_config, toy_vocabs):
@@ -43,13 +46,63 @@ class TestCharCnn:
 
     def test_order_sensitivity(self, tiny_config, toy_vocabs):
         store = _setup(tiny_config, toy_vocabs)
-        ab = char_cnn("猫狗", toy_vocabs["char"], store, tiny_config)
-        ba = char_cnn("狗猫", toy_vocabs["char"], store, tiny_config)
-        assert not np.allclose(ab.data, ba.data)
+        ab = char_cnn(["猫狗"], toy_vocabs["char"], store, tiny_config).data[0]
+        ba = char_cnn(["狗猫"], toy_vocabs["char"], store, tiny_config).data[0]
+        assert not np.allclose(ab, ba)
 
     def test_empty_form_rejected(self, tiny_config, toy_vocabs):
         with pytest.raises(ValueError, match="empty character sequence"):
             char_ids("", toy_vocabs["char"], 3)
+
+
+# Characters the toy vocabulary knows, and two it does not (UNK rows).
+CHARS = "猫狗睡吃鱼" + "夔Z"
+
+
+@given(forms=st.lists(st.one_of(st.just(ROOT_FORM),
+                                st.text(alphabet=CHARS, min_size=1, max_size=12)),
+                      min_size=1, max_size=6),
+       width=st.integers(1, 4), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_char_cnn_matches_per_word_reference(tiny_config, toy_vocabs, forms, width, seed):
+    """Rows and gradients of the whole-sentence char-CNN equal one per-word
+    CNN per form, for forms shorter and longer than the filter."""
+    config = tiny_config.replaced(filter_width=width)
+    store = _setup(config, toy_vocabs, seed=seed)
+    weights = Tensor(Rng(seed).split("mix").random((len(forms), config.num_filters)))
+
+    def run(build):
+        store.zero_grads()
+        rows = build()
+        ad.sum_all(ad.mul(rows, weights)).backward()
+        return rows.data, store.gradients()
+
+    got, got_grads = run(lambda: char_cnn(forms, toy_vocabs["char"], store, config))
+    want, want_grads = run(lambda: reference_loss.stack_rows(
+        [reference_loss.char_cnn(f, toy_vocabs["char"], store, config) for f in forms]))
+    assert np.abs(got - want).max() <= 1e-12
+    for name in ("embeddings.char", "encoder.charcnn.W", "encoder.charcnn.b"):
+        assert np.abs(got_grads[name] - want_grads[name]).max() <= 1e-12, name
+
+
+def _tape_size(out):
+    """Tensors reachable from ``out`` through the recorded tape."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_embed_tokens_tape_size_is_independent_of_length(tiny_config, toy_vocabs):
+    store = _setup(tiny_config, toy_vocabs)
+    forms = ["猫", "狗睡", "吃鱼猫狗", "夔", "猫狗睡吃鱼"]
+    sizes = {n: _tape_size(embed_tokens(
+        Sentence(tuple(Token(forms[k % len(forms)], "NN") for k in range(n))),
+        toy_vocabs, store, tiny_config)) for n in (1, 40)}
+    assert sizes[1] == sizes[40]
 
 
 class TestEmbedTokens:

@@ -1,5 +1,6 @@
 """Training loop: loss bookkeeping, batching, determinism, abort paths."""
 
+import io
 import math
 
 import numpy as np
@@ -10,7 +11,13 @@ from stackptr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from stackptr.config import ArchitectureMismatch
 from stackptr.model import Parser
 from stackptr.trainer import TrainAbort, compute_loss, evaluate, make_batches, train
-from stackptr.treebank import DependencyTree, Token, TreebankError, build_vocabulary
+from stackptr.treebank import (
+    DependencyTree,
+    Token,
+    TreebankError,
+    build_vocabulary,
+    parse_conll,
+)
 
 
 def _zero_biaffine_output(parser):
@@ -107,6 +114,13 @@ class TestTrain:
         ckpt = train(config, toy_trees[:10], toy_trees[:10])
         assert len(ckpt.history) == 5
         assert ckpt.history[-1] < ckpt.history[0]
+
+    def test_reserved_symbols_in_the_corpus(self, quick):
+        trees = parse_conll(io.StringIO(
+            "1\t<UNK>\t_\t<PAD>\t<PAD>\t_\t2\tnsubj\t_\t_\n"
+            "2\t睡\t_\tVV\tVV\t_\t0\troot\t_\t_\n\n"))
+        ckpt = train(quick.replaced(max_epochs=1), trees, trees)
+        assert len(ckpt.history) == 1 and math.isfinite(ckpt.history[0])
 
     def test_parameter_namespaces(self, quick, toy_trees):
         ckpt = train(quick, toy_trees[:6], toy_trees[:4])

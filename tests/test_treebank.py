@@ -254,6 +254,18 @@ class TestVocabulary:
         trees = parse_conll(io.StringIO(TWO_TOKEN))
         assert build_vocabulary(trees) == build_vocabulary(trees)
 
+    def test_reserved_symbols_keep_their_ids(self):
+        trees = [make_tree([Token("<UNK>", "<PAD>"), Token("<ROOT>", "VV")],
+                           [-1, 2, 0], ["nsubj", "root"])]
+        vocabs = build_vocabulary(trees, min_word_count=1)
+        assert vocabs["word"].symbols == RESERVED
+        assert vocabs["pos"].symbols == RESERVED + ("VV",)
+        assert vocabs["pos"].index("<PAD>") == 0
+
+    def test_duplicate_symbol_named(self):
+        with pytest.raises(TreebankError, match="duplicate symbol '猫'"):
+            Vocabulary(RESERVED + ("猫", "睡", "猫"))
+
     def test_extended_with_appends_only(self):
         trees = parse_conll(io.StringIO(TWO_TOKEN))
         vocab = build_vocabulary(trees, min_word_count=1)["word"]
