@@ -176,26 +176,13 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for the 2D/1D shape combinations the model uses."""
-    out_data = a.data @ b.data
-    a_is_vec = a.data.ndim == 1
-    b_is_vec = b.data.ndim == 1
-
+    """Matrix product (m, k) @ (k, n) -> (m, n). The backward rule covers
+    these shapes only; a (B, m, k) stack of constants runs forward."""
     def backward(g: np.ndarray) -> None:
-        if not a_is_vec and not b_is_vec:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        elif not a_is_vec and b_is_vec:       # (m,k)@(k,) -> (m,)
-            _accum(a, np.outer(g, b.data))
-            _accum(b, a.data.T @ g)
-        elif a_is_vec and not b_is_vec:       # (k,)@(k,n) -> (n,)
-            _accum(a, b.data @ g)
-            _accum(b, np.outer(a.data, g))
-        else:                                  # (k,)@(k,) -> ()
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+        _accum(a, g @ b.data.T)
+        _accum(b, a.data.T @ g)
 
-    return _node(out_data, (a, b), backward)
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def transpose(m: Tensor) -> Tensor:
@@ -406,28 +393,27 @@ def dropout(t: Tensor, rate: float, training: bool, rng: "Rng | None" = None) ->
 
 
 def bilinear_vec(left: Tensor, weight: Tensor, right: Tensor) -> Tensor:
-    """Per-slice bilinear form: out[..., l] = left[...] . weight[l] . right[...].
+    """Per-slice bilinear form of k paired rows: out[j, l] = left[j] .
+    weight[l] . right[j].
 
-    ``weight`` has shape (L, d_left, d_right). ``left`` and ``right`` are
-    vectors (output (L,)) or k paired rows (output (k, L)); a vector pair
-    runs as one pair of rows. Every product is a batched matmul over L.
+    ``left`` is (k, d_left), ``weight`` (L, d_left, d_right) and ``right``
+    (k, d_right); the output is (k, L). Every product is a batched matmul
+    over L.
     """
-    lefts, rights = np.atleast_2d(left.data), np.atleast_2d(right.data)
-    through = lefts @ weight.data                      # (L, k, d_right)
-    out_data = (through * rights).sum(axis=-1).T       # (k, L)
+    through = left.data @ weight.data                  # (L, k, d_right)
+    out_data = (through * right.data).sum(axis=-1).T   # (k, L)
 
     def backward(g: np.ndarray) -> None:
-        g_t = np.atleast_2d(g).T[:, :, None]           # (L, k, 1)
+        g_t = g.T[:, :, None]                          # (L, k, 1)
         if left.requires_grad:
-            back = rights @ weight.data.transpose(0, 2, 1)   # (L, k, d_left)
-            _accum(left, (back * g_t).sum(axis=0).reshape(left.data.shape))
+            back = right.data @ weight.data.transpose(0, 2, 1)   # (L, k, d_left)
+            _accum(left, (back * g_t).sum(axis=0))
         if weight.requires_grad:
-            _accum(weight, (lefts * g_t).transpose(0, 2, 1) @ rights)
+            _accum(weight, (left.data * g_t).transpose(0, 2, 1) @ right.data)
         if right.requires_grad:
-            _accum(right, (through * g_t).sum(axis=0).reshape(right.data.shape))
+            _accum(right, (through * g_t).sum(axis=0))
 
-    return _node(out_data[0] if left.data.ndim == 1 else out_data, (left, weight, right),
-                 backward)
+    return _node(out_data, (left, weight, right), backward)
 
 
 def lstm_gates(z: np.ndarray, c: np.ndarray

@@ -2,10 +2,11 @@
 
 Conventions: logs go to stderr, data to files or stdout. Exit status 0 means
 the requested artifact was fully written; 1 is a runtime failure (partial
-outputs are removed); 2 is a usage error, including a fine-tune config that
-changes the checkpoint's architecture. Every artifact-producing run
-writes a `<out>.repro` record (config snapshot, seed, input digests) beside
-its output.
+outputs are removed); 2 is a usage error: a config key or value that does
+not parse or is out of range, or a fine-tune config that changes the
+checkpoint's architecture. Every artifact-producing run writes a
+`<out>.repro` record (config snapshot, seed, input digests) beside its
+output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ArchitectureMismatch, TrainConfig
+from .config import ConfigError, TrainConfig
 from .metrics import evaluate_domains
 from .model import Parser
 from .trainer import train
@@ -48,7 +49,12 @@ def _load_config(args: argparse.Namespace, base: TrainConfig | None = None) -> T
     config = base if base is not None else TrainConfig()
     if getattr(args, "config", None):
         config = TrainConfig.from_file(args.config)
-    overrides = dict(kv.split("=", 1) for kv in (getattr(args, "set", None) or []))
+    overrides: dict[str, str] = {}
+    for kv in getattr(args, "set", None) or []:
+        key, sep, value = kv.partition("=")
+        if not sep:
+            raise ConfigError(f"--set {kv!r}: expected KEY=VALUE")
+        overrides[key] = value
     if overrides:
         flat = config.to_flat()
         flat.update(overrides)
@@ -217,7 +223,7 @@ def run(argv: list[str]) -> int:
         for path in args.outputs(args):
             Path(path).unlink(missing_ok=True)
         _log(f"stackptr {args.verb}: error: {exc}")
-        return 2 if isinstance(exc, ArchitectureMismatch) else 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def entry_point() -> None:

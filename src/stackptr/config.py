@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -13,7 +14,12 @@ ARCHITECTURE_FIELDS = ("d_w", "char_dim", "pos_dim", "num_filters", "filter_widt
                        "r", "d_h", "arc_mlp_dim", "label_mlp_dim")
 
 
-class ArchitectureMismatch(ValueError):
+class ConfigError(ValueError):
+    """A configuration key or value the parser cannot use; the message names
+    the key and the value."""
+
+
+class ArchitectureMismatch(ConfigError):
     """A config changes a tensor-shaping field of an existing checkpoint."""
 
 
@@ -39,7 +45,7 @@ class TrainConfig:
     label_mlp_dim: int = 128
     attention_scale: str = "per_head"
     child_order: str = "inside_out"
-    single_root: bool = False
+    single_root: bool = False      # training trees must have one root child
     # optimization
     learning_rate: float = 0.001
     decay_rate: float = 0.75
@@ -60,22 +66,26 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.r < 1 or self.d_model % self.r != 0:
-            raise ValueError(f"d_model={self.d_model} not divisible by r={self.r}")
+        for name in ARCHITECTURE_FIELDS + ("batch_size", "patience", "decay_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.d_model % self.r != 0:
+            raise ConfigError(f"r={self.r}: d_model={self.d_model} is not divisible by it")
         if self.attention_scale not in ATTENTION_SCALES:
-            raise ValueError(f"unknown attention_scale: {self.attention_scale!r}")
+            raise ConfigError(f"unknown attention_scale: {self.attention_scale!r}")
         if self.child_order not in CHILD_ORDERS:
-            raise ValueError(f"unknown child_order: {self.child_order!r}")
+            raise ConfigError(f"unknown child_order: {self.child_order!r}")
         for name in ("p_in", "p_rnn", "p_out"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
-                raise ValueError(f"{name} must be in [0, 1): {rate}")
+                raise ConfigError(f"{name} must be in [0, 1), got {rate}")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive: {self.learning_rate}")
-        if min(self.batch_size, self.patience, self.decay_patience) < 1:
-            raise ValueError("batch_size, patience and decay_patience must be >= 1")
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.max_epochs < 0:  # 0 = evaluate-only, legal for fine-tuning
-            raise ValueError("max_epochs must be >= 0")
+            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
     @property
     def d_model(self) -> int:
@@ -119,20 +129,23 @@ class TrainConfig:
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(raw) - set(types)
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict[str, object] = {}
         for key, text in raw.items():
             kind = types[key]
-            if kind == "int":
-                kwargs[key] = int(text)
-            elif kind == "float":
-                kwargs[key] = float(text)
-            elif kind == "bool":
-                if text not in ("true", "false"):
-                    raise ValueError(f"{key} must be true or false, got {text!r}")
-                kwargs[key] = text == "true"
-            else:
-                kwargs[key] = text
+            try:
+                if kind == "int":
+                    kwargs[key] = int(text)
+                elif kind == "float":
+                    kwargs[key] = float(text)
+                elif kind == "bool":
+                    if text not in ("true", "false"):
+                        raise ValueError("expected true or false")
+                    kwargs[key] = text == "true"
+                else:
+                    kwargs[key] = text
+            except ValueError as exc:
+                raise ConfigError(f"{key}={text!r}: {exc}") from None
         return cls(**kwargs)
 
     def to_file(self, path: str | Path) -> None:
@@ -147,7 +160,7 @@ class TrainConfig:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
+                raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
         return cls.from_flat(raw)

@@ -15,15 +15,17 @@ forbidden while tokens remain unattached, since popping ROOT then would
 strand them. In ``likelihood`` mode the self-point is always part of the
 normalizer — training scores the pop option even where the executor would
 refuse it — so probabilities over legal actions stay comparable across
-steps. The two masks are identical everywhere else.
+steps. The two masks are identical everywhere else. Neither limits the
+number of tokens attached to ROOT.
 
 Under teacher forcing the gold path fixes every step's stack top, legality
 mask and target in advance (:func:`gold_plan`), so the training objective
 is one whole-path computation over score matrices
-(:func:`path_log_likelihood`). Greedy search (:func:`decode_greedy`) runs a
-batch of sentences of any lengths in lockstep: each step asks one batched
-scorer for the scores of every unfinished sentence, while legality and
-transitions stay per sentence.
+(:func:`path_log_likelihood`): :func:`biaffine_score` turns the (T, d)
+decoder rows of T steps into their (T, n+1) score rows. Greedy search
+(:func:`decode_greedy`) runs a batch of sentences of any lengths in
+lockstep: each step asks one batched scorer for the scores of every
+unfinished sentence, while legality and transitions stay per sentence.
 """
 
 from __future__ import annotations
@@ -65,8 +67,7 @@ def initial_state(n: int) -> DecoderState:
     return DecoderState(n=n, stack=(0,), heads=(-1,) * (n + 1), step_count=0)
 
 
-def legal_mask(state: DecoderState, mode: str = "decode",
-               single_root: bool = False) -> np.ndarray:
+def legal_mask(state: DecoderState, mode: str = "decode") -> np.ndarray:
     """Boolean mask over pointer targets 0..n for the current stack top."""
     if mode not in ("decode", "likelihood"):
         raise ValueError(f"unknown legality mode: {mode!r}")
@@ -77,21 +78,15 @@ def legal_mask(state: DecoderState, mode: str = "decode",
     # tokens are the ones still open to point at; ROOT's -1 is not a target.
     mask = np.array(state.heads) == -1
     mask[0] = False
-    any_unattached = mask.any()
     # Self-point: always available off ROOT; on ROOT only once everything is
     # attached (decode) or unconditionally in the likelihood normalizer.
-    self_ok = t != 0 or not any_unattached or mode == "likelihood"
-    if single_root and t == 0 and any(h == 0 for h in state.heads[1:]) and self_ok:
-        # A second root child is excluded whenever some other action exists;
-        # if pointing is the machine's only way forward, the restriction yields.
-        mask[1:] = False
-    mask[t] = self_ok
+    mask[t] = t != 0 or not mask.any() or mode == "likelihood"
     return mask
 
 
-def step(state: DecoderState, target: int, single_root: bool = False) -> DecoderState:
+def step(state: DecoderState, target: int) -> DecoderState:
     """Apply one pointer action under decode-mode legality."""
-    mask = legal_mask(state, mode="decode", single_root=single_root)
+    mask = legal_mask(state, mode="decode")
     if not 0 <= target <= state.n or not mask[target]:
         raise ValueError(
             f"illegal pointer target {target} at step {state.step_count} "
@@ -157,27 +152,26 @@ class GoldPlan:
         return self.targets != self.tops
 
 
-def gold_plan(tree: DependencyTree, single_root: bool = False,
-              child_order: str = "inside_out") -> GoldPlan:
+def gold_plan(tree: DependencyTree, child_order: str = "inside_out") -> GoldPlan:
     """Replay the canonical gold path, recording top and legality per step."""
     state = initial_state(len(tree))
     targets = gold_path(tree, child_order=child_order)
     tops, legal = [], []
     for target in targets:
         tops.append(state.top)
-        legal.append(legal_mask(state, mode="likelihood", single_root=single_root))
-        state = step(state, target, single_root=single_root)
+        legal.append(legal_mask(state, mode="likelihood"))
+        state = step(state, target)
     assert state.is_terminal()
     return GoldPlan(tops=np.array(tops, dtype=np.intp),
                     targets=np.array(targets, dtype=np.intp),
                     legal=np.array(legal))
 
 
-def replay(n: int, targets: Sequence[int], single_root: bool = False) -> DecoderState:
+def replay(n: int, targets: Sequence[int]) -> DecoderState:
     """Run a full action sequence from the initial state; must end terminal."""
     state = initial_state(n)
     for target in targets:
-        state = step(state, target, single_root=single_root)
+        state = step(state, target)
     if not state.is_terminal():
         raise ValueError(f"action sequence left {len(state.stack)} items on the stack")
     return state
@@ -188,25 +182,19 @@ def replay(n: int, targets: Sequence[int], single_root: bool = False) -> Decoder
 # ---------------------------------------------------------------------------
 
 
-def biaffine_score(decoder_vec: Tensor, encoder_mat: Tensor, weight: Tensor,
-                   w_dec: Tensor, w_enc: Tensor, bias: Tensor,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """score_i = d'Ue_i + w_dec.d + w_enc.e_i + b, over all candidate rows.
+def biaffine_score(decoder_rows: Tensor, encoder_mat: Tensor, weight: Tensor,
+                   w_dec: Tensor, w_enc: Tensor, bias: Tensor) -> Tensor:
+    """score[t, i] = d_t'Ue_i + w_dec.d_t + w_enc.e_i + b, for every decoder
+    row d_t and every candidate row e_i.
 
-    ``decoder_vec`` is (d_dec,), ``encoder_mat`` is (n+1, d_enc), ``weight``
-    is (d_dec, d_enc); output is (n+1,). A (T, d_dec) matrix of decoder rows
-    gives the (T, n+1) matrix of their score rows. With ``mask`` given (same
-    shape as the output), illegal positions come back as -inf so the
-    downstream softmax assigns them exactly zero.
+    ``decoder_rows`` is (T, d_dec), ``encoder_mat`` is (n+1, d_enc) and
+    ``weight`` is (d_dec, d_enc); the output is the raw (T, n+1) matrix.
     """
     # Column t of `through` is U'd_t + w_enc, so one product with the encoder
-    # rows gives both e-dependent terms; the transposes are no-ops on vectors.
-    through = ad.transpose(ad.add(ad.matmul(decoder_vec, weight), w_enc))
-    dec_term = ad.add(ad.matmul(decoder_vec, w_dec), bias)
-    scores = ad.transpose(ad.add(ad.matmul(encoder_mat, through), dec_term))
-    if mask is not None:
-        scores = ad.mask_fill(scores, mask)
-    return scores
+    # rows gives both e-dependent terms.
+    through = ad.transpose(ad.add(ad.matmul(decoder_rows, weight), w_enc))
+    dec_term = ad.add(ad.matmul(decoder_rows, ad.reshape(w_dec, (-1, 1))), bias)
+    return ad.transpose(ad.add(ad.matmul(encoder_mat, through), ad.transpose(dec_term)))
 
 
 def create_decoder_params(store: ad.ParameterStore, decoder_dim: int) -> None:
@@ -281,8 +269,7 @@ LabelScorer = Callable[[np.ndarray, list[DecoderState], np.ndarray], np.ndarray]
 
 
 def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
-                  label_scorer: LabelScorer, single_root: bool = False
-                  ) -> list[tuple[list[int], list[int]]]:
+                  label_scorer: LabelScorer) -> list[tuple[list[int], list[int]]]:
     """Greedy argmax decoding of a batch of sentences, in lockstep.
 
     Returns (heads, label id per real token) for each of ``lengths``, in
@@ -305,8 +292,7 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
         raw = arc_scorer(rows, active)
         legal = np.zeros(raw.shape, dtype=bool)
         for r, state in enumerate(active):
-            legal[r, :state.n + 1] = legal_mask(state, mode="decode",
-                                                single_root=single_root)
+            legal[r, :state.n + 1] = legal_mask(state, mode="decode")
         if not np.isfinite(raw[legal]).all():
             raise ValueError("non-finite arc scores during decoding")
         targets = np.where(legal, raw, -np.inf).argmax(axis=1)
@@ -317,7 +303,7 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
             for r, label in zip(attach, labels):
                 label_ids[rows[r]][targets[r] - 1] = int(label)
         for b, state, target in zip(rows, active, targets):
-            states[b] = step(state, int(target), single_root=single_root)
+            states[b] = step(state, int(target))
         rows = rows[[not states[b].is_terminal() for b in rows]]
     for n, state in zip(lengths, states):
         assert state.step_count == 2 * n + 1

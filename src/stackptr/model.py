@@ -65,23 +65,22 @@ def parameter_shapes(config: TrainConfig, vocabs: dict[str, Vocabulary]
 
 
 def _mlp(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    """One ELU layer on the last axis of rows or of a single vector."""
+    """One ELU layer on each row of ``x`` (T, d). Parsing also feeds it the
+    padded (B, N+1, d) encoder states, as constants."""
     w = store[f"{prefix}.W"]
     b = store[f"{prefix}.b"]
     return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
 
 
 def _arc_scores(store: ParameterStore, dec_rows: Tensor, arc_enc: Tensor) -> Tensor:
-    """Raw arc scores over all positions: (n+1,) per decoder vector, or
-    (T, n+1) for T decoder rows."""
+    """Raw arc scores of T decoder rows over all positions: (T, n+1)."""
     return dec.biaffine_score(dec_rows, arc_enc, store["biaffine.arc.U"],
                               store["biaffine.arc.w_dec"], store["biaffine.arc.w_enc"],
                               store["biaffine.arc.b"])
 
 
 def _label_scores(store: ParameterStore, dec_rows: Tensor, enc_rows: Tensor) -> Tensor:
-    """Label scores of (decoder, child encoder) pairs: (L,) for one vector
-    pair, (k, L) for k paired rows."""
+    """Label scores of k paired (decoder, child encoder) rows: (k, L)."""
     bilin = ad.bilinear_vec(dec_rows, store["biaffine.label.U"], enc_rows)
     lin = ad.add(ad.matmul(dec_rows, ad.transpose(store["biaffine.label.w_dec"])),
                  ad.matmul(enc_rows, ad.transpose(store["biaffine.label.w_enc"])))
@@ -114,8 +113,7 @@ class Parser:
         store = self.store
         states = enc.encode_sentence(tree, self.vocabs, store, cfg,
                                      training=training, rng=rng)
-        plan = dec.gold_plan(tree, single_root=cfg.single_root,
-                             child_order=cfg.child_order)
+        plan = dec.gold_plan(tree, child_order=cfg.child_order)
         drop_rng = rng.split("p_out") if rng is not None else None
         arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states),
                              cfg.p_out, training, drop_rng)
@@ -162,8 +160,7 @@ class Parser:
             batch = [sents[k] for k in chunk]
             scorer = LockstepScorer(self, batch)
             decoded = dec.decode_greedy([len(s.tokens) for s in batch], scorer.arc_scores,
-                                        scorer.label_scores,
-                                        single_root=self.config.single_root)
+                                        scorer.label_scores)
             for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
                 labels = [self.vocabs["label"].symbol(i) for i in label_ids]
                 trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)

@@ -87,10 +87,11 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     starting point and the optimizer state starts fresh; ``config`` must
     then keep the checkpoint's architecture fields (``ArchitectureMismatch``
     otherwise). Under ``single_root`` every training tree must have one
-    root child (``TreebankError`` otherwise): the likelihood gives a second
-    one probability 0. Identical seeds, config, and corpora reproduce the
-    returned checkpoint bitwise. Its parameters are rounded the way a
-    checkpoint file stores them, so saving and loading it changes nothing.
+    root child (``TreebankError`` otherwise); greedy decoding may still
+    attach several tokens to ROOT. Identical seeds, config, and corpora
+    reproduce the returned checkpoint bitwise. Its parameters are rounded
+    the way a checkpoint file stores them, so saving and loading it
+    changes nothing.
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")

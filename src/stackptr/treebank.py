@@ -331,22 +331,30 @@ def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
 
 def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
                                rng: Rng) -> np.ndarray:
-    """Read whitespace-separated word vectors; OOV rows get uniform +-0.05.
+    """Read word vectors, one word and ``dim`` values per line separated by
+    whitespace, after an optional "count dim" header; OOV rows get uniform
+    +-0.05.
 
     Every in-vocabulary row, including PAD/UNK/ROOT, starts random and is
-    overwritten where the file provides a vector.
+    overwritten where the file provides a vector. Blank lines are skipped.
+    A line with the wrong field count, a vector the vocabulary uses that
+    holds a non-number or a non-finite value, and a byte that is not UTF-8
+    are each a TreebankError naming the line.
     """
     table = rng.split("pretrained-fill").uniform(-0.05, 0.05, (len(vocab), dim))
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) == 2 and lineno == 1:
-                continue  # optional "count dim" header
-            if len(parts) != dim + 1:
-                raise TreebankError(
-                    f"line {lineno}: expected {dim + 1} fields, got {len(parts)}"
-                )
-            word = parts[0]
-            if word in vocab:
-                table[vocab.index(word)] = [float(x) for x in parts[1:]]
+    for lineno, line in enumerate(_open_text(path), start=1):
+        parts = line.split()
+        if not parts or (len(parts) == 2 and lineno == 1):
+            continue  # blank line, or the optional "count dim" header
+        if len(parts) != dim + 1:
+            raise TreebankError(f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")
+        word = parts[0]
+        if word in vocab:
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise TreebankError(f"line {lineno}: {exc}") from None
+            if not np.isfinite(values).all():
+                raise TreebankError(f"line {lineno}: non-finite value for {word!r}")
+            table[vocab.index(word)] = values
     return table

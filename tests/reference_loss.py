@@ -10,9 +10,10 @@ row, then arc row), so with the same ``rng`` it must agree with
 The same closures, one sentence at a time, are the oracle for the lockstep
 greedy parse. Its token rows stack one character CNN per word, the oracle
 for the encoder's whole-sentence ``char_cnn``. The per-step and per-word
-tape ops it needs (``row``, ``slice1d``, ``stack_rows``, ``lstm_cell``,
-``im2col_rows``, ``max_over_rows``) are defined here: the package itself
-has no per-step or per-word path.
+tape ops it needs (``row``, ``slice1d``, ``stack_rows``, ``matmul`` with
+its vector forms, ``bilinear_pair``, ``lstm_cell``, ``im2col_rows``,
+``max_over_rows``) are defined here: the package itself has no per-step or
+per-word path, and its ops take matrices of rows only.
 """
 
 from __future__ import annotations
@@ -45,6 +46,36 @@ def slice1d(v, start, stop):
             ad._accum(v, gv)
 
     return ad._node(v.data[start:stop], (v,), backward)
+
+
+def matmul(a, b):
+    """Product of any 2D/1D pair: matrix-matrix, matrix-vector,
+    vector-matrix or the dot product of two vectors."""
+    a_is_vec = a.data.ndim == 1
+    b_is_vec = b.data.ndim == 1
+
+    def backward(g):
+        if not a_is_vec and not b_is_vec:
+            ad._accum(a, g @ b.data.T)
+            ad._accum(b, a.data.T @ g)
+        elif not a_is_vec and b_is_vec:       # (m,k)@(k,) -> (m,)
+            ad._accum(a, np.outer(g, b.data))
+            ad._accum(b, a.data.T @ g)
+        elif a_is_vec and not b_is_vec:       # (k,)@(k,n) -> (n,)
+            ad._accum(a, b.data @ g)
+            ad._accum(b, np.outer(a.data, g))
+        else:                                  # (k,)@(k,) -> ()
+            ad._accum(a, g * b.data)
+            ad._accum(b, g * a.data)
+
+    return ad._node(a.data @ b.data, (a, b), backward)
+
+
+def bilinear_pair(left, weight, right):
+    """``bilinear_vec`` of one vector pair: (d_left,), (L, d_left, d_right),
+    (d_right,) -> (L,)."""
+    out = ad.bilinear_vec(ad.reshape(left, (1, -1)), weight, ad.reshape(right, (1, -1)))
+    return ad.reshape(out, (weight.data.shape[0],))
 
 
 def stack_rows(rows):
@@ -118,7 +149,7 @@ def embed_tokens(sent, vocabs, store, config):
 def lstm_cell(x, h, c, w_ih, w_hh, bias):
     """One LSTM step built from tape ops; gate order i, f, g, o. Returns (h', c')."""
     hidden = w_hh.data.shape[1]
-    z = ad.add(ad.add(ad.matmul(w_ih, x), ad.matmul(w_hh, h)), bias)
+    z = ad.add(ad.add(matmul(w_ih, x), matmul(w_hh, h)), bias)
     i = ad.sigmoid(slice1d(z, 0, hidden))
     f = ad.sigmoid(slice1d(z, hidden, 2 * hidden))
     g = ad.tanh(slice1d(z, 2 * hidden, 3 * hidden))
@@ -171,13 +202,13 @@ def encode_sentence(sent, vocabs, store, config, training=False, rng=None):
 def _mlp(store, prefix, x):
     w = store[f"{prefix}.W"]
     b = store[f"{prefix}.b"]
-    return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
+    return ad.elu(ad.add(matmul(x, ad.transpose(w)), b))
 
 
 def biaffine_score(decoder_vec, encoder_mat, weight, w_dec, w_enc, bias):
-    through = ad.matmul(encoder_mat, ad.matmul(ad.transpose(weight), decoder_vec))
-    enc_term = ad.matmul(encoder_mat, w_enc)
-    dec_term = ad.add(ad.matmul(w_dec, decoder_vec), bias)
+    through = matmul(encoder_mat, matmul(ad.transpose(weight), decoder_vec))
+    enc_term = matmul(encoder_mat, w_enc)
+    dec_term = ad.add(matmul(w_dec, decoder_vec), bias)
     return ad.add(ad.add(through, enc_term), dec_term)
 
 
@@ -217,20 +248,20 @@ def scorers(parser: Parser, encoder_states, training, rng):
     def label_score_fn(state, child):
         d = state_box["label_dec"]
         e = row(label_enc, child)
-        bilin = ad.bilinear_vec(d, store["biaffine.label.U"], e)
-        lin = ad.add(ad.matmul(store["biaffine.label.w_dec"], d),
-                     ad.matmul(store["biaffine.label.w_enc"], e))
+        bilin = bilinear_pair(d, store["biaffine.label.U"], e)
+        lin = ad.add(matmul(store["biaffine.label.w_dec"], d),
+                     matmul(store["biaffine.label.w_enc"], e))
         return ad.add(ad.add(bilin, lin), store["biaffine.label.b"])
 
     return score_fn, label_score_fn
 
 
 def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
-                        single_root=False, child_order="inside_out"):
+                        child_order="inside_out"):
     state = dec.initial_state(len(tree))
     total = None
     for target in dec.gold_path(tree, child_order=child_order):
-        mask = dec.legal_mask(state, mode="likelihood", single_root=single_root)
+        mask = dec.legal_mask(state, mode="likelihood")
         scores = ad.mask_fill(score_fn(state), mask)
         term = ad.pick(ad.log_softmax(scores), target)
         if target != state.top:
@@ -238,7 +269,7 @@ def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
             term = ad.add(term, ad.pick(ad.log_softmax(label_scores),
                                         label_ids[target - 1]))
         total = term if total is None else ad.add(total, term)
-        state = dec.step(state, target, single_root=single_root)
+        state = dec.step(state, target)
     assert state.is_terminal()
     return total
 
@@ -251,7 +282,6 @@ def sentence_loss(parser: Parser, tree, training: bool = False,
     score_fn, label_score_fn = scorers(parser, states, training, rng)
     label_ids = [parser.vocabs["label"].index(lbl) for lbl in tree.labels]
     ll = path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
-                             single_root=parser.config.single_root,
                              child_order=parser.config.child_order)
     return ad.scale(ad.neg(ll), 1.0 / len(tree))
 
@@ -275,15 +305,14 @@ def lockstep_scorers(score_fns, label_score_fns, width):
     return arc_scorer, label_scorer
 
 
-def decode_one(n, score_fn, label_score_fn, single_root=False):
+def decode_one(n, score_fn, label_score_fn):
     """Greedy-decode one sentence, as a batch of one, with per-state scorers."""
     arc_scorer, label_scorer = lockstep_scorers([score_fn], [label_score_fn], n + 1)
-    return dec.decode_greedy([n], arc_scorer, label_scorer, single_root=single_root)[0]
+    return dec.decode_greedy([n], arc_scorer, label_scorer)[0]
 
 
 def parse_heads_labels(parser: Parser, sent):
     """Greedy decoding driven by the per-step reference encoder and scorers."""
     states = encode_sentence(sent, parser.vocabs, parser.store, parser.config)
     score_fn, label_score_fn = scorers(parser, states, False, None)
-    return decode_one(len(sent.tokens), score_fn, label_score_fn,
-                      single_root=parser.config.single_root)
+    return decode_one(len(sent.tokens), score_fn, label_score_fn)

@@ -3,15 +3,19 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackptr import cli
 from stackptr.checkpoint import load_checkpoint
 from stackptr.cli import run
+from stackptr.config import ConfigError, TrainConfig
 from stackptr.treebank import parse_conll, write_conll
 
 TINY = [
@@ -156,6 +160,21 @@ class TestExitCodes:
         assert "d_h 4 -> 8" in capsys.readouterr().err
         assert not tuned.exists()
 
+    @pytest.mark.parametrize("override, named", [
+        ("foo", "--set 'foo': expected KEY=VALUE"),
+        ("d_h=abc", "d_h='abc': invalid literal for int()"),
+        ("r=0", "r must be >= 1, got 0"),
+        ("nosuch=1", "unknown config keys: ['nosuch']"),
+    ])
+    def test_bad_override_is_usage_error(self, tmp_path, capsys, override, named):
+        out = tmp_path / "m.ckpt"
+        code = run(["train", "--train", str(tmp_path / "t.conllx"),
+                    "--dev", str(tmp_path / "d.conllx"), "--out", str(out),
+                    "--set", override])
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
@@ -177,7 +196,26 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_console_script_installed(self):
+        # Run from the directory holding the package, so that it is found
+        # whether or not it is installed.
         proc = subprocess.run([sys.executable, "-m", "stackptr.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              cwd=Path(cli.__file__).parents[1])
         assert proc.returncode == 0
         assert "surgery-inspect" in proc.stdout
+
+
+_OVERRIDES = st.one_of(
+    st.text(max_size=16),
+    st.builds("{}={}".format, st.sampled_from(list(TrainConfig().to_flat())),
+              st.text(max_size=8)),
+)
+
+
+@given(st.lists(_OVERRIDES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_random_set_text_loads_or_raises_config_error(overrides):
+    try:
+        cli._load_config(SimpleNamespace(config=None, set=overrides))
+    except ConfigError:
+        pass

@@ -3,8 +3,18 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stackptr.config import TrainConfig
+from stackptr.config import (
+    ATTENTION_SCALES,
+    CHILD_ORDERS,
+    ArchitectureMismatch,
+    ConfigError,
+    TrainConfig,
+)
+
+FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 class TestDefaults:
@@ -123,3 +133,53 @@ class TestConfigFile:
         path.write_text("d_w=100\nnot a setting\n")
         with pytest.raises(ValueError, match="line 2"):
             TrainConfig.from_file(path)
+
+
+class TestConfigErrors:
+    def test_value_that_does_not_parse_names_key_and_value(self):
+        flat = TrainConfig().to_flat()
+        flat["d_h"] = "abc"
+        with pytest.raises(ConfigError, match=r"d_h='abc': invalid literal for int\(\)"):
+            TrainConfig.from_flat(flat)
+
+    @pytest.mark.parametrize("field", ["r", "d_h", "filter_width", "arc_mlp_dim", "patience"])
+    def test_sizes_below_one_name_key_and_value(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1, got 0"):
+            TrainConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "clip_norm", "beta1", "p_in"])
+    def test_non_finite_floats_rejected(self, field):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=field):
+                TrainConfig(**{field: value})
+
+    def test_bad_file_line_is_a_config_error(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("not a setting\n")
+        with pytest.raises(ConfigError, match="line 1"):
+            TrainConfig.from_file(path)
+
+    def test_architecture_mismatch_is_a_config_error(self):
+        assert issubclass(ArchitectureMismatch, ConfigError)
+        assert issubclass(ConfigError, ValueError)
+
+
+_VALUES = st.one_of(
+    st.text(max_size=10),
+    st.integers(-3, 900).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", *CHILD_ORDERS, *ATTENTION_SCALES]),
+)
+
+
+@given(st.dictionaries(st.one_of(st.sampled_from(FIELDS), st.text(max_size=8)), _VALUES,
+                       max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_random_flat_values_build_or_raise_config_error(changes):
+    flat = TrainConfig().to_flat()
+    flat.update(changes)
+    try:
+        config = TrainConfig.from_flat(flat)
+    except ConfigError:
+        return
+    assert TrainConfig.from_flat(config.to_flat()) == config

@@ -104,23 +104,22 @@ class TestLegalMask:
         # top is 2: self-point legal, 1/3 unattached legal, ROOT illegal
         np.testing.assert_array_equal(mask, [False, True, True, True])
 
-    def test_single_root_blocks_second_child_when_pop_available(self):
+    def test_only_the_pop_at_root_once_all_attached(self):
         # All attached, one root child, stack back at [0]: only the pop.
         s = initial_state(2)
         for target in (1, 2, 2, 1):
             s = step(s, target)
         assert s.stack == (0,)
-        for flag in (False, True):
-            mask = legal_mask(s, single_root=flag)
-            np.testing.assert_array_equal(mask, [True, False, False])
+        mask = legal_mask(s)
+        np.testing.assert_array_equal(mask, [True, False, False])
 
-    def test_single_root_yields_when_stuck(self):
+    def test_root_may_take_a_second_child(self):
         # Token 2 still unattached when ROOT resurfaces: pointing must stay
         # legal or the machine deadlocks.
         s = step(initial_state(2), 1)
         s = step(s, 1)
         assert s.stack == (0,)
-        mask = legal_mask(s, mode="decode", single_root=True)
+        mask = legal_mask(s, mode="decode")
         np.testing.assert_array_equal(mask, [False, False, True])
 
     def test_unknown_mode(self):
@@ -145,19 +144,18 @@ class TestGoldPath:
         with pytest.raises(ValueError, match="child_order"):
             gold_path(_tree([-1, 0]), "bfs")
 
-    @pytest.mark.parametrize("single_root", [False, True])
-    def test_gold_plan_replays_path(self, single_root):
+    def test_gold_plan_replays_path(self):
         for n in range(1, 5):
             for heads in all_head_vectors(n):
                 tree = _tree(heads)
-                plan = gold_plan(tree, single_root=single_root, child_order="left2right")
+                plan = gold_plan(tree, child_order="left2right")
                 state = initial_state(n)
                 assert plan.targets.tolist() == gold_path(tree, "left2right")
                 for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
                     assert top == state.top
                     np.testing.assert_array_equal(
-                        legal, legal_mask(state, "likelihood", single_root))
-                    state = step(state, int(target), single_root)
+                        legal, legal_mask(state, "likelihood"))
+                    state = step(state, int(target))
                 assert int(plan.arc_steps.sum()) == n
 
 
@@ -241,9 +239,17 @@ class TestRandomPlayouts:
             validate_tree(s.heads, allow_multiple_roots=True)
 
 
+def _one_row(d, e, u, w_dec, w_enc, b, mask=None):
+    """The score vector of one decoder vector: ``biaffine_score`` of a
+    one-row matrix, with illegal positions -inf where ``mask`` says so."""
+    score = ad.reshape(biaffine_score(ad.reshape(d, (1, -1)), e, u, w_dec, w_enc, b),
+                       (e.shape[0],))
+    return score if mask is None else ad.mask_fill(score, mask)
+
+
 class TestBiaffineScore:
     def test_one_dim_toy(self):
-        score = biaffine_score(
+        score = _one_row(
             Tensor([3.0]), Tensor([[5.0]]), Tensor([[2.0]]),
             Tensor([0.0]), Tensor([0.0]), Tensor(1.0),
         )
@@ -252,9 +258,9 @@ class TestBiaffineScore:
 
     def test_zero_weights_uniform_over_legal(self):
         d, e = Tensor(np.zeros(3)), Tensor(np.zeros((4, 3)))
-        score = biaffine_score(d, e, Tensor(np.zeros((3, 3))),
-                               Tensor(np.zeros(3)), Tensor(np.zeros(3)),
-                               Tensor(0.0), mask=np.array([True, True, False, True]))
+        score = _one_row(d, e, Tensor(np.zeros((3, 3))),
+                         Tensor(np.zeros(3)), Tensor(np.zeros(3)),
+                         Tensor(0.0), mask=np.array([True, True, False, True]))
         probs = ad.softmax(score).data
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 0.0, 1 / 3], atol=1e-12)
 
@@ -262,9 +268,9 @@ class TestBiaffineScore:
         rng = Rng(23).split("biaffine")
         d = Tensor(rng.random(4))
         e = Tensor(rng.random((5, 4)))
-        score = biaffine_score(d, e, Tensor(rng.random((4, 4))),
-                               Tensor(rng.random(4)), Tensor(rng.random(4)),
-                               Tensor(0.3), mask=np.array([True, False, True, True, False]))
+        score = _one_row(d, e, Tensor(rng.random((4, 4))),
+                         Tensor(rng.random(4)), Tensor(rng.random(4)),
+                         Tensor(0.3), mask=np.array([True, False, True, True, False]))
         probs = ad.softmax(score).data
         assert probs[1] == 0.0 and probs[4] == 0.0
         assert abs(probs.sum() - 1.0) < 1e-12
@@ -274,11 +280,11 @@ class TestBiaffineScore:
         d, e, u = rng.random((3, 4)), rng.random((5, 2)), rng.random((4, 2))
         w_dec, w_enc, b = Tensor(rng.random(4)), Tensor(rng.random(2)), Tensor(0.4)
         mask = rng.random((3, 5)) > 0.3
-        rows = biaffine_score(Tensor(d), Tensor(e), Tensor(u), w_dec, w_enc, b,
-                              mask=mask).data
+        rows = ad.mask_fill(biaffine_score(Tensor(d), Tensor(e), Tensor(u), w_dec, w_enc, b),
+                            mask).data
         for k in range(3):
-            one = biaffine_score(Tensor(d[k]), Tensor(e), Tensor(u), w_dec, w_enc, b,
-                                 mask=mask[k]).data
+            one = _one_row(Tensor(d[k]), Tensor(e), Tensor(u), w_dec, w_enc, b,
+                           mask=mask[k]).data
             np.testing.assert_allclose(rows[k], one, atol=1e-12)
 
     def test_matches_manual_form(self):
@@ -287,8 +293,8 @@ class TestBiaffineScore:
         e = rng.random((4, 5))
         u = rng.random((3, 5))
         w_dec, w_enc, b = rng.random(3), rng.random(5), 0.7
-        got = biaffine_score(Tensor(d), Tensor(e), Tensor(u), Tensor(w_dec),
-                             Tensor(w_enc), Tensor(b)).data
+        got = _one_row(Tensor(d), Tensor(e), Tensor(u), Tensor(w_dec),
+                       Tensor(w_enc), Tensor(b)).data
         want = np.array([d @ u @ e[i] + w_dec @ d + w_enc @ e[i] + b
                          for i in range(4)])
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -392,16 +398,15 @@ class TestGreedyDecoding:
         with pytest.raises(ValueError, match="non-finite arc scores"):
             decode_greedy([3, 2, 1], arcs, labels)
 
-    def test_single_root_flag_respected_when_possible(self):
-        # A scorer trying to hang everything off ROOT: with single_root the
-        # second root child is only created under duress. For n=2, pointing
-        # 0->1 then popping 1 leaves 2 stranded, so duress it is; but a
-        # scorer that builds 1's subtree first never returns to ROOT early.
+    def test_root_greedy_scorer_makes_two_root_children(self):
+        # A scorer trying to hang everything off ROOT: for n=2 it points
+        # 0->1, pops 1 (preferred to pointing 1->2) and then attaches the
+        # stranded 2 to ROOT as well.
         def root_greedy(state):
             scores = np.zeros(3)
             scores[1] = 2.0
             scores[2] = 1.0
             return Tensor(scores)
 
-        heads, _ = decode_one(2, root_greedy, zero_labeler(2), single_root=True)
-        assert heads == [-1, 0, 0]  # duress path: both end up root children
+        heads, _ = decode_one(2, root_greedy, zero_labeler(2))
+        assert heads == [-1, 0, 0]  # both end up root children

@@ -29,7 +29,7 @@ LABELS = VOCABS["label"].symbols
 def trees(draw, single_root: bool):
     """Template-grammar trees, or random (mostly non-projective) head
     vectors over 1..7 tokens, with several root children unless
-    ``single_root`` (the likelihood gives such gold trees probability 0)."""
+    ``single_root`` (``train`` refuses such trees under it)."""
     if draw(st.booleans()):
         pos_seq, heads, labels = TEMPLATES[draw(st.integers(0, len(TEMPLATES) - 1))]
         heads = (-1, *heads)
@@ -86,6 +86,17 @@ def test_fused_loss_matches_reference_on_toy_corpus(tiny_config, toy_vocabs, toy
     parser = Parser.build(tiny_config, toy_vocabs)
     for k, tree in enumerate(toy_trees):
         _assert_agree(parser, tree, training, seed=k)
+
+
+def test_multi_root_loss_is_finite_under_single_root(tiny_config):
+    # The flag only screens training trees; the likelihood of a tree with
+    # two root children does not depend on it.
+    tokens = tuple(Token(SOURCE_POOLS[pos][0], pos) for pos in sorted(SOURCE_POOLS)[:3])
+    tree = DependencyTree(tokens, (-1, 0, 0, 2), tuple(LABELS[:3]))
+    losses = [float(Parser.build(tiny_config.replaced(single_root=flag), VOCABS)
+                    .sentence_loss(tree).data) for flag in (False, True)]
+    assert np.isfinite(losses[1])
+    assert losses[1] == losses[0]
 
 
 def test_greedy_parse_matches_reference(tiny_config, toy_vocabs, toy_trees):

@@ -309,3 +309,54 @@ class TestPretrainedEmbeddings:
         path.write_text("猫 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(TreebankError, match="line 1"):
             load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
+
+    def test_any_whitespace_separates_fields(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("猫 1.0 2.0 3.0 \n\n睡\t-1.0  0.0\t0.5\r\n", encoding="utf-8")
+        table = load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
+        np.testing.assert_array_equal(table[3], [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(table[4], [-1.0, 0.0, 0.5])
+
+    @pytest.mark.parametrize("values, message", [
+        ("1.0 x 3.0", "could not convert string to float: 'x'"),
+        ("1.0 nan 3.0", "non-finite value"),
+        ("-inf 2.0 3.0", "non-finite value"),
+    ])
+    def test_bad_value_names_the_line(self, tmp_path, values, message):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"睡 1.0 1.0 1.0\n猫 {values}\n", encoding="utf-8")
+        with pytest.raises(TreebankError, match="line 2") as err:
+            load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
+        assert message in str(err.value)
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes("睡 1.0 1.0 1.0\n".encode() + b"\xff 1.0 1.0 1.0\n")
+        with pytest.raises(TreebankError, match="line 2: invalid UTF-8 byte 0xff"):
+            load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
+
+
+@st.composite
+def embedding_bytes(draw):
+    """Embedding-file text from vocabulary and other words, numbers and
+    junk, with a few random bytes inserted."""
+    words = st.sampled_from(["猫", "睡", "<UNK>", "x", "2"])
+    values = st.one_of(st.floats().map(repr), st.sampled_from(["1", "-0.5", "x", ""]))
+    lines = draw(st.lists(st.builds(lambda w, vs, sep: sep.join([w, *vs]), words,
+                                    st.lists(values, max_size=4),
+                                    st.sampled_from([" ", "\t", "  "])), max_size=5))
+    data = "\n".join(lines).encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(max_size=3)) + data[at:]
+
+
+@given(embedding_bytes())
+@settings(max_examples=300, deadline=None)
+def test_random_embedding_bytes_load_or_raise_treebank_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.emb"
+    path.write_bytes(data)
+    try:
+        table = load_pretrained_embeddings(path, Vocabulary(RESERVED + ("猫", "睡")), 3, Rng(0))
+    except TreebankError:
+        return
+    assert table.shape == (5, 3) and np.isfinite(table).all()
