@@ -2,11 +2,18 @@
 
 Everything the parser trains with lives here: a float64 tensor type that
 records a tape of backward closures, the handful of operations the model is
-built from (matrix product, elementwise ops, softmax, concatenation, masked
-max-over-time pooling, a fused sequence LSTM whose gate arithmetic decoding
-shares, dropout), a named parameter store with deterministic
-initialization, the Adam optimizer, and a finite-difference gradient
-checker.
+built from (matrix products of two matrices or of two equal-size stacks of
+them, axis permutation, elementwise ops, softmax over the last axis,
+concatenation, masked max-over-time pooling, a fused LSTM over a (T, B, d)
+batch of equal-length sequences whose gate arithmetic decoding shares,
+dropout with one random stream per batch row), a named parameter store
+with deterministic initialization, the Adam optimizer, and a
+finite-difference gradient checker.
+
+Ops take whole batches, so one training batch records one tape whose size
+does not depend on the batch size. Products with a weight matrix run on
+the batch flattened to (rows, d): numpy is much slower on a stacked
+(T, B, d) @ (d, k) product than on the same rows as one matrix.
 
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
@@ -51,6 +58,8 @@ __all__ = [
     "lstm_gates",
     "lstm_sequence",
     "dropout_mask",
+    "dropout_masks",
+    "split_each",
     "global_grad_norm",
     "clip_gradients",
 ]
@@ -120,8 +129,11 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # A copy, never ``g`` itself: one backward may hand the same
+            # array to several parents, and a later ``+=`` would reach them all.
+            t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+        else:
+            t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -175,21 +187,31 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.data * c, (a,), backward)
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product (m, k) @ (k, n) -> (m, n). The backward rule covers
-    these shapes only; a (B, m, k) stack of constants runs forward."""
+    """Matrix product (m, k) @ (k, n) -> (m, n), or the batched product of
+    two stacks (B, m, k) @ (B, k, n) -> (B, m, n)."""
     def backward(g: np.ndarray) -> None:
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ _swap_last(b.data))
+        _accum(b, _swap_last(a.data) @ g)
 
     return _node(a.data @ b.data, (a, b), backward)
 
 
-def transpose(m: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        _accum(m, g.T)
+def transpose(m: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes of ``m``; by default swap the last two (the
+    transpose of a matrix, or of every matrix in a stack)."""
+    if axes is None:
+        axes = tuple(range(m.data.ndim - 2)) + (m.data.ndim - 1, m.data.ndim - 2)
+    inverse = tuple(np.argsort(axes))
 
-    return _node(m.data.T, (m,), backward)
+    def backward(g: np.ndarray) -> None:
+        _accum(m, g.transpose(inverse))
+
+    return _node(m.data.transpose(axes), (m,), backward)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -304,7 +326,8 @@ def softmax(scores: Tensor) -> Tensor:
 
 
 def log_softmax(scores: Tensor) -> Tensor:
-    """Log-softmax of a score vector, or of every row of a score matrix."""
+    """Log-softmax over the last axis: of a score vector, or of every row
+    of a matrix or stack of matrices."""
     v = scores.data
     _check_softmax_input(v)
     shifted = v - v.max(axis=-1, keepdims=True)
@@ -318,14 +341,14 @@ def log_softmax(scores: Tensor) -> Tensor:
 
 
 def softmax_rows(m: Tensor) -> Tensor:
-    """Row-wise softmax of a matrix (used for attention probabilities)."""
+    """Softmax over the last axis (used for attention probabilities)."""
     v = m.data
-    shifted = v - v.max(axis=1, keepdims=True)
+    shifted = v - v.max(axis=-1, keepdims=True)
     exps = np.exp(shifted)
-    probs = exps / exps.sum(axis=1, keepdims=True)
+    probs = exps / exps.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        dot = (g * probs).sum(axis=1, keepdims=True)
+        dot = (g * probs).sum(axis=-1, keepdims=True)
         _accum(m, probs * (g - dot))
 
     return _node(probs, (m,), backward)
@@ -375,15 +398,24 @@ def dropout_mask(shape: tuple[int, ...] | int, rate: float, rng: "Rng") -> np.nd
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def dropout(t: Tensor, rate: float, training: bool, rng: "Rng | None" = None) -> Tensor:
-    """Inverted dropout: kept entries scaled by 1/(1-rate)."""
+def dropout_masks(shape: tuple[int, ...] | int, rate: float,
+                  rngs: Sequence["Rng"]) -> np.ndarray:
+    """One :func:`dropout_mask` of ``shape`` per stream, stacked: (B, *shape)."""
+    return np.stack([dropout_mask(shape, rate, rng) for rng in rngs])
+
+
+def dropout(t: Tensor, rate: float, training: bool,
+            rngs: Sequence["Rng"] | None = None) -> Tensor:
+    """Inverted dropout of a batch: kept entries scaled by 1/(1-rate).
+    Row b of the leading axis draws its mask from ``rngs[b]``, so each
+    sequence keeps its own stream whatever batch it is in."""
     if not training or rate == 0.0:
         return t
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1): {rate}")
-    if rng is None:
-        raise ValueError("training-mode dropout needs an Rng")
-    factor = dropout_mask(t.data.shape, rate, rng)
+    if rngs is None or None in rngs or len(rngs) != t.data.shape[0]:
+        raise ValueError("training-mode dropout needs one Rng per batch row")
+    factor = dropout_masks(t.data.shape[1:], rate, rngs)
     out_data = t.data * factor
 
     def backward(g: np.ndarray) -> None:
@@ -439,60 +471,65 @@ def lstm_gates(z: np.ndarray, c: np.ndarray
 
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
                   h_mask: np.ndarray | None = None) -> Tensor:
-    """LSTM over the rows of ``x`` (T, d) from a zero state; returns the
-    hidden states (T, h). Each step is one :func:`lstm_gates` call.
+    """LSTM over a batch of equal-length sequences ``x`` (T, B, d), each
+    from a zero state; returns the hidden states (T, B, h). Each step is
+    one :func:`lstm_gates` call for the whole batch.
 
-    ``h_mask`` (h,) multiplies the recurrent input at every step (variational
-    dropout: one mask per sequence). The input projection is one (T, d) @
-    (d, 4h) product and the whole sequence is one tape node: its backward is
-    hand-written BPTT whose weight gradients are single (4h, T) @ (T, .)
-    products (the fused recurrent layer of Appleyard et al. 2016).
+    ``h_mask`` (B, h) multiplies the recurrent input at every step
+    (variational dropout: one mask per sequence). The input projection is
+    one (T*B, d) @ (d, 4h) product, each step's recurrent term one
+    (B, h) @ (h, 4h) product, and the whole batch is one tape node: its
+    backward is hand-written BPTT whose weight gradients are single
+    (4h, T*B) @ (T*B, .) products (the fused recurrent layer of Appleyard
+    et al. 2016, batched across sequences).
     """
     xs = x.data
-    steps = xs.shape[0]
+    steps, batch, width = xs.shape
     if steps == 0:
         raise ValueError("LSTM over an empty sequence")
     hidden = w_hh.data.shape[1]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    w_rec = w_hh.data
-    z_in = xs @ w_ih.data.T + bias.data
-    gates = np.empty((steps, 4 * hidden))     # activations i, f, g, o
-    h_in = np.zeros((steps, hidden))          # recurrent input of each step
-    cells = np.zeros((steps + 1, hidden))     # cells[t] is step t's incoming c
-    tanh_c = np.empty((steps, hidden))
-    out_data = np.empty((steps, hidden))
+    rows = xs.reshape(steps * batch, width)
+    w_rec_t = w_hh.data.T     # a view: a contiguous copy costs more than it saves
+    z_in = (rows @ w_ih.data.T + bias.data).reshape(steps, batch, 4 * hidden)
+    gates = np.empty((steps, batch, 4 * hidden))     # activations i, f, g, o
+    h_in = np.zeros((steps, batch, hidden))          # recurrent input of each step
+    cells = np.zeros((steps + 1, batch, hidden))     # cells[t] is step t's incoming c
+    tanh_c = np.empty((steps, batch, hidden))
+    out_data = np.empty((steps, batch, hidden))
     for t in range(steps):
         if t:
             h_in[t] = out_data[t - 1] if h_mask is None else out_data[t - 1] * h_mask
         gates[t], cells[t + 1], tanh_c[t], out_data[t] = lstm_gates(
-            z_in[t] + w_rec @ h_in[t], cells[t])
+            z_in[t] + h_in[t] @ w_rec_t, cells[t])
 
     def backward(g: np.ndarray) -> None:
-        dz = np.empty((steps, 4 * hidden))
-        dh_next = np.zeros(hidden)
-        dc_next = np.zeros(hidden)
+        dz = np.empty((steps, batch, 4 * hidden))
+        dh_next = np.zeros((batch, hidden))
+        dc_next = np.zeros((batch, hidden))
         for t in range(steps - 1, -1, -1):
             act = gates[t]
-            i, f, gg, o = act[i_], act[f_], act[g_], act[o_]
+            i, f, gg, o = act[:, i_], act[:, f_], act[:, g_], act[:, o_]
             dh = g[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t, i_] = dc * gg * i * (1.0 - i)
-            dz[t, f_] = dc * cells[t] * f * (1.0 - f)
-            dz[t, g_] = dc * i * (1.0 - gg * gg)
-            dz[t, o_] = dh * tanh_c[t] * o * (1.0 - o)
+            dz[t, :, i_] = dc * gg * i * (1.0 - i)
+            dz[t, :, f_] = dc * cells[t] * f * (1.0 - f)
+            dz[t, :, g_] = dc * i * (1.0 - gg * gg)
+            dz[t, :, o_] = dh * tanh_c[t] * o * (1.0 - o)
             dc_next = dc * f
             if t:
-                dh_next = w_rec.T @ dz[t]
+                dh_next = dz[t] @ w_hh.data
                 if h_mask is not None:
                     dh_next = dh_next * h_mask
+        dz_rows = dz.reshape(steps * batch, 4 * hidden)
         if w_ih.requires_grad:
-            _accum(w_ih, dz.T @ xs)
+            _accum(w_ih, dz_rows.T @ rows)
         if w_hh.requires_grad:
-            _accum(w_hh, dz.T @ h_in)
+            _accum(w_hh, dz_rows.T @ h_in.reshape(steps * batch, hidden))
         if bias.requires_grad:
-            _accum(bias, dz.sum(axis=0))
+            _accum(bias, dz_rows.sum(axis=0))
         if x.requires_grad:
-            _accum(x, dz @ w_ih.data)
+            _accum(x, (dz_rows @ w_ih.data).reshape(steps, batch, width))
 
     return _node(out_data, (x, w_ih, w_hh, bias), backward)
 
@@ -534,6 +571,11 @@ class Rng:
 
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
+
+
+def split_each(rngs: Sequence[Rng], name: str) -> list[Rng]:
+    """The child stream ``name`` of each of ``rngs`` (one per batch row)."""
+    return [rng.split(name) for rng in rngs]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from .treebank import TreebankError, _open_text
+
 CHILD_ORDERS = ("inside_out", "left2right", "right2left")
 ATTENTION_SCALES = ("per_head", "model_dim")
 # The fields that fix some parameter tensor's shape: a checkpoint's values
@@ -82,8 +84,14 @@ class TrainConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "clip_norm", "adam_epsilon"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.decay_rate <= 1.0:
+            raise ConfigError(f"decay_rate must be in (0, 1], got {self.decay_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.max_epochs < 0:  # 0 = evaluate-only, legal for fine-tuning
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
@@ -154,8 +162,12 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
+        try:
+            text = _open_text(path).read()
+        except TreebankError as exc:
+            raise ConfigError(f"config {exc}") from None
         raw: dict[str, str] = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -19,10 +19,12 @@ steps. The two masks are identical everywhere else. Neither limits the
 number of tokens attached to ROOT.
 
 Under teacher forcing the gold path fixes every step's stack top, legality
-mask and target in advance (:func:`gold_plan`), so the training objective
-is one whole-path computation over score matrices
-(:func:`path_log_likelihood`): :func:`biaffine_score` turns the (T, d)
-decoder rows of T steps into their (T, n+1) score rows. Greedy search
+mask and target in advance (:func:`gold_plan`). The plans of a batch of
+same-length trees stack into one (:func:`stack_plans`), since every
+length-n path has 2n+1 steps, so the training objective of the whole batch
+is one computation over score stacks (:func:`path_log_likelihood`):
+:func:`biaffine_score` turns the (B, T, d) decoder rows of T steps into
+their (B, T, n+1) score rows. Greedy search
 (:func:`decode_greedy`) runs a batch of sentences of any lengths in
 lockstep: each step asks one batched scorer for the scores of every
 unfinished sentence, while legality and transitions stay per sentence.
@@ -140,6 +142,7 @@ class GoldPlan:
 
     ``tops[k]`` is the stack top at step k, ``targets[k]`` the gold pointer
     target, and ``legal[k]`` the likelihood-mode legality mask over 0..n.
+    A stacked plan (:func:`stack_plans`) has a leading batch axis on each.
     """
 
     tops: np.ndarray
@@ -148,7 +151,7 @@ class GoldPlan:
 
     @property
     def arc_steps(self) -> np.ndarray:
-        """Boolean (2n+1,): the steps that attach a token (target != top)."""
+        """Boolean (..., 2n+1): the steps that attach a token (target != top)."""
         return self.targets != self.tops
 
 
@@ -165,6 +168,13 @@ def gold_plan(tree: DependencyTree, child_order: str = "inside_out") -> GoldPlan
     return GoldPlan(tops=np.array(tops, dtype=np.intp),
                     targets=np.array(targets, dtype=np.intp),
                     legal=np.array(legal))
+
+
+def stack_plans(plans: Sequence[GoldPlan]) -> GoldPlan:
+    """The plans of same-length trees as one plan with a leading batch axis."""
+    return GoldPlan(tops=np.stack([p.tops for p in plans]),
+                    targets=np.stack([p.targets for p in plans]),
+                    legal=np.stack([p.legal for p in plans]))
 
 
 def replay(n: int, targets: Sequence[int]) -> DecoderState:
@@ -187,14 +197,19 @@ def biaffine_score(decoder_rows: Tensor, encoder_mat: Tensor, weight: Tensor,
     """score[t, i] = d_t'Ue_i + w_dec.d_t + w_enc.e_i + b, for every decoder
     row d_t and every candidate row e_i.
 
-    ``decoder_rows`` is (T, d_dec), ``encoder_mat`` is (n+1, d_enc) and
-    ``weight`` is (d_dec, d_enc); the output is the raw (T, n+1) matrix.
+    ``decoder_rows`` is (T, d_dec) and ``encoder_mat`` (n+1, d_enc), or
+    both are stacks of B sentences, (B, T, d_dec) and (B, n+1, d_enc);
+    ``weight`` is (d_dec, d_enc). The output is the raw (T, n+1) matrix, or
+    (B, T, n+1). The weight products run on all decoder rows as one matrix.
     """
-    # Column t of `through` is U'd_t + w_enc, so one product with the encoder
+    lead = decoder_rows.shape[:-1]
+    flat = ad.reshape(decoder_rows, (-1, decoder_rows.shape[-1]))
+    # Row t of `through` is U'd_t + w_enc, so one product with the encoder
     # rows gives both e-dependent terms.
-    through = ad.transpose(ad.add(ad.matmul(decoder_rows, weight), w_enc))
-    dec_term = ad.add(ad.matmul(decoder_rows, ad.reshape(w_dec, (-1, 1))), bias)
-    return ad.transpose(ad.add(ad.matmul(encoder_mat, through), ad.transpose(dec_term)))
+    through = ad.reshape(ad.add(ad.matmul(flat, weight), w_enc), lead + (-1,))
+    dec_term = ad.reshape(ad.add(ad.matmul(flat, ad.reshape(w_dec, (-1, 1))), bias),
+                          lead + (1,))
+    return ad.add(ad.matmul(through, ad.transpose(encoder_mat)), dec_term)
 
 
 def create_decoder_params(store: ad.ParameterStore, decoder_dim: int) -> None:
@@ -238,29 +253,34 @@ def create_biaffine_params(store: ad.ParameterStore, encoder_dim: int,
 
 
 def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor,
-                        label_ids: Sequence[int], label_count: int) -> Tensor:
-    """Sum of log P(action) + log P(label) along a gold path.
+                        label_ids, label_count: int) -> Tensor:
+    """Sum of log P(action) + log P(label) along a gold path, or along every
+    path of a stacked plan.
 
     ``arc_scores`` holds the raw (unmasked) scores over 0..n of every step,
-    (2n+1, n+1); ``label_scores`` the label scores of the arc steps in path
-    order, (n, label_count). ``label_ids`` is the gold label id per token.
+    (2n+1, n+1), or (B, 2n+1, n+1) for a stack; ``label_scores`` the label
+    scores of the arc steps, sentence by sentence in path order,
+    (B*n, label_count). ``label_ids`` is the gold label id per token, (n,)
+    or (B, n).
     """
-    steps, width = plan.legal.shape
-    if arc_scores.shape != (steps, width):
+    if arc_scores.shape != plan.legal.shape:
         raise ValueError(f"arc scorer returned {arc_scores.shape}, "
-                         f"expected ({steps}, {width})")
-    children = plan.targets[plan.arc_steps]
-    if label_scores.shape != (len(children), label_count):
+                         f"expected {plan.legal.shape}")
+    # Every path attaches each of its n tokens once, so the children of
+    # each sentence's arc steps fill one row of this (..., n) array.
+    children = plan.targets[plan.arc_steps].reshape(plan.targets.shape[:-1] + (-1,))
+    if label_scores.shape != (children.size, label_count):
         raise ValueError(
             f"label scorer returned {label_scores.shape}, "
-            f"expected ({len(children)}, {label_count})"
+            f"expected ({children.size}, {label_count})"
         )
     arc_logp = ad.log_softmax(ad.mask_fill(arc_scores, plan.legal))
     label_logp = ad.log_softmax(label_scores)
-    gold_labels = np.asarray(label_ids, dtype=np.intp)[children - 1]
+    gold_labels = np.take_along_axis(np.asarray(label_ids, dtype=np.intp),
+                                     children - 1, axis=-1).reshape(-1)
     return ad.add(
-        ad.sum_all(ad.pick(arc_logp, (np.arange(steps), plan.targets))),
-        ad.sum_all(ad.pick(label_logp, (np.arange(len(children)), gold_labels))),
+        ad.sum_all(ad.pick(arc_logp, tuple(np.indices(plan.targets.shape)) + (plan.targets,))),
+        ad.sum_all(ad.pick(label_logp, (np.arange(children.size), gold_labels))),
     )
 
 

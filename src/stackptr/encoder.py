@@ -1,10 +1,16 @@
 """Token encoding: embeddings, character CNN, self-attention, BiLSTM.
 
-The pipeline for one sentence (virtual ROOT included at position 0):
+The pipeline for a batch of B sentences of one length n (virtual ROOT
+included at position 0), one tape for the whole batch:
 
-    token matrix  = [word emb ; char-CNN(word) ; POS emb]      (n+1, d_model)
-    attended      = multi-head self-attention(token matrix)    (n+1, d_model)
-    encoder state = BiLSTM(attended)                           (n+1, 2*hidden)
+    token matrix  = [word emb ; char-CNN(word) ; POS emb]   (B, n+1, d_model)
+    attended      = multi-head self-attention(token matrix) (B, n+1, d_model)
+    encoder state = BiLSTM(attended)                        (B, n+1, 2*hidden)
+
+Training encodes each batch, and parsing each run of equal-length sentences
+in its chunk, through this one path (:func:`encode_batch`). Every sentence
+draws its dropout masks from its own random streams, so its masks do not
+depend on the batch it is in.
 
 The attention block is deliberately bare: no positional signal, no residual
 connection, no layer normalization. Word order therefore reaches the scores
@@ -14,6 +20,7 @@ output rows in exactly the same way.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -59,18 +66,31 @@ def char_ids(form: str, char_vocab: Vocabulary, width: int) -> list[int]:
     return ids
 
 
+def char_windows(forms, char_vocab: Vocabulary, width: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The (len(forms), W, width) grid of character-id windows, W the most
+    any form has, and the (len(forms), W) mask of each form's own windows.
+    The windows past a form's own are 0. One gather from the padded id
+    matrix builds the grid."""
+    ids = [char_ids(form, char_vocab, width) for form in forms]
+    lengths = np.array([len(word) for word in ids])
+    padded = np.zeros((len(ids), lengths.max()), dtype=np.intp)
+    padded[np.arange(lengths.max()) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(ids), dtype=np.intp, count=lengths.sum())
+    counts = lengths - width + 1
+    real = np.arange(counts.max()) < counts[:, None]
+    windows = padded[:, np.arange(counts.max())[:, None] + np.arange(width)]
+    windows[~real] = 0
+    return windows, real
+
+
 def char_cnn(forms, char_vocab: Vocabulary, store: ad.ParameterStore,
              config: TrainConfig) -> Tensor:
     """Convolve over each form's characters, tanh, max-over-time pool:
-    (len(forms), num_filters). All forms share one (len(forms), W) grid of
-    windows, W the most any form has; a form's max skips those past its own."""
+    (len(forms), num_filters). All forms share one grid of windows
+    (:func:`char_windows`); a form's max skips those past its own."""
     width = config.filter_width
-    ids = [char_ids(form, char_vocab, width) for form in forms]
-    counts = [len(word) - width + 1 for word in ids]
-    windows = np.zeros((len(ids), max(counts), width), dtype=np.intp)
-    for k, word in enumerate(ids):
-        windows[k, :counts[k]] = np.lib.stride_tricks.sliding_window_view(word, width)
-    real = np.arange(windows.shape[1]) < np.array(counts)[:, None]
+    windows, real = char_windows(forms, char_vocab, width)
     chars = ad.pick(store["embeddings.char"], windows.reshape(-1, width))
     flat = ad.reshape(chars, (-1, width * config.char_dim))
     conv = ad.add(ad.matmul(flat, ad.transpose(store["encoder.charcnn.W"])),
@@ -79,20 +99,29 @@ def char_cnn(forms, char_vocab: Vocabulary, store: ad.ParameterStore,
     return ad.max_over_windows(pooled, real)
 
 
-def embed_tokens(sent, vocabs: dict[str, Vocabulary],
+def embed_tokens(sents, vocabs: dict[str, Vocabulary],
                  store: ad.ParameterStore, config: TrainConfig) -> Tensor:
-    """Concatenated word/char-CNN/POS vectors, ROOT first: (n+1, d_model).
+    """Concatenated word/char-CNN/POS vectors of sentences of one length,
+    ROOT first: (B, n+1, d_model). The char-CNN runs over all B*(n+1)
+    forms at once.
 
-    ``sent`` is anything with a ``tokens`` attribute (Sentence or
+    Each sentence is anything with a ``tokens`` attribute (Sentence or
     DependencyTree); position never enters the representation.
     """
-    forms = (ROOT_FORM,) + tuple(t.form for t in sent.tokens)
-    word_ids = [ROOT_ID] + [vocabs["word"].index(t.form) for t in sent.tokens]
-    pos_ids = [ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
-    words = ad.pick(store["embeddings.word"], word_ids)
-    poses = ad.pick(store["embeddings.pos"], pos_ids)
-    chars = char_cnn(forms, vocabs["char"], store, config)
-    return ad.concat([words, chars, poses], axis=1)
+    lengths = {len(sent.tokens) for sent in sents}
+    if len(lengths) != 1:
+        raise ValueError(f"a batch needs sentences of one length, got {sorted(lengths)}")
+    forms = [form for sent in sents
+             for form in (ROOT_FORM,) + tuple(t.form for t in sent.tokens)]
+    word_ids = [[ROOT_ID] + [vocabs["word"].index(t.form) for t in sent.tokens]
+                for sent in sents]
+    pos_ids = [[ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
+               for sent in sents]
+    words = ad.pick(store["embeddings.word"], np.array(word_ids))
+    poses = ad.pick(store["embeddings.pos"], np.array(pos_ids))
+    chars = ad.reshape(char_cnn(forms, vocabs["char"], store, config),
+                       (len(sents), -1, config.num_filters))
+    return ad.concat([words, chars, poses], axis=2)
 
 
 def attention_scale(config: TrainConfig) -> float:
@@ -104,43 +133,57 @@ def attention_scale(config: TrainConfig) -> float:
 def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
                               config: TrainConfig,
                               collect_probs: list[Tensor] | None = None) -> Tensor:
-    """Scaled dot-product self-attention over token rows; returns (n+1, d_model).
+    """Scaled dot-product self-attention within each sentence of a batch of
+    token rows (B, n+1, d_model); returns (B, n+1, d_model).
 
-    ``collect_probs``, when given, receives each head's (n+1, n+1)
+    The r heads run as one stack: each of the query, key and value
+    projections is one product with the heads' weights concatenated, and
+    the scores, softmax and mixing are (B, r, ., .) batched products.
+    ``collect_probs``, when given, receives the (B, r, n+1, n+1)
     probability tensor — the exact rows used to mix values.
     """
-    scale = attention_scale(config)
-    heads = []
-    for h in range(config.r):
-        q = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wq"]))
-        k = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wk"]))
-        v = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wv"]))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / scale)
-        probs = ad.softmax_rows(scores)
-        if collect_probs is not None:
-            collect_probs.append(probs)
-        heads.append(ad.matmul(probs, v))
-    return ad.matmul(ad.concat(heads, axis=1), ad.transpose(store["encoder.attn.Wm"]))
+    batch, length, width = x.shape
+    rows = ad.reshape(x, (batch * length, width))
+
+    def project(p: str) -> Tensor:
+        weight = ad.concat([store[f"encoder.attn.head{h}.W{p}"] for h in range(config.r)])
+        heads = ad.reshape(ad.matmul(rows, ad.transpose(weight)),
+                           (batch, length, config.r, -1))
+        return ad.transpose(heads, (0, 2, 1, 3))                   # (B, r, n+1, head)
+
+    q, k, v = project("q"), project("k"), project("v")
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / attention_scale(config))
+    probs = ad.softmax_rows(scores)
+    if collect_probs is not None:
+        collect_probs.append(probs)
+    mixed = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (batch * length, width))
+    return ad.reshape(ad.matmul(mixed, ad.transpose(store["encoder.attn.Wm"])),
+                      (batch, length, width))
 
 
 def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
-                  training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Bidirectional LSTM over token rows -> (n+1, 2*d_h).
+                  training: bool = False, rngs: list[Rng] | None = None) -> Tensor:
+    """Bidirectional LSTM over each sentence's token rows (B, n+1, d) ->
+    (B, n+1, 2*d_h). Both directions run the whole batch time-major.
 
     Variational dropout: each direction draws one input mask and one
-    recurrent mask per sequence, shared by all of its steps.
+    recurrent mask per sentence b from ``rngs[b]``, shared by all of its
+    steps.
     """
-    if x.shape[0] == 0:
+    if x.shape[1] == 0:
         raise ValueError("empty token matrix")
-    reverse = list(range(x.shape[0] - 1, -1, -1))
+    seq = ad.transpose(x, (1, 0, 2))                 # (n+1, B, d)
+    reverse = np.arange(x.shape[1] - 1, -1, -1)
     outputs = []
     for direction in ("fw", "bw"):
         prefix = f"encoder.lstm.{direction}"
-        rows = x
+        rows = seq
         hid_mask = None
         if training and config.p_rnn > 0.0:
-            in_mask = ad.dropout_mask(x.shape[1], config.p_rnn, rng.split(f"{prefix}.in"))
-            hid_mask = ad.dropout_mask(config.d_h, config.p_rnn, rng.split(f"{prefix}.hid"))
+            in_mask = ad.dropout_masks(x.shape[2], config.p_rnn,
+                                       ad.split_each(rngs, f"{prefix}.in"))
+            hid_mask = ad.dropout_masks(config.d_h, config.p_rnn,
+                                        ad.split_each(rngs, f"{prefix}.hid"))
             rows = ad.mul(rows, Tensor(in_mask))
         if direction == "bw":
             rows = ad.pick(rows, reverse)
@@ -149,15 +192,16 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
         if direction == "bw":
             states = ad.pick(states, reverse)
         outputs.append(states)
-    return ad.concat(outputs, axis=1)
+    return ad.transpose(ad.concat(outputs, axis=2), (1, 0, 2))
 
 
-def encode_sentence(sent, vocabs: dict[str, Vocabulary],
-                    store: ad.ParameterStore, config: TrainConfig,
-                    training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Full encoder pass for one sentence: (n+1, 2*d_h)."""
-    tokens = embed_tokens(sent, vocabs, store, config)
+def encode_batch(sents, vocabs: dict[str, Vocabulary],
+                 store: ad.ParameterStore, config: TrainConfig,
+                 training: bool = False, rngs: list[Rng] | None = None) -> Tensor:
+    """Full encoder pass for sentences of one length: (B, n+1, 2*d_h).
+    Sentence b draws its dropout masks from ``rngs[b]`` when training."""
+    tokens = embed_tokens(sents, vocabs, store, config)
     tokens = ad.dropout(tokens, config.p_in, training,
-                        rng.split("p_in") if rng is not None else None)
+                        ad.split_each(rngs, "p_in") if training else None)
     attended = multi_head_self_attention(tokens, store, config)
-    return bilstm_encode(attended, store, config, training, rng)
+    return bilstm_encode(attended, store, config, training, rngs)

@@ -4,18 +4,23 @@ One :class:`Parser` owns a parameter store, the vocabularies, and a config.
 The decoder LSTM is fed the encoder state of the current stack top, and its
 output goes through small ELU layers before the biaffine arc/label scorers.
 
-`sentence_loss` gives the teacher-forced training objective for one tree.
-The gold path fixes every step's stack top in advance, so the decoder runs
-as one sequence LSTM over the 2n+1 gathered top states, and the arc and
-label scores of all steps are single matrix products. `parse_corpus` runs
-greedy decoding over bare sentences, a chunk of them in lockstep, through
-one batched :class:`LockstepScorer`; it reads parameters as constants, so
-parsing records no tape. Both paths advance the decoder LSTM with the same
-gate arithmetic (`autodiff.lstm_gates`).
+`batch_loss` gives the teacher-forced training objective of a batch of
+trees of one length n, as one tape. The encoder runs the whole batch
+(`encoder.encode_batch`). Every length-n gold path has 2n+1 steps and
+fixes each step's stack top in advance, so the decoder is one LSTM over
+the (2n+1, B, .) gathered top states, and the arc and label scores of all
+steps of all trees are single batched products: no padding, no masks.
+`parse_corpus` runs greedy decoding over bare sentences, a chunk of them
+in lockstep, through one batched :class:`LockstepScorer`, which encodes
+each run of equal lengths in its chunk with the same `encode_batch`; it
+reads parameters as constants, so parsing records no tape. Both paths
+advance the decoder LSTM with the same gate arithmetic
+(`autodiff.lstm_gates`).
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -65,15 +70,18 @@ def parameter_shapes(config: TrainConfig, vocabs: dict[str, Vocabulary]
 
 
 def _mlp(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    """One ELU layer on each row of ``x`` (T, d). Parsing also feeds it the
-    padded (B, N+1, d) encoder states, as constants."""
+    """One ELU layer on each row of ``x`` (..., d), run as one matrix of
+    rows."""
     w = store[f"{prefix}.W"]
     b = store[f"{prefix}.b"]
-    return ad.elu(ad.add(ad.matmul(x, ad.transpose(w)), b))
+    rows = ad.reshape(x, (-1, x.shape[-1]))
+    out = ad.elu(ad.add(ad.matmul(rows, ad.transpose(w)), b))
+    return ad.reshape(out, x.shape[:-1] + (w.shape[0],))
 
 
 def _arc_scores(store: ParameterStore, dec_rows: Tensor, arc_enc: Tensor) -> Tensor:
-    """Raw arc scores of T decoder rows over all positions: (T, n+1)."""
+    """Raw arc scores of each sentence's T decoder rows over all of its
+    positions: (B, T, n+1)."""
     return dec.biaffine_score(dec_rows, arc_enc, store["biaffine.arc.U"],
                               store["biaffine.arc.w_dec"], store["biaffine.arc.w_enc"],
                               store["biaffine.arc.b"])
@@ -106,41 +114,55 @@ class Parser:
 
     # -- training and inference entry points ---------------------------------
 
-    def sentence_loss(self, tree: DependencyTree, training: bool = False,
-                      rng: Rng | None = None) -> Tensor:
-        """Length-normalized negative log-likelihood of the gold path."""
+    def batch_loss(self, trees: Sequence[DependencyTree], training: bool = False,
+                   rngs: Sequence[Rng] | None = None) -> Tensor:
+        """Mean over ``trees``, all of one length n, of each gold path's
+        length-normalized negative log-likelihood, as one tape.
+
+        Tree b draws its dropout masks from its own streams, children of
+        ``rngs[b]`` (needed when training), in the order a batch of one
+        would draw them.
+        """
         cfg = self.config
         store = self.store
-        states = enc.encode_sentence(tree, self.vocabs, store, cfg,
-                                     training=training, rng=rng)
-        plan = dec.gold_plan(tree, child_order=cfg.child_order)
-        drop_rng = rng.split("p_out") if rng is not None else None
+        if training and (rngs is None or len(rngs) != len(trees)):
+            raise ValueError("training needs one Rng per tree")
+        states = enc.encode_batch(trees, self.vocabs, store, cfg,
+                                  training=training, rngs=rngs)       # (B, n+1, D)
+        plan = dec.stack_plans([dec.gold_plan(t, child_order=cfg.child_order)
+                                for t in trees])                       # (B, 2n+1, ...)
+        drop_rngs = ad.split_each(rngs, "p_out") if training else None
         arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states),
-                             cfg.p_out, training, drop_rng)
+                             cfg.p_out, training, drop_rngs)
         label_enc = ad.dropout(_mlp(store, "biaffine.label.enc", states),
-                               cfg.p_out, training, drop_rng)
+                               cfg.p_out, training, drop_rngs)
         hid_mask = None
         if training and cfg.p_rnn > 0.0:
-            hid_mask = ad.dropout_mask(cfg.decoder_dim, cfg.p_rnn, rng.split("decoder.hid"))
-        hidden = ad.lstm_sequence(ad.pick(states, plan.tops),
-                                  store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
+            hid_mask = ad.dropout_masks(cfg.decoder_dim, cfg.p_rnn,
+                                        ad.split_each(rngs, "decoder.hid"))
+        batch = np.arange(len(trees))
+        tops = ad.pick(states, (batch, plan.tops.T))                  # (2n+1, B, D)
+        hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
                                   store["decoder.lstm.b"], hid_mask)
-        arc_rows = np.flatnonzero(plan.arc_steps)
-        label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, arc_rows))
+        hidden = ad.transpose(hidden, (1, 0, 2))                       # (B, 2n+1, D)
+        arc_b, arc_t = np.nonzero(plan.arc_steps)   # B*n steps, tree by tree in path order
+        label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, (arc_b, arc_t)))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)
         if training and cfg.p_out > 0.0:
             # Every step draws its label-row mask, then its arc-row mask, from
-            # the p_out stream: one (2n+1, label+arc) draw split by columns.
-            factors = ad.dropout_mask((len(plan.tops), cfg.label_mlp_dim + cfg.arc_mlp_dim),
-                                      cfg.p_out, drop_rng)
-            label_dec = ad.mul(label_dec, Tensor(factors[arc_rows, :cfg.label_mlp_dim]))
-            arc_dec = ad.mul(arc_dec, Tensor(factors[:, cfg.label_mlp_dim:]))
+            # its tree's p_out stream: one (2n+1, label+arc) draw per tree.
+            factors = ad.dropout_masks((plan.tops.shape[1],
+                                        cfg.label_mlp_dim + cfg.arc_mlp_dim),
+                                       cfg.p_out, drop_rngs)
+            label_dec = ad.mul(label_dec, Tensor(factors[arc_b, arc_t, :cfg.label_mlp_dim]))
+            arc_dec = ad.mul(arc_dec, Tensor(factors[:, :, cfg.label_mlp_dim:]))
         label_scores = _label_scores(store, label_dec,
-                                     ad.pick(label_enc, plan.targets[arc_rows]))
-        label_ids = [self.vocabs["label"].index(lbl) for lbl in tree.labels]
+                                     ad.pick(label_enc, (arc_b, plan.targets[arc_b, arc_t])))
+        label_ids = [[self.vocabs["label"].index(lbl) for lbl in t.labels] for t in trees]
         ll = dec.path_log_likelihood(plan, _arc_scores(store, arc_dec, arc_enc),
                                      label_scores, label_ids, self.label_count)
-        return ad.scale(ad.neg(ll), 1.0 / len(tree))
+        n = plan.tops.shape[1] // 2
+        return ad.scale(ad.scale(ad.neg(ll), 1.0 / n), 1.0 / len(trees))
 
     def parse(self, sent: Sentence | DependencyTree) -> DependencyTree:
         """Greedy-decode one sentence into a predicted tree."""
@@ -177,8 +199,10 @@ class LockstepScorer:
     """Arc and label scores for a batch of sentences greedy-decoded in
     lockstep (the scorers of :func:`decoder.decode_greedy`).
 
-    Each sentence is encoded once; the arc and label encoder-MLP rows are
-    padded to (B, N+1, .), and every encoder state goes through the decoder
+    Each sentence is encoded once, each run of equal lengths as one batch
+    (:meth:`Parser.parse_corpus` sorts its chunks, so equal lengths are one
+    run); the arc and label encoder-MLP rows are padded to (B, N+1, .),
+    and every encoder state goes through the decoder
     LSTM's input weights up front (unpadded: sentence b's position p is row
     starts[b] + p), so a step gathers one projected row per sentence and
     adds only the recurrent product of the (B, d) batch. Parameters are
@@ -188,7 +212,9 @@ class LockstepScorer:
     def __init__(self, parser: Parser, sents: Sequence[Sentence | DependencyTree]):
         cfg = parser.config
         self.store = store = parser.store.constants()
-        states = [enc.encode_sentence(s, parser.vocabs, store, cfg).data for s in sents]
+        states = []
+        for _, run in itertools.groupby(sents, key=lambda s: len(s.tokens)):
+            states.extend(enc.encode_batch(list(run), parser.vocabs, store, cfg).data)
         padded = np.zeros((len(states), max(map(len, states)), states[0].shape[1]))
         for b, rows in enumerate(states):
             padded[b, :len(rows)] = rows

@@ -22,14 +22,25 @@ class TrainAbort(RuntimeError):
 
 def compute_loss(parser: Parser, batch: Sequence[DependencyTree],
                  training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Mean over the batch of per-sentence (length-normalized) losses."""
+    """Mean over the batch of per-sentence (length-normalized) losses.
+
+    Sentence i draws its dropout masks from ``rng.split(f"s{i}")``. A batch
+    of :func:`make_batches` has one length and is one
+    :meth:`Parser.batch_loss` call; any other batch is one call per length.
+    """
     if not batch:
         raise ValueError("empty batch")
-    total: Tensor | None = None
+    rngs = [rng.split(f"s{i}") if rng is not None else None for i in range(len(batch))]
+    by_length: dict[int, list[int]] = {}
     for i, tree in enumerate(batch):
-        sent_rng = rng.split(f"s{i}") if rng is not None else None
-        loss = parser.sentence_loss(tree, training=training, rng=sent_rng)
-        total = loss if total is None else ad.add(total, loss)
+        by_length.setdefault(len(tree), []).append(i)
+    if len(by_length) == 1:
+        return parser.batch_loss(batch, training=training, rngs=rngs)
+    total: Tensor | None = None
+    for members in by_length.values():
+        part = ad.scale(parser.batch_loss([batch[i] for i in members], training=training,
+                                          rngs=[rngs[i] for i in members]), len(members))
+        total = part if total is None else ad.add(total, part)
     return ad.scale(total, 1.0 / len(batch))
 
 

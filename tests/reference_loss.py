@@ -1,19 +1,24 @@
-"""Per-step reference for the teacher-forced loss and for greedy parsing.
+"""Per-step, per-sentence reference for the teacher-forced loss and for
+greedy parsing.
 
-This is the training path the whole-path loss replaced, kept as a test
-oracle: the encoder BiLSTM and the decoder run one ``lstm_cell`` per step,
-and the likelihood walks the gold path calling closure scorers that build
-one biaffine score vector, one label score vector and their dropout masks
-per step. Its dropout draws come in the original order (per step: label
-row, then arc row), so with the same ``rng`` it must agree with
-``Parser.sentence_loss`` on the loss and on every gradient up to rounding.
-The same closures, one sentence at a time, are the oracle for the lockstep
-greedy parse. Its token rows stack one character CNN per word, the oracle
-for the encoder's whole-sentence ``char_cnn``. The per-step and per-word
-tape ops it needs (``row``, ``slice1d``, ``stack_rows``, ``matmul`` with
-its vector forms, ``bilinear_pair``, ``lstm_cell``, ``im2col_rows``,
-``max_over_rows``) are defined here: the package itself has no per-step or
-per-word path, and its ops take matrices of rows only.
+This is the training path the whole-batch loss replaced, kept as a test
+oracle: one sentence at a time, the encoder BiLSTM and the decoder run one
+``lstm_cell`` per step, attention runs one head at a time over the
+sentence's (n+1, d) rows, and the likelihood walks the gold path calling
+closure scorers that build one biaffine score vector, one label score
+vector and their dropout masks per step. Its dropout draws come in the
+original order (per step: label row, then arc row), so with the same
+``rng`` its ``sentence_loss`` of one tree must agree with
+``Parser.batch_loss`` of a batch holding that tree with that stream, on
+the loss and on every gradient up to rounding. The same closures, one
+sentence at a time, are the oracle for the lockstep greedy parse. Its
+token rows stack one character CNN per word, the oracle for the encoder's
+whole-batch ``char_cnn``. The per-step, per-word and per-sentence tape ops
+it needs (``row``, ``slice1d``, ``stack_rows``, ``matmul`` with its vector
+forms, ``bilinear_pair``, ``lstm_cell``, ``im2col_rows``,
+``max_over_rows``, single-stream ``dropout``) are defined here: the
+package itself has no per-step, per-word or per-sentence path, and its
+ops take batches of rows only.
 """
 
 from __future__ import annotations
@@ -76,6 +81,15 @@ def bilinear_pair(left, weight, right):
     (d_right,) -> (L,)."""
     out = ad.bilinear_vec(ad.reshape(left, (1, -1)), weight, ad.reshape(right, (1, -1)))
     return ad.reshape(out, (weight.data.shape[0],))
+
+
+def dropout(t, rate, training, rng=None):
+    """Inverted dropout of one sentence's tensor, its whole mask drawn from
+    one stream."""
+    if not training or rate == 0.0:
+        return t
+    factor = ad.dropout_mask(t.data.shape, rate, rng)
+    return ad.mul(t, Tensor(factor))
 
 
 def stack_rows(rows):
@@ -191,11 +205,25 @@ def bilstm_encode(x, store, config, training=False, rng=None):
     return stack_rows([ad.concat([f, b]) for f, b in zip(fw, bw)])
 
 
+def multi_head_self_attention(x, store, config):
+    """Self-attention over one sentence's (n+1, d_model) rows, one head at
+    a time."""
+    scale = enc.attention_scale(config)
+    heads = []
+    for h in range(config.r):
+        q = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wq"]))
+        k = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wk"]))
+        v = ad.matmul(x, ad.transpose(store[f"encoder.attn.head{h}.Wv"]))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / scale)
+        heads.append(ad.matmul(ad.softmax_rows(scores), v))
+    return ad.matmul(ad.concat(heads, axis=1), ad.transpose(store["encoder.attn.Wm"]))
+
+
 def encode_sentence(sent, vocabs, store, config, training=False, rng=None):
     tokens = embed_tokens(sent, vocabs, store, config)
-    tokens = ad.dropout(tokens, config.p_in, training,
-                        rng.split("p_in") if rng is not None else None)
-    attended = enc.multi_head_self_attention(tokens, store, config)
+    tokens = dropout(tokens, config.p_in, training,
+                     rng.split("p_in") if rng is not None else None)
+    attended = multi_head_self_attention(tokens, store, config)
     return bilstm_encode(attended, store, config, training, rng)
 
 
@@ -219,7 +247,7 @@ def scorers(parser: Parser, encoder_states, training, rng):
     drop_rng = rng.split("p_out") if rng is not None else None
 
     def drop(t):
-        return ad.dropout(t, cfg.p_out, training, drop_rng)
+        return dropout(t, cfg.p_out, training, drop_rng)
 
     arc_enc = drop(_mlp(store, "biaffine.arc.enc", encoder_states))
     label_enc = drop(_mlp(store, "biaffine.label.enc", encoder_states))
@@ -276,7 +304,8 @@ def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
 
 def sentence_loss(parser: Parser, tree, training: bool = False,
                   rng: Rng | None = None) -> Tensor:
-    """The per-step counterpart of ``Parser.sentence_loss``."""
+    """The per-step loss of one tree: ``Parser.batch_loss([tree], training,
+    [rng])``."""
     states = encode_sentence(tree, parser.vocabs, parser.store, parser.config,
                              training=training, rng=rng)
     score_fn, label_score_fn = scorers(parser, states, training, rng)

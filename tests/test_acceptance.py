@@ -53,7 +53,7 @@ def test_2_end_to_end_gradient_check(capsys, tiny_config, toy_vocabs, toy_trees)
     tree = next(t for t in toy_trees if len(t) == 3)
     parser = Parser.build(tiny_config, toy_vocabs)
     started = time.monotonic()
-    errors = grad_check(lambda store: parser.sentence_loss(tree),
+    errors = grad_check(lambda store: parser.batch_loss([tree]),
                         parser.store, epsilon=1e-5)
     elapsed = time.monotonic() - started
     groups = {name.split(".", 1)[0] for name in errors}
@@ -119,12 +119,12 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
         if passes == 1000:
             break
         passes += 1
-        rows = enc.embed_tokens(tree, vocabs, parser.store, tiny_config)
+        rows = enc.embed_tokens([tree], vocabs, parser.store, tiny_config)
         probs: list[Tensor] = []
         enc.multi_head_self_attention(rows, parser.store, tiny_config,
                                       collect_probs=probs)
         for p in probs:
-            worst_row = max(worst_row, float(abs(p.data.sum(axis=1) - 1.0).max()))
+            worst_row = max(worst_row, float(abs(p.data.sum(axis=-1) - 1.0).max()))
         scorer = LockstepScorer(parser, [tree])
         batch = np.array([0])
         state = initial_state(len(tree))
@@ -146,9 +146,9 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
         x = rng.random((6, tiny_config.d_model)) * 2 - 1
         perm = rng.permutation(6)
         direct = enc.multi_head_self_attention(
-            Tensor(x[perm]), parsers[0].store, tiny_config).data
+            Tensor(x[perm][None]), parsers[0].store, tiny_config).data[0]
         permuted = enc.multi_head_self_attention(
-            Tensor(x), parsers[0].store, tiny_config).data[perm]
+            Tensor(x[None]), parsers[0].store, tiny_config).data[0][perm]
         worst_cov = max(worst_cov, float(np.abs(direct - permuted).max()))
 
     ok = passes == 1000 and worst_row <= 1e-6 and worst_cov <= 1e-8
@@ -220,11 +220,11 @@ def test_6_surgery_contract(capsys, source_checkpoint):
     )
 
     sent = corpus(seed=101, size=1, pools=SOURCE_POOLS)[0]
-    before = enc.encode_sentence(sent, source_checkpoint.vocabs,
-                                 source_checkpoint.params, TRANSFER,
-                                 training=False, rng=None).data
-    after = enc.encode_sentence(sent, grafted.vocabs, grafted.params, TRANSFER,
-                                training=False, rng=None).data
+    before = enc.encode_batch([sent], source_checkpoint.vocabs,
+                              source_checkpoint.params, TRANSFER,
+                              training=False, rngs=None).data
+    after = enc.encode_batch([sent], grafted.vocabs, grafted.params, TRANSFER,
+                             training=False, rngs=None).data
     states_ok = bool(np.array_equal(before, after))
 
     _verdict(capsys, "surgery contract",

@@ -134,23 +134,23 @@ class TestDropout:
 
     def test_zero_rate_is_identity(self):
         t = Tensor(np.ones(4))
-        assert ad.dropout(t, 0.0, training=True, rng=Rng(0)) is t
+        assert ad.dropout(t, 0.0, training=True, rngs=[Rng(0)] * 4) is t
 
     def test_monte_carlo_expectation(self):
         # Inverted scaling keeps E[output] == input: 1e5 trials within 1%.
         rng = Rng(123).split("dropout-mc")
         trials, width = 100_000, 4
-        t = Tensor(np.ones((trials, width)))
-        mean = ad.dropout(t, 0.5, training=True, rng=rng).data.mean(axis=0)
+        t = Tensor(np.ones((1, trials, width)))
+        mean = ad.dropout(t, 0.5, training=True, rngs=[rng]).data[0].mean(axis=0)
         assert np.all(np.abs(mean - 1.0) < 0.01)
 
     def test_requires_rng_when_training(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor([1.0]), 0.5, training=True, rng=None)
+            ad.dropout(Tensor([1.0]), 0.5, training=True, rngs=None)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor([1.0]), 1.0, training=True, rng=Rng(0))
+            ad.dropout(Tensor([1.0]), 1.0, training=True, rngs=[Rng(0)])
 
     def test_split_draw_equals_alternating_draws(self):
         # What lets one (steps, a+b) mask draw stand in for per-step pairs.
@@ -237,8 +237,20 @@ class TestOpGradients:
     def test_matmul_vec_vec(self):
         _op_gradients(lambda a, b: reference_loss.matmul(a, b), [(4,), (4,)])
 
+    def test_matmul_batched(self):
+        _op_gradients(lambda a, b: ad.matmul(a, b), [(3, 2, 4), (3, 4, 5)])
+
     def test_transpose(self):
         _op_gradients(lambda a: ad.transpose(a), [(3, 5)])
+
+    def test_transpose_stack_swaps_last_two(self):
+        a = np.arange(24.0).reshape(2, 3, 4)
+        np.testing.assert_array_equal(ad.transpose(Tensor(a)).data, a.transpose(0, 2, 1))
+        _op_gradients(lambda a: ad.transpose(a), [(2, 3, 4)])
+
+    @pytest.mark.parametrize("axes", [(1, 0, 2), (2, 0, 1), (1, 2, 0)])
+    def test_transpose_permutation(self, axes):
+        _op_gradients(lambda a: ad.transpose(a, axes), [(2, 3, 4)])
 
     def test_concat_axis0(self):
         _op_gradients(lambda a, b: ad.concat([a, b], axis=0), [(2, 3), (4, 3)])
@@ -270,6 +282,13 @@ class TestOpGradients:
 
     def test_softmax_rows(self):
         _op_gradients(lambda a: ad.softmax_rows(a), [(4, 5)])
+
+    def test_softmax_rows_last_axis_of_a_stack(self):
+        _op_gradients(lambda a: ad.softmax_rows(a), [(2, 3, 4)])
+        m = Rng(5).split("stack").random((2, 3, 4))
+        stacked = ad.softmax_rows(Tensor(m)).data
+        for b in range(2):
+            np.testing.assert_array_equal(stacked[b], ad.softmax_rows(Tensor(m[b])).data)
 
     def test_mask_fill(self):
         mask = np.array([True, False, True, True])
@@ -328,18 +347,20 @@ class TestOpGradients:
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("masked", [False, True])
     def test_lstm_sequence(self, steps, masked):
-        h_mask = ad.dropout_mask(4, 0.5, Rng(3).split("h")) if masked else None
+        # A (T, B, d) batch of three sequences, one recurrent mask row each.
+        h_mask = ad.dropout_mask((3, 4), 0.5, Rng(3).split("h")) if masked else None
 
         def build(x, w_ih, w_hh, b):
             return ad.lstm_sequence(x, w_ih, w_hh, b, h_mask)
 
-        _op_gradients(build, [(steps, 3), (16, 3), (16, 4), (16,)])
+        _op_gradients(build, [(steps, 3, 3), (16, 3), (16, 4), (16,)])
 
     def test_dropout_gradient_with_fixed_mask(self):
-        # Same rng seed per evaluation -> the mask is constant, so central
-        # differences see a deterministic function.
+        # Same rng seeds per evaluation -> the mask is constant, so central
+        # differences see a deterministic function. One stream per row.
         def build(a):
-            return ad.dropout(a, 0.4, training=True, rng=Rng(77).split("fixed"))
+            return ad.dropout(a, 0.4, training=True,
+                              rngs=[Rng(77).split(f"fixed{b}") for b in range(6)])
 
         _op_gradients(build, [(6, 3)])
 
@@ -360,12 +381,24 @@ class TestLstmSequence:
             h, c = reference_loss.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c,
                                             w_ih, w_hh, b)
             chained.append(h.data)
-        fused = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask).data
+        fused = ad.lstm_sequence(Tensor(x[:, None]), w_ih, w_hh, b, h_mask[None]).data[:, 0]
         np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)
+
+    def test_batch_rows_match_one_sequence_at_a_time(self):
+        rng = Rng(13).split("batch")
+        x = rng.random((4, 3, 5)) - 0.5
+        w_ih, w_hh, b = (Tensor(rng.random(shape) - 0.5)
+                         for shape in [(16, 5), (16, 4), (16,)])
+        h_mask = ad.dropout_mask((3, 4), 0.3, rng.split("mask"))
+        batched = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask).data
+        for k in range(3):
+            one = ad.lstm_sequence(Tensor(x[:, k:k + 1]), w_ih, w_hh, b,
+                                   h_mask[k:k + 1]).data[:, 0]
+            np.testing.assert_allclose(batched[:, k], one, atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ad.lstm_sequence(Tensor(np.zeros((0, 3))), Tensor(np.zeros((16, 3))),
+            ad.lstm_sequence(Tensor(np.zeros((0, 1, 3))), Tensor(np.zeros((16, 3))),
                              Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)))
 
 

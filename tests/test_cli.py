@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackptr import cli
@@ -165,6 +165,10 @@ class TestExitCodes:
         ("d_h=abc", "d_h='abc': invalid literal for int()"),
         ("r=0", "r must be >= 1, got 0"),
         ("nosuch=1", "unknown config keys: ['nosuch']"),
+        ("decay_rate=-1", "decay_rate must be in (0, 1], got -1.0"),
+        ("beta2=1.5", "beta2 must be in [0, 1), got 1.5"),
+        ("adam_epsilon=0", "adam_epsilon must be positive, got 0.0"),
+        ("clip_norm=-1", "clip_norm must be positive, got -1.0"),
     ])
     def test_bad_override_is_usage_error(self, tmp_path, capsys, override, named):
         out = tmp_path / "m.ckpt"
@@ -173,6 +177,17 @@ class TestExitCodes:
                     "--set", override])
         assert code == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_bytes(b"d_w=6\n\xff=1\n")
+        out = tmp_path / "m.ckpt"
+        code = run(["train", "--train", str(tmp_path / "t.conllx"),
+                    "--dev", str(tmp_path / "d.conllx"), "--out", str(out),
+                    "--config", str(config)])
+        assert code == 2
+        assert "config line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_verb_is_usage_error(self, capsys):
@@ -209,13 +224,23 @@ _OVERRIDES = st.one_of(
     st.text(max_size=16),
     st.builds("{}={}".format, st.sampled_from(list(TrainConfig().to_flat())),
               st.text(max_size=8)),
+    st.builds("{}={}".format,
+              st.sampled_from(["decay_rate", "beta1", "beta2", "adam_epsilon", "clip_norm"]),
+              st.sampled_from(["-1", "0", "1", "1.5", "0.5", "1e-9"])),
 )
 
 
 @given(st.lists(_OVERRIDES, max_size=4))
+@example(["decay_rate=-1"])
+@example(["beta2=1.5"])
+@example(["adam_epsilon=0"])
+@example(["clip_norm=-1"])
 @settings(max_examples=300, deadline=None)
 def test_random_set_text_loads_or_raises_config_error(overrides):
     try:
-        cli._load_config(SimpleNamespace(config=None, set=overrides))
+        config = cli._load_config(SimpleNamespace(config=None, set=overrides))
     except ConfigError:
-        pass
+        return
+    assert 0.0 < config.decay_rate <= 1.0
+    assert 0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0
+    assert config.adam_epsilon > 0.0 and config.clip_norm > 0.0

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackptr.config import (
@@ -153,6 +153,32 @@ class TestConfigErrors:
             with pytest.raises(ConfigError, match=field):
                 TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("decay_rate", -1.0, "decay_rate must be in (0, 1], got -1.0"),
+        ("decay_rate", 0.0, "decay_rate must be in (0, 1], got 0.0"),
+        ("decay_rate", 1.5, "decay_rate must be in (0, 1], got 1.5"),
+        ("beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
+        ("beta1", -0.1, "beta1 must be in [0, 1), got -0.1"),
+        ("beta2", 1.5, "beta2 must be in [0, 1), got 1.5"),
+        ("adam_epsilon", 0.0, "adam_epsilon must be positive, got 0.0"),
+        ("clip_norm", -1.0, "clip_norm must be positive, got -1.0"),
+        ("clip_norm", 0.0, "clip_norm must be positive, got 0.0"),
+    ])
+    def test_optimizer_ranges_name_key_and_value(self, field, value, named):
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == named
+
+    def test_range_edges_accepted(self):
+        config = TrainConfig(decay_rate=1.0, beta1=0.0, beta2=0.0)
+        assert (config.decay_rate, config.beta1, config.beta2) == (1.0, 0.0, 0.0)
+
+    def test_non_utf8_file_names_the_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_bytes(b"d_w=6\n\xff=1\n")
+        with pytest.raises(ConfigError, match="config line 2: invalid UTF-8 byte 0xff"):
+            TrainConfig.from_file(path)
+
     def test_bad_file_line_is_a_config_error(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("not a setting\n")
@@ -169,11 +195,24 @@ _VALUES = st.one_of(
     st.integers(-3, 900).map(str),
     st.floats().map(repr),
     st.sampled_from(["true", "false", *CHILD_ORDERS, *ATTENTION_SCALES]),
+    st.sampled_from(["-1", "0", "0.0", "1", "1.0", "1.5", "0.5", "-0.0"]),
 )
+
+
+def assert_ranges_hold(config):
+    """The ranges that make training well defined, for a config that built."""
+    assert 0.0 < config.decay_rate <= 1.0
+    assert 0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0
+    assert config.adam_epsilon > 0.0 and config.clip_norm > 0.0
+    assert config.learning_rate > 0.0
 
 
 @given(st.dictionaries(st.one_of(st.sampled_from(FIELDS), st.text(max_size=8)), _VALUES,
                        max_size=4))
+@example({"decay_rate": "-1"})
+@example({"beta2": "1.5"})
+@example({"adam_epsilon": "0"})
+@example({"clip_norm": "-1"})
 @settings(max_examples=300, deadline=None)
 def test_random_flat_values_build_or_raise_config_error(changes):
     flat = TrainConfig().to_flat()
@@ -182,4 +221,5 @@ def test_random_flat_values_build_or_raise_config_error(changes):
         config = TrainConfig.from_flat(flat)
     except ConfigError:
         return
+    assert_ranges_hold(config)
     assert TrainConfig.from_flat(config.to_flat()) == config

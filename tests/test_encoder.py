@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackptr import autodiff as ad
@@ -15,8 +15,9 @@ from stackptr.encoder import (
     char_ids,
     create_embedding_params,
     create_encoder_params,
+    char_windows,
     embed_tokens,
-    encode_sentence,
+    encode_batch,
     multi_head_self_attention,
 )
 from stackptr.treebank import ROOT_FORM, Sentence, Token, make_tree
@@ -57,6 +58,33 @@ class TestCharCnn:
 
 # Characters the toy vocabulary knows, and two it does not (UNK rows).
 CHARS = "猫狗睡吃鱼" + "夔Z"
+
+
+def _sliding_grid(forms, char_vocab, width):
+    """The window grid built one form at a time with sliding_window_view."""
+    ids = [char_ids(form, char_vocab, width) for form in forms]
+    counts = [len(word) - width + 1 for word in ids]
+    windows = np.zeros((len(ids), max(counts), width), dtype=np.intp)
+    for k, word in enumerate(ids):
+        windows[k, :counts[k]] = np.lib.stride_tricks.sliding_window_view(word, width)
+    return windows, np.arange(windows.shape[1]) < np.array(counts)[:, None]
+
+
+@given(forms=st.lists(st.one_of(st.just(ROOT_FORM),
+                                st.text(alphabet=CHARS, min_size=1, max_size=12)),
+                      min_size=1, max_size=8),
+       width=st.integers(1, 4))
+@example(forms=[ROOT_FORM, "猫", "猫狗", "猫狗睡吃鱼夔Z"], width=3)
+@example(forms=[ROOT_FORM], width=4)
+@settings(max_examples=100, deadline=None)
+def test_char_window_grid_matches_sliding_windows(toy_vocabs, forms, width):
+    """ROOT, forms shorter than the filter and mixed lengths: the one-gather
+    grid equals the per-form sliding-window grid, unused windows 0."""
+    windows, real = char_windows(forms, toy_vocabs["char"], width)
+    want_windows, want_real = _sliding_grid(forms, toy_vocabs["char"], width)
+    assert windows.dtype == want_windows.dtype
+    np.testing.assert_array_equal(windows, want_windows)
+    np.testing.assert_array_equal(real, want_real)
 
 
 @given(forms=st.lists(st.one_of(st.just(ROOT_FORM),
@@ -100,7 +128,7 @@ def test_embed_tokens_tape_size_is_independent_of_length(tiny_config, toy_vocabs
     store = _setup(tiny_config, toy_vocabs)
     forms = ["猫", "狗睡", "吃鱼猫狗", "夔", "猫狗睡吃鱼"]
     sizes = {n: _tape_size(embed_tokens(
-        Sentence(tuple(Token(forms[k % len(forms)], "NN") for k in range(n))),
+        [Sentence(tuple(Token(forms[k % len(forms)], "NN") for k in range(n)))],
         toy_vocabs, store, tiny_config)) for n in (1, 40)}
     assert sizes[1] == sizes[40]
 
@@ -108,7 +136,7 @@ def test_embed_tokens_tape_size_is_independent_of_length(tiny_config, toy_vocabs
 class TestEmbedTokens:
     def test_row_dimension_is_d_model(self, tiny_config, toy_vocabs, toy_trees):
         store = _setup(tiny_config, toy_vocabs)
-        x = embed_tokens(toy_trees[0], toy_vocabs, store, tiny_config)
+        x = ad.pick(embed_tokens([toy_trees[0]], toy_vocabs, store, tiny_config), 0)
         assert x.shape == (len(toy_trees[0]) + 1, tiny_config.d_model)
         assert tiny_config.d_model == tiny_config.d_w + tiny_config.num_filters \
             + tiny_config.pos_dim
@@ -117,13 +145,13 @@ class TestEmbedTokens:
         store = _setup(tiny_config, toy_vocabs)
         tree = make_tree([Token("猫", "NN"), Token("睡", "VV"), Token("猫", "NN")],
                          [-1, 2, 0, 2], ["nsubj", "root", "dobj"])
-        x = embed_tokens(tree, toy_vocabs, store, tiny_config)
+        x = ad.pick(embed_tokens([tree], toy_vocabs, store, tiny_config), 0)
         np.testing.assert_array_equal(x.data[1], x.data[3])
 
     def test_oov_maps_to_unk_row(self, tiny_config, toy_vocabs):
         store = _setup(tiny_config, toy_vocabs)
         unk = make_tree([Token("夔", "NN")], [-1, 0], ["root"])
-        x = embed_tokens(unk, toy_vocabs, store, tiny_config)
+        x = ad.pick(embed_tokens([unk], toy_vocabs, store, tiny_config), 0)
         np.testing.assert_array_equal(
             x.data[1, : tiny_config.d_w], store["embeddings.word"].data[1])
 
@@ -152,16 +180,16 @@ class TestAttention:
         for _ in range(10):
             x = rng.random((5, tiny_config.d_model))
             perm = rng.permutation(5)
-            out = multi_head_self_attention(Tensor(x), store, tiny_config).data
-            out_p = multi_head_self_attention(Tensor(x[perm]), store,
-                                              tiny_config).data
+            out = multi_head_self_attention(Tensor(x[None]), store, tiny_config).data[0]
+            out_p = multi_head_self_attention(Tensor(x[perm][None]), store,
+                                              tiny_config).data[0]
             np.testing.assert_allclose(out_p, out[perm], atol=1e-8)
 
     def test_single_row_closed_form(self, tiny_config, toy_vocabs):
         # One position attends only to itself: out = Wm @ concat_h(Wv_h x).
         store = _setup(tiny_config, toy_vocabs)
         x = Rng(7).split("single").random((1, tiny_config.d_model))
-        out = multi_head_self_attention(Tensor(x), store, tiny_config).data
+        out = multi_head_self_attention(Tensor(x[None]), store, tiny_config).data[0]
         parts = [store[f"encoder.attn.head{h}.Wv"].data @ x[0]
                  for h in range(tiny_config.r)]
         expected = store["encoder.attn.Wm"].data @ np.concatenate(parts)
@@ -172,7 +200,7 @@ class TestAttention:
                              d_h=4, min_word_count=1)
         store = _setup(config, toy_vocabs)
         x = Rng(8).split("r1").random((4, config.d_model))
-        out = multi_head_self_attention(Tensor(x), store, config).data
+        out = multi_head_self_attention(Tensor(x[None]), store, config).data[0]
         probs = _attention_probs(x, store, config, 0)
         v = x @ store["encoder.attn.head0.Wv"].data.T
         expected = (probs @ v) @ store["encoder.attn.Wm"].data.T
@@ -188,7 +216,7 @@ class TestAttention:
 class TestBiLstm:
     def test_output_shape(self, tiny_config, toy_vocabs, toy_trees):
         store = _setup(tiny_config, toy_vocabs)
-        states = encode_sentence(toy_trees[0], toy_vocabs, store, tiny_config)
+        states = ad.pick(encode_batch([toy_trees[0]], toy_vocabs, store, tiny_config), 0)
         assert states.shape == (len(toy_trees[0]) + 1, 2 * tiny_config.d_h)
 
     def test_forward_state_ignores_future(self, tiny_config, toy_vocabs):
@@ -197,8 +225,8 @@ class TestBiLstm:
         x = rng.random((5, tiny_config.d_model))
         y = x.copy()
         y[3:] = rng.random((2, tiny_config.d_model))
-        out_x = bilstm_encode(Tensor(x), store, tiny_config).data
-        out_y = bilstm_encode(Tensor(y), store, tiny_config).data
+        out_x = bilstm_encode(Tensor(x[None]), store, tiny_config).data[0]
+        out_y = bilstm_encode(Tensor(y[None]), store, tiny_config).data[0]
         d_h = tiny_config.d_h
         np.testing.assert_array_equal(out_x[:3, :d_h], out_y[:3, :d_h])
         assert not np.allclose(out_x[:3, d_h:], out_y[:3, d_h:])
@@ -206,7 +234,7 @@ class TestBiLstm:
     def test_empty_input_rejected(self, tiny_config, toy_vocabs):
         store = _setup(tiny_config, toy_vocabs)
         with pytest.raises(ValueError, match="empty"):
-            bilstm_encode(Tensor(np.zeros((0, tiny_config.d_model))),
+            bilstm_encode(Tensor(np.zeros((1, 0, tiny_config.d_model))),
                           store, tiny_config)
 
 
@@ -216,7 +244,7 @@ def test_encoder_end_to_end_gradients(tiny_config, toy_vocabs):
     tree = corpus(seed=1, size=3)[0]
 
     def loss(params):
-        return ad.sum_all(encode_sentence(tree, toy_vocabs, params, tiny_config))
+        return ad.sum_all(encode_batch([tree], toy_vocabs, params, tiny_config))
 
     errs = grad_check(loss, store, epsilon=1e-5)
     worst = max(errs, key=errs.get)
@@ -226,5 +254,5 @@ def test_encoder_end_to_end_gradients(tiny_config, toy_vocabs):
 def test_shapes_depend_only_on_config(tiny_config, toy_vocabs):
     store = _setup(tiny_config, toy_vocabs)
     for tree in corpus(seed=2, size=5):
-        states = encode_sentence(tree, toy_vocabs, store, tiny_config)
+        states = ad.pick(encode_batch([tree], toy_vocabs, store, tiny_config), 0)
         assert states.shape == (len(tree) + 1, 2 * tiny_config.d_h)

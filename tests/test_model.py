@@ -1,5 +1,5 @@
-"""The whole-path training loss and lockstep greedy parsing against the
-per-step reference in ``reference_loss.py``."""
+"""The whole-batch training loss and lockstep greedy parsing against the
+per-step, per-sentence reference in ``reference_loss.py``."""
 
 from unittest import mock
 
@@ -13,12 +13,12 @@ from stackptr import decoder as dec
 from stackptr import model
 from stackptr.autodiff import Rng
 from stackptr.config import CHILD_ORDERS
-from stackptr.encoder import encode_sentence
+from stackptr.encoder import encode_batch
 from stackptr.model import LockstepScorer, Parser
 from stackptr.treebank import DependencyTree, Sentence, Token, build_vocabulary
 
 import reference_loss
-from synthetic import SOURCE_POOLS, TEMPLATES, corpus
+from synthetic import SOURCE_POOLS, TEMPLATES, corpus, random_tree
 
 TOLERANCE = 1e-10
 VOCABS = build_vocabulary(corpus(seed=9, size=200), min_word_count=1)
@@ -60,7 +60,7 @@ def _loss_and_grads(loss_fn, parser):
 
 def _assert_agree(parser, tree, training, seed):
     fused = _loss_and_grads(
-        lambda: parser.sentence_loss(tree, training=training, rng=Rng(seed)), parser)
+        lambda: parser.batch_loss([tree], training=training, rngs=[Rng(seed)]), parser)
     reference = _loss_and_grads(
         lambda: reference_loss.sentence_loss(parser, tree, training=training,
                                              rng=Rng(seed)), parser)
@@ -88,13 +88,82 @@ def test_fused_loss_matches_reference_on_toy_corpus(tiny_config, toy_vocabs, toy
         _assert_agree(parser, tree, training, seed=k)
 
 
+def _same_length_batch(seed, size, length):
+    """``size`` template-grammar trees of one length (2..6), drawn with
+    ``synthetic.random_tree``."""
+    rng = Rng(seed).split("batch")
+    batch = []
+    while len(batch) < size:
+        tree = random_tree(rng)
+        if len(tree) == length:
+            batch.append(tree)
+    return batch
+
+
+@given(size=st.integers(1, 8), length=st.integers(2, 6),
+       child_order=st.sampled_from(CHILD_ORDERS), training=st.booleans(),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_batch_loss_is_the_mean_of_per_sentence_reference_losses(tiny_config, size, length,
+                                                                 child_order, training,
+                                                                 seed):
+    batch = _same_length_batch(seed, size, length)
+    parser = Parser.build(tiny_config.replaced(child_order=child_order), VOCABS)
+    rngs = [Rng(seed).split(f"s{b}") for b in range(len(batch))]
+
+    def reference():
+        total = None
+        for tree, rng in zip(batch, rngs):
+            loss = reference_loss.sentence_loss(parser, tree, training=training, rng=rng)
+            total = loss if total is None else ad.add(total, loss)
+        return ad.scale(total, 1.0 / len(batch))
+
+    fused = _loss_and_grads(lambda: parser.batch_loss(batch, training=training, rngs=rngs),
+                            parser)
+    want = _loss_and_grads(reference, parser)
+    assert abs(fused[0] - want[0]) <= TOLERANCE
+    for name, grad in fused[1].items():
+        worst = float(np.abs(grad - want[1][name]).max())
+        assert worst <= TOLERANCE, f"{name}: {worst:.2e}"
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_batch_loss_tape_size_is_independent_of_batch_size(tiny_config, monkeypatch,
+                                                           training):
+    parser = Parser.build(tiny_config, VOCABS)
+    created = []
+    init = ad.Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+    sizes = {}
+    for size in (1, 32):
+        batch = _same_length_batch(3, size, 4)
+        assert len(batch) == size
+        created.clear()
+        parser.batch_loss(batch, training=training,
+                          rngs=[Rng(1).split(f"s{b}") for b in range(size)])
+        sizes[size] = len(created)
+    assert sizes[1] == sizes[32]
+
+
+def test_batch_loss_needs_one_length(tiny_config):
+    parser = Parser.build(tiny_config, VOCABS)
+    batch = [_same_length_batch(1, 1, 2)[0], _same_length_batch(1, 1, 3)[0]]
+    with pytest.raises(ValueError, match="one length"):
+        parser.batch_loss(batch)
+
+
 def test_multi_root_loss_is_finite_under_single_root(tiny_config):
     # The flag only screens training trees; the likelihood of a tree with
     # two root children does not depend on it.
     tokens = tuple(Token(SOURCE_POOLS[pos][0], pos) for pos in sorted(SOURCE_POOLS)[:3])
     tree = DependencyTree(tokens, (-1, 0, 0, 2), tuple(LABELS[:3]))
     losses = [float(Parser.build(tiny_config.replaced(single_root=flag), VOCABS)
-                    .sentence_loss(tree).data) for flag in (False, True)]
+                    .batch_loss([tree]).data) for flag in (False, True)]
     assert np.isfinite(losses[1])
     assert losses[1] == losses[0]
 
@@ -154,9 +223,10 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
     store = parser.store
     for tree in toy_trees[:10]:
         plan = dec.gold_plan(tree)
-        states = encode_sentence(tree, toy_vocabs, store, tiny_config)
-        want = ad.lstm_sequence(ad.pick(states, plan.tops), store["decoder.lstm.W_ih"],
-                                store["decoder.lstm.W_hh"], store["decoder.lstm.b"]).data
+        states = encode_batch([tree], toy_vocabs, store, tiny_config)
+        tops = ad.pick(states, (np.array([0]), plan.tops[:, None]))
+        want = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"],
+                                store["decoder.lstm.W_hh"], store["decoder.lstm.b"]).data[:, 0]
         scorer = LockstepScorer(parser, [tree])
         state = dec.initial_state(len(tree))
         for k, target in enumerate(plan.targets):
@@ -172,5 +242,5 @@ def test_parsing_reads_parameters_as_constants(tiny_config, toy_vocabs, toy_tree
     scorer = LockstepScorer(parser, toy_trees[:3])
     assert not any(t.requires_grad for _, t in scorer.store.items())
     assert scorer.store["biaffine.arc.U"].data is parser.store["biaffine.arc.U"].data
-    assert not encode_sentence(toy_trees[0], toy_vocabs, scorer.store,
-                               tiny_config).requires_grad
+    assert not encode_batch([toy_trees[0]], toy_vocabs, scorer.store,
+                            tiny_config).requires_grad
