@@ -131,7 +131,9 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         if t.grad is None:
             # A copy, never ``g`` itself: one backward may hand the same
             # array to several parents, and a later ``+=`` would reach them all.
-            t.grad = np.array(np.broadcast_to(g, t.data.shape), dtype=np.float64)
+            if np.shape(g) != t.data.shape:
+                g = np.broadcast_to(g, t.data.shape)
+            t.grad = np.array(g, dtype=np.float64)
         else:
             t.grad += g
 
@@ -459,11 +461,8 @@ def lstm_gates(z: np.ndarray, c: np.ndarray
     """
     hidden = c.shape[-1]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    act = np.empty_like(z)
-    act[..., i_] = _sigmoid(z[..., i_])
-    act[..., f_] = _sigmoid(z[..., f_])
+    act = _sigmoid(z)
     act[..., g_] = np.tanh(z[..., g_])
-    act[..., o_] = _sigmoid(z[..., o_])
     c_next = act[..., f_] * c + act[..., i_] * act[..., g_]
     tanh_c = np.tanh(c_next)
     return act, c_next, tanh_c, act[..., o_] * tanh_c
@@ -546,31 +545,48 @@ class Rng:
     independent child stream keyed by the SHA-256 of the name, so a value
     drawn for e.g. parameter "encoder.attn.Wm" depends only on the seed and
     that name, never on draw order.
+
+    A stream is its entropy words: the seed's uint32 words, zero-padded to
+    four, then the first four words of each name's digest along the split
+    path. That is the pool numpy assembles for ``SeedSequence(entropy=seed,
+    spawn_key=<digest words>)``, so the draws are those of that generator.
+    Splitting only appends words; the generator is built on the first draw,
+    so streams that are split and never drawn from cost almost nothing.
     """
 
-    def __init__(self, seed: int, _key: tuple[int, ...] = ()):
+    def __init__(self, seed: int):
         self.seed = int(seed)
-        self._key = _key
-        self._gen = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=self.seed, spawn_key=_key))
-        )
+        if self.seed < 0:
+            raise ValueError(f"Rng seed must be >= 0, got {self.seed}")
+        words = [(self.seed >> k) & 0xFFFFFFFF for k in range(0, self.seed.bit_length(), 32)]
+        self._entropy = np.array(words + [0] * (4 - len(words)), dtype=np.uint32)
+        self._gen: np.random.Generator | None = None
 
     def split(self, name: str) -> "Rng":
+        child = Rng.__new__(Rng)
+        child.seed = self.seed
         digest = hashlib.sha256(name.encode("utf-8")).digest()
-        words = tuple(int.from_bytes(digest[k:k + 4], "little") for k in range(0, 16, 4))
-        return Rng(self.seed, self._key + words)
+        child._entropy = np.concatenate((self._entropy, np.frombuffer(digest, "<u4", 4)))
+        child._gen = None
+        return child
+
+    def _generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(self._entropy)))
+        return self._gen
 
     def random(self, shape: tuple[int, ...] | int | None = None) -> np.ndarray:
-        return self._gen.random(shape)
+        return self._generator().random(shape)
 
     def uniform(self, low: float, high: float, shape: tuple[int, ...] | int) -> np.ndarray:
-        return self._gen.uniform(low, high, shape)
+        return self._generator().uniform(low, high, shape)
 
     def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
+        return self._generator().permutation(n)
 
     def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
+        return int(self._generator().integers(low, high))
 
 
 def split_each(rngs: Sequence[Rng], name: str) -> list[Rng]:

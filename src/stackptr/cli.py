@@ -62,6 +62,14 @@ def _load_config(args: argparse.Namespace, base: TrainConfig | None = None) -> T
     return config
 
 
+def _seed(text: str) -> int:
+    """An argparse type: a non-negative integer seed."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
     train_trees = parse_conll(args.train)
@@ -184,7 +192,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--retain", default="embeddings.,encoder.,decoder.")
     p.add_argument("--reinit", default="biaffine.")
-    p.add_argument("--seed", type=int, help="surgery seed (default: config seed)")
+    p.add_argument("--seed", type=_seed, help="surgery seed (default: config seed)")
     p.add_argument("--config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(handler=_cmd_finetune, outputs=lambda a: [a.out, a.out + ".repro"])

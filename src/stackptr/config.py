@@ -94,6 +94,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.max_epochs < 0:  # 0 = evaluate-only, legal for fine-tuning
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def d_model(self) -> int:

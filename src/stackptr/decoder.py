@@ -18,16 +18,28 @@ refuse it — so probabilities over legal actions stay comparable across
 steps. The two masks are identical everywhere else. Neither limits the
 number of tokens attached to ROOT.
 
+One rule computes legality for a batch of machines, from a (B, N+1) heads
+matrix and a (B,) vector of stack tops (:func:`legal_masks`); one machine's
+mask (:func:`legal_mask`) is its batch-of-one case, and :func:`step` checks
+a single target with the same rule in O(1).
+
 Under teacher forcing the gold path fixes every step's stack top, legality
-mask and target in advance (:func:`gold_plan`). The plans of a batch of
-same-length trees stack into one (:func:`stack_plans`), since every
-length-n path has 2n+1 steps, so the training objective of the whole batch
-is one computation over score stacks (:func:`path_log_likelihood`):
-:func:`biaffine_score` turns the (B, T, d) decoder rows of T steps into
-their (B, T, n+1) score rows. Greedy search
-(:func:`decode_greedy`) runs a batch of sentences of any lengths in
-lockstep: each step asks one batched scorer for the scores of every
-unfinished sentence, while legality and transitions stay per sentence.
+mask and target in advance (:func:`gold_plan`): the tops come from an
+integer stack, and the 2n+1 masks from one :func:`legal_masks` call over
+the heads at every step. The plans of a batch of same-length trees stack
+into one (:func:`stack_plans`), since every length-n path has 2n+1 steps,
+so the training objective of the whole batch is one computation over score
+stacks (:func:`path_log_likelihood`): :func:`biaffine_score` turns the
+(B, T, d) decoder rows of T steps into their (B, T, n+1) score rows.
+
+Greedy search (:func:`decode_greedy`) runs a batch of sentences of any
+lengths in lockstep: each step asks one batched scorer for the scores of
+every unfinished sentence and computes all their masks with one
+:func:`legal_masks` call. Each move then still goes through :func:`step`,
+once per sentence per step: the scorers read the per-sentence
+:class:`DecoderState` it returns, and a parse makes exactly 2n+1 ``step``
+calls per sentence, the count ``benchmark/run.py`` checks in its traced
+runs.
 """
 
 from __future__ import annotations
@@ -69,32 +81,54 @@ def initial_state(n: int) -> DecoderState:
     return DecoderState(n=n, stack=(0,), heads=(-1,) * (n + 1), step_count=0)
 
 
-def legal_mask(state: DecoderState, mode: str = "decode") -> np.ndarray:
-    """Boolean mask over pointer targets 0..n for the current stack top."""
+def legal_masks(heads: np.ndarray, tops: np.ndarray, mode: str = "decode") -> np.ndarray:
+    """Boolean (B, N+1) masks over pointer targets for B machines at once.
+
+    ``heads`` is (B, N+1), row b the head vector of machine b (-1 where
+    unattached; positions past a machine's own n hold any other value and are
+    never legal), and ``tops`` the (B,) stack tops. No machine may be terminal.
+    """
     if mode not in ("decode", "likelihood"):
         raise ValueError(f"unknown legality mode: {mode!r}")
-    if state.is_terminal():
-        raise ValueError("no legal actions in a terminal state")
-    t = state.top
     # A token is pushed exactly when it is attached, so the unattached
     # tokens are the ones still open to point at; ROOT's -1 is not a target.
-    mask = np.array(state.heads) == -1
-    mask[0] = False
+    mask = heads == -1
+    mask[:, 0] = False
     # Self-point: always available off ROOT; on ROOT only once everything is
     # attached (decode) or unconditionally in the likelihood normalizer.
-    mask[t] = t != 0 or not mask.any() or mode == "likelihood"
+    mask[np.arange(len(tops)), tops] = (mode == "likelihood") | (tops != 0) | ~mask.any(axis=1)
     return mask
 
 
+def legal_mask(state: DecoderState, mode: str = "decode") -> np.ndarray:
+    """Boolean mask over pointer targets 0..n for the current stack top: the
+    batch-of-one case of :func:`legal_masks`."""
+    if state.is_terminal():
+        raise ValueError("no legal actions in a terminal state")
+    return legal_masks(np.array([state.heads]), np.array([state.top]), mode)[0]
+
+
 def step(state: DecoderState, target: int) -> DecoderState:
-    """Apply one pointer action under decode-mode legality."""
-    mask = legal_mask(state, mode="decode")
-    if not 0 <= target <= state.n or not mask[target]:
+    """Apply one pointer action under decode-mode legality.
+
+    The legality test is the decode rule of :func:`legal_masks` for the one
+    target, in O(1): a stack top t != 0 may pop or attach any unattached
+    token; ROOT may pop only once every token is attached, which on a
+    reachable state is exactly when it has made 2n moves (each attach is
+    paired with the pop of the attached token).
+    """
+    if state.is_terminal():
+        raise ValueError("no legal actions in a terminal state")
+    t = state.top
+    if target == t:
+        legal = t != 0 or state.step_count == 2 * state.n
+    else:
+        legal = 0 < target <= state.n and state.heads[target] == -1
+    if not legal:
         raise ValueError(
             f"illegal pointer target {target} at step {state.step_count} "
             f"(stack top {state.top})"
         )
-    t = state.top
     if target == t:
         return DecoderState(n=state.n, stack=state.stack[:-1], heads=state.heads,
                             step_count=state.step_count + 1)
@@ -156,18 +190,31 @@ class GoldPlan:
 
 
 def gold_plan(tree: DependencyTree, child_order: str = "inside_out") -> GoldPlan:
-    """Replay the canonical gold path, recording top and legality per step."""
-    state = initial_state(len(tree))
+    """The canonical gold path with the stack top and likelihood legality of
+    every step.
+
+    The tops come from replaying the path on an integer stack. Token p is
+    unattached up to and including the step that attaches it, so the heads
+    of all 2n+1 steps are one (2n+1, n+1) expression, and their masks one
+    :func:`legal_masks` call.
+    """
     targets = gold_path(tree, child_order=child_order)
-    tops, legal = [], []
+    stack, tops = [0], []
     for target in targets:
-        tops.append(state.top)
-        legal.append(legal_mask(state, mode="likelihood"))
-        state = step(state, target)
-    assert state.is_terminal()
-    return GoldPlan(tops=np.array(tops, dtype=np.intp),
-                    targets=np.array(targets, dtype=np.intp),
-                    legal=np.array(legal))
+        tops.append(stack[-1])
+        if target == stack[-1]:
+            stack.pop()
+        else:
+            stack.append(target)
+    assert not stack
+    tops_arr = np.array(tops, dtype=np.intp)
+    targets_arr = np.array(targets, dtype=np.intp)
+    arc_steps = np.flatnonzero(targets_arr != tops_arr)
+    attach_step = np.full(len(tree) + 1, -1)
+    attach_step[targets_arr[arc_steps]] = arc_steps
+    heads = np.where(np.arange(len(targets))[:, None] > attach_step, tree.heads, -1)
+    return GoldPlan(tops=tops_arr, targets=targets_arr,
+                    legal=legal_masks(heads, tops_arr, mode="likelihood"))
 
 
 def stack_plans(plans: Sequence[GoldPlan]) -> GoldPlan:
@@ -306,25 +353,31 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
     """
     states = [initial_state(n) for n in lengths]
     label_ids = [[-1] * n for n in lengths]
+    # The heads of every machine as one matrix, positions past a sentence's
+    # own n filled with 0 so that they are never legal, beside the states.
+    sizes = np.array(lengths)
+    heads = np.where(np.arange(sizes.max() + 1) <= sizes[:, None], -1, 0)
     rows = np.arange(len(states))
     while len(rows):
         active = [states[b] for b in rows]
+        tops = np.array([state.top for state in active])
         raw = arc_scorer(rows, active)
-        legal = np.zeros(raw.shape, dtype=bool)
-        for r, state in enumerate(active):
-            legal[r, :state.n + 1] = legal_mask(state, mode="decode")
+        legal = legal_masks(heads[rows], tops, mode="decode")
         if not np.isfinite(raw[legal]).all():
             raise ValueError("non-finite arc scores during decoding")
         targets = np.where(legal, raw, -np.inf).argmax(axis=1)
-        attach = np.flatnonzero(targets != [state.top for state in active])
+        attach = np.flatnonzero(targets != tops)
         if len(attach):
             labels = label_scorer(rows[attach], [active[r] for r in attach],
                                   targets[attach]).argmax(axis=1)
-            for r, label in zip(attach, labels):
-                label_ids[rows[r]][targets[r] - 1] = int(label)
-        for b, state, target in zip(rows, active, targets):
-            states[b] = step(state, int(target))
-        rows = rows[[not states[b].is_terminal() for b in rows]]
+            for b, child, label in zip(rows[attach].tolist(), targets[attach].tolist(),
+                                       labels.tolist()):
+                label_ids[b][child - 1] = label
+            heads[rows[attach], targets[attach]] = tops[attach]
+        # One `step` per sentence per move (see the module docstring).
+        for b, state, target in zip(rows, active, targets.tolist()):
+            states[b] = step(state, target)
+        rows = rows[(targets != 0) | (tops != 0)]      # popping ROOT ends a run
     for n, state in zip(lengths, states):
         assert state.step_count == 2 * n + 1
     return [(list(state.heads), ids) for state, ids in zip(states, label_ids)]

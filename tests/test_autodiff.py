@@ -1,11 +1,12 @@
 """Kernel tests: frozen oracle values, gradient checks per op, RNG/optimizer
 determinism."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stackptr
@@ -419,6 +420,40 @@ class TestRng:
         c = Rng(1).split("y").split("x").random(3)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_negative_seed_fails_at_construction(self):
+        # Not at the first draw, which may come much later or never.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Rng(-1)
+
+
+def _spawn_key_generator(seed: int, names: list[str]) -> np.random.Generator:
+    """The oracle stream: numpy's own ``SeedSequence(entropy=seed,
+    spawn_key=...)``, keyed by the first four little-endian words of each
+    name's SHA-256 along the split path."""
+    key = ()
+    for name in names:
+        digest = hashlib.sha256(name.encode("utf-8")).digest()
+        key += tuple(int.from_bytes(digest[k:k + 4], "little") for k in range(0, 16, 4))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed,
+                                                                       spawn_key=key)))
+
+
+@given(seed=st.integers(0, 2**64 - 1), names=st.lists(st.text(max_size=6), max_size=6))
+@example(seed=0, names=[])
+@example(seed=2**32 - 1, names=["epoch0"])
+@example(seed=2**32 + 5, names=["epoch0", "drop3", "s1", "p_out"])
+@example(seed=2**70 + 3, names=["a", "b", "c", "d", "e", "f"])
+@settings(max_examples=200, deadline=None)
+def test_rng_draws_equal_the_spawn_key_oracle(seed, names):
+    rng = Rng(seed)
+    for name in names:
+        rng = rng.split(name)
+    want = _spawn_key_generator(seed, names)
+    np.testing.assert_array_equal(rng.random((2, 3)), want.random((2, 3)))
+    np.testing.assert_array_equal(rng.uniform(-0.5, 2.0, 4), want.uniform(-0.5, 2.0, 4))
+    np.testing.assert_array_equal(rng.permutation(7), want.permutation(7))
+    assert rng.integers(0, 1000) == int(want.integers(0, 1000))
 
 
 class TestParameterStore:

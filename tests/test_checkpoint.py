@@ -186,7 +186,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("old, new", [(b"\nd_h=2\n", b"\nd_hh=2\n"),
                                           (b"\nd_h=2\n", b"\nd_h=two\n"),
-                                          (b"\nr=3\n", b"\nr=0\n")])
+                                          (b"\nr=3\n", b"\nr=0\n"),
+                                          (b"\nseed=1\n", b"\nseed=-1\n")])
     def test_bad_config_key_or_value_names_the_section(self, small_ckpt, tmp_path, old, new):
         path = _saved_with(small_ckpt, tmp_path / "config.ckpt", old, new)
         with pytest.raises(CheckpointError, match=r"\[config\]"):

@@ -169,6 +169,7 @@ class TestExitCodes:
         ("beta2=1.5", "beta2 must be in [0, 1), got 1.5"),
         ("adam_epsilon=0", "adam_epsilon must be positive, got 0.0"),
         ("clip_norm=-1", "clip_norm must be positive, got -1.0"),
+        ("seed=-1", "seed must be >= 0, got -1"),
     ])
     def test_bad_override_is_usage_error(self, tmp_path, capsys, override, named):
         out = tmp_path / "m.ckpt"
@@ -178,6 +179,15 @@ class TestExitCodes:
         assert code == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_finetune_seed_is_usage_error(self, work, tmp_path, capsys):
+        tuned = tmp_path / "neg.ckpt"
+        code = run(["finetune", "--source", str(work.model),
+                    "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(tuned), "--seed", "-1"])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not tuned.exists()
 
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"

@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_epochs"):
             TrainConfig(max_epochs=-1)
 
+    def test_negative_seed_names_key_and_value(self):
+        assert TrainConfig(seed=0).seed == 0
+        with pytest.raises(ConfigError) as info:
+            TrainConfig(seed=-1)
+        assert str(info.value) == "seed must be >= 0, got -1"
+        flat = TrainConfig().to_flat()
+        flat["seed"] = "-7"
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -7"):
+            TrainConfig.from_flat(flat)
+
     def test_positive_counts(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
@@ -205,6 +215,7 @@ def assert_ranges_hold(config):
     assert 0.0 <= config.beta1 < 1.0 and 0.0 <= config.beta2 < 1.0
     assert config.adam_epsilon > 0.0 and config.clip_norm > 0.0
     assert config.learning_rate > 0.0
+    assert config.seed >= 0
 
 
 @given(st.dictionaries(st.one_of(st.sampled_from(FIELDS), st.text(max_size=8)), _VALUES,
@@ -213,6 +224,7 @@ def assert_ranges_hold(config):
 @example({"beta2": "1.5"})
 @example({"adam_epsilon": "0"})
 @example({"clip_norm": "-1"})
+@example({"seed": "-1"})
 @settings(max_examples=300, deadline=None)
 def test_random_flat_values_build_or_raise_config_error(changes):
     flat = TrainConfig().to_flat()

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackptr import autodiff as ad
 from stackptr.autodiff import Rng, Tensor
@@ -17,6 +19,7 @@ from stackptr.decoder import (
     gold_plan,
     initial_state,
     legal_mask,
+    legal_masks,
     path_log_likelihood,
     replay,
     step,
@@ -41,6 +44,29 @@ def all_head_vectors(n):
         except TreebankError:
             continue
         yield heads
+
+
+def step_allows(state, target):
+    """Whether ``step`` accepts ``target``: the scalar legality check."""
+    try:
+        step(state, target)
+    except ValueError:
+        return False
+    return True
+
+
+def reachable_states(n):
+    """Every non-terminal state the machine can reach on n tokens."""
+    frontier, seen = [initial_state(n)], {initial_state(n)}
+    while frontier:
+        state = frontier.pop()
+        for target in range(n + 1):
+            if step_allows(state, target):
+                child = step(state, target)
+                if not child.is_terminal() and child not in seen:
+                    seen.add(child)
+                    frontier.append(child)
+    return sorted(seen, key=lambda s: (s.step_count, s.stack, s.heads))
 
 
 def zero_scorer(n):
@@ -127,6 +153,31 @@ class TestLegalMask:
             legal_mask(initial_state(1), mode="beam")
 
 
+class TestBatchedLegality:
+    def test_equals_the_scalar_check_in_step_on_every_reachable_state(self):
+        # All reachable states with n <= 5, padded to one (B, 6) batch: the
+        # decode rows are what `step` accepts, the likelihood rows add the
+        # self-point, and nothing past a state's own n is ever legal.
+        states = [s for n in range(1, 6) for s in reachable_states(n)]
+        heads = np.zeros((len(states), 6), dtype=int)
+        for b, state in enumerate(states):
+            heads[b, :state.n + 1] = state.heads
+        tops = np.array([state.top for state in states])
+        decode = legal_masks(heads, tops, mode="decode")
+        likelihood = legal_masks(heads, tops, mode="likelihood")
+        for b, state in enumerate(states):
+            want = [step_allows(state, p) for p in range(6)]
+            assert decode[b].tolist() == want
+            want[state.top] = True
+            assert likelihood[b].tolist() == want
+            np.testing.assert_array_equal(legal_mask(state, "decode"), decode[b, :state.n + 1])
+        assert len(states) == 12701
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            legal_masks(np.full((1, 2), -1), np.array([0]), mode="beam")
+
+
 class TestGoldPath:
     def test_chain(self):
         assert gold_path(_tree([-1, 0, 1, 2])) == [1, 2, 3, 3, 2, 1, 0]
@@ -145,18 +196,38 @@ class TestGoldPath:
             gold_path(_tree([-1, 0]), "bfs")
 
     def test_gold_plan_replays_path(self):
-        for n in range(1, 5):
-            for heads in all_head_vectors(n):
-                tree = _tree(heads)
-                plan = gold_plan(tree, child_order="left2right")
-                state = initial_state(n)
-                assert plan.targets.tolist() == gold_path(tree, "left2right")
-                for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
-                    assert top == state.top
-                    np.testing.assert_array_equal(
-                        legal, legal_mask(state, "likelihood"))
-                    state = step(state, int(target))
-                assert int(plan.arc_steps.sum()) == n
+        # Against a replay through `step`, one state at a time: the likelihood
+        # mask is what `step` accepts plus the self-point.
+        for child_order in ("inside_out", "left2right", "right2left"):
+            for n in range(1, 6):
+                for heads in all_head_vectors(n):
+                    assert_plan_replays(_tree(heads), child_order)
+
+    @given(data=st.data(), n=st.integers(5, 12),
+           child_order=st.sampled_from(["inside_out", "left2right", "right2left"]))
+    @settings(max_examples=60, deadline=None)
+    def test_gold_plan_replays_random_trees(self, data, n, child_order):
+        # Each node, in a random order, hangs off ROOT or an earlier node.
+        order = data.draw(st.permutations(range(1, n + 1)))
+        heads = [-1] * (n + 1)
+        for k, node in enumerate(order):
+            heads[node] = data.draw(st.sampled_from([0, *order[:k]]))
+        assert_plan_replays(_tree(heads), child_order)
+
+
+def assert_plan_replays(tree, child_order):
+    plan = gold_plan(tree, child_order=child_order)
+    n = len(tree)
+    assert plan.targets.tolist() == gold_path(tree, child_order)
+    assert plan.legal.shape == (2 * n + 1, n + 1)
+    state = initial_state(n)
+    for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
+        assert top == state.top
+        want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
+        assert legal.tolist() == want
+        state = step(state, int(target))
+    assert state.is_terminal()
+    assert int(plan.arc_steps.sum()) == n
 
 
 class TestExhaustiveOracle:
@@ -410,3 +481,29 @@ class TestGreedyDecoding:
 
         heads, _ = decode_one(2, root_greedy, zero_labeler(2))
         assert heads == [-1, 0, 0]  # both end up root children
+
+
+@given(lengths=st.lists(st.integers(1, 7), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 3, 1000]))
+@settings(max_examples=60, deadline=None)
+def test_lockstep_batch_equals_one_sentence_at_a_time(lengths, seed, levels):
+    # Scores are a function of the sentence and its machine state; few
+    # levels make many ties, which both paths break toward the lowest index.
+    def scorer(b, n):
+        def score_fn(state):
+            rng = Rng(seed).split(repr((b, state.stack, state.heads)))
+            return Tensor(np.floor(rng.random(n + 1) * levels))
+        return score_fn
+
+    def labeler(b):
+        def label_fn(state, child):
+            return Tensor(np.floor(Rng(seed).split(f"{b}:{child}").random(4) * levels))
+        return label_fn
+
+    arcs, labels = lockstep_scorers([scorer(b, n) for b, n in enumerate(lengths)],
+                                    [labeler(b) for b in range(len(lengths))],
+                                    width=max(lengths) + 1)
+    decoded = decode_greedy(lengths, arcs, labels)
+    assert len(decoded) == len(lengths)
+    for b, (n, (heads, label_ids)) in enumerate(zip(lengths, decoded)):
+        assert (heads, label_ids) == decode_one(n, scorer(b, n), labeler(b))

@@ -203,6 +203,29 @@ def test_lockstep_parse_matches_per_sentence_reference(tiny_config, lengths, sin
         assert list(tree.labels) == [VOCABS["label"].symbol(i) for i in label_ids]
 
 
+def test_parse_corpus_calls_step_once_per_sentence_per_step(tiny_config, monkeypatch):
+    # benchmark/run.py wraps `stackptr.decoder.step` through the module
+    # attribute and checks that a parse makes sum(2n+1) calls; so must the
+    # lockstep decoder, whatever else it computes for the whole batch.
+    rng = Rng(11).split("sentences")
+    lengths = [1, 7, 3, 3, 12, 2, 5]
+    sents = [_sentence(rng, n) for n in lengths]
+    calls = []
+    real_step = dec.step
+
+    def counting_step(state, target):
+        calls.append(state.n)
+        return real_step(state, target)
+
+    monkeypatch.setattr(dec, "step", counting_step)
+    parser = Parser.build(tiny_config, VOCABS)
+    with mock.patch.object(model, "DECODE_CHUNK", 4):
+        parser.parse_corpus(sents)
+    assert len(calls) == sum(2 * n + 1 for n in lengths)
+    for n in set(lengths):
+        assert calls.count(n) == lengths.count(n) * (2 * n + 1)
+
+
 def test_scorer_serves_sentences_in_any_order(tiny_config, toy_vocabs, toy_trees):
     # parse_corpus decodes longest first, so its unfinished sentences are
     # always a leading slice of the batch; in input order they are not.
