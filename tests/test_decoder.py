@@ -69,6 +69,21 @@ def reachable_states(n):
     return sorted(seen, key=lambda s: (s.step_count, s.stack, s.heads))
 
 
+def assert_plan_replays(tree, child_order):
+    plan = gold_plan(tree, child_order=child_order)
+    n = len(tree)
+    assert plan.targets.tolist() == gold_path(tree, child_order)
+    assert plan.legal.shape == (2 * n + 1, n + 1)
+    state = initial_state(n)
+    for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
+        assert top == state.top
+        want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
+        assert legal.tolist() == want
+        state = step(state, int(target))
+    assert state.is_terminal()
+    assert int(plan.arc_steps.sum()) == n
+
+
 def zero_scorer(n):
     return lambda state: Tensor(np.zeros(n + 1))
 
@@ -173,10 +188,6 @@ class TestBatchedLegality:
             np.testing.assert_array_equal(legal_mask(state, "decode"), decode[b, :state.n + 1])
         assert len(states) == 12701
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            legal_masks(np.full((1, 2), -1), np.array([0]), mode="beam")
-
 
 class TestGoldPath:
     def test_chain(self):
@@ -213,21 +224,6 @@ class TestGoldPath:
         for k, node in enumerate(order):
             heads[node] = data.draw(st.sampled_from([0, *order[:k]]))
         assert_plan_replays(_tree(heads), child_order)
-
-
-def assert_plan_replays(tree, child_order):
-    plan = gold_plan(tree, child_order=child_order)
-    n = len(tree)
-    assert plan.targets.tolist() == gold_path(tree, child_order)
-    assert plan.legal.shape == (2 * n + 1, n + 1)
-    state = initial_state(n)
-    for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
-        assert top == state.top
-        want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
-        assert legal.tolist() == want
-        state = step(state, int(target))
-    assert state.is_terminal()
-    assert int(plan.arc_steps.sum()) == n
 
 
 class TestExhaustiveOracle:
