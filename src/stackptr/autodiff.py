@@ -60,7 +60,6 @@ __all__ = [
     "dropout_mask",
     "dropout_masks",
     "split_each",
-    "global_grad_norm",
     "clip_gradients",
 ]
 
@@ -695,8 +694,9 @@ class AdamState:
 
 
 def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
-              state: AdamState, learning_rate: float) -> tuple[ParameterStore, AdamState]:
-    """Standard Adam update with bias correction; mutates in place."""
+              state: AdamState, learning_rate: float) -> None:
+    """Standard Adam update with bias correction, of every parameter in
+    place; ``grads`` holds one gradient per parameter."""
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive: {learning_rate}")
     state.step_count += 1
@@ -704,10 +704,8 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
     for name, param in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(param.data)
-        elif g.shape != param.data.shape:
+        g = grads[name]
+        if g.shape != param.data.shape:
             raise ValueError(
                 f"gradient shape mismatch for {name}: "
                 f"{g.shape} vs {param.data.shape}"
@@ -721,26 +719,23 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        param.data = param.data - learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return params, state
+        param.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place so that their global norm is at most
+    ``max_norm``; return the norm before clipping."""
+    # A plain loop: from Python 3.12, sum() compensates float sums, which
+    # would change the bits.
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
-    return math.sqrt(total)
-
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients down so the global norm is at most ``max_norm``."""
-    norm = global_grad_norm(grads)
+    norm = math.sqrt(total)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        return {name: g * factor for name, g in grads.items()}
-    return grads
+        for g in grads.values():
+            g *= factor
+    return norm
 
 
 # ---------------------------------------------------------------------------

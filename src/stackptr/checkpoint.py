@@ -89,6 +89,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         lines.append("- " + note.replace("\n", " "))
     for key in VOCAB_KEYS:
         vocab = ckpt.vocabs[key]
+        for symbol in vocab.symbols:
+            if "\n" in symbol:
+                raise CheckpointError(f"[vocab.{key}] symbol {symbol!r} holds a newline, "
+                                      "which would end its manifest line")
         lines.append(f"[vocab.{key} {len(vocab)}]")
         lines.extend(vocab.symbols)
     blobs: list[bytes] = []

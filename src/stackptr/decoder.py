@@ -30,16 +30,18 @@ the heads at every step. The plans of a batch of same-length trees stack
 into one (:func:`stack_plans`), since every length-n path has 2n+1 steps,
 so the training objective of the whole batch is one computation over score
 stacks (:func:`path_log_likelihood`): :func:`biaffine_score` turns the
-(B, T, d) decoder rows of T steps into their (B, T, n+1) score rows.
+(B, T, d) decoder rows of T steps into their (B, T, n+1) score rows, and
+greedy decoding scores its one step per sentence as T = 1.
 
 Greedy search (:func:`decode_greedy`) runs a batch of sentences of any
 lengths in lockstep: each step asks one batched scorer for the scores of
 every unfinished sentence and computes all their masks with one
-:func:`legal_masks` call. Each move then still goes through :func:`step`,
-once per sentence per step: the scorers read the per-sentence
-:class:`DecoderState` it returns, and a parse makes exactly 2n+1 ``step``
-calls per sentence, the count ``benchmark/run.py`` checks in its traced
-runs.
+:func:`legal_masks` call; the heads and label ids of all the machines are
+two (B, N+1) matrices, and the parses are read off them. Each move then
+still goes through :func:`step`, once per sentence per step: the scorers
+read the per-sentence :class:`DecoderState` it returns, and a parse makes
+exactly 2n+1 ``step`` calls per sentence, the count ``benchmark/run.py``
+checks in its traced runs.
 """
 
 from __future__ import annotations
@@ -352,11 +354,12 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
     guarantees that a sentence of n tokens ends in exactly 2n+1 steps.
     """
     states = [initial_state(n) for n in lengths]
-    label_ids = [[-1] * n for n in lengths]
-    # The heads of every machine as one matrix, positions past a sentence's
-    # own n filled with 0 so that they are never legal, beside the states.
+    # The heads and label ids of every machine as two matrices beside the
+    # states, the heads past a sentence's own n filled with 0 so that they
+    # are never legal.
     sizes = np.array(lengths)
     heads = np.where(np.arange(sizes.max() + 1) <= sizes[:, None], -1, 0)
+    label_ids = np.full_like(heads, -1)
     rows = np.arange(len(states))
     while len(rows):
         active = [states[b] for b in rows]
@@ -368,16 +371,15 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
         targets = np.where(legal, raw, -np.inf).argmax(axis=1)
         attach = np.flatnonzero(targets != tops)
         if len(attach):
-            labels = label_scorer(rows[attach], [active[r] for r in attach],
-                                  targets[attach]).argmax(axis=1)
-            for b, child, label in zip(rows[attach].tolist(), targets[attach].tolist(),
-                                       labels.tolist()):
-                label_ids[b][child - 1] = label
-            heads[rows[attach], targets[attach]] = tops[attach]
+            attached = (rows[attach], targets[attach])
+            label_ids[attached] = label_scorer(rows[attach], [active[r] for r in attach],
+                                               targets[attach]).argmax(axis=1)
+            heads[attached] = tops[attach]
         # One `step` per sentence per move (see the module docstring).
         for b, state, target in zip(rows, active, targets.tolist()):
             states[b] = step(state, target)
         rows = rows[(targets != 0) | (tops != 0)]      # popping ROOT ends a run
     for n, state in zip(lengths, states):
         assert state.step_count == 2 * n + 1
-    return [(list(state.heads), ids) for state, ids in zip(states, label_ids)]
+    return [(heads[b, :n + 1].tolist(), label_ids[b, 1:n + 1].tolist())
+            for b, n in enumerate(lengths)]

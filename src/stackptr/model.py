@@ -15,7 +15,8 @@ in lockstep, through one batched :class:`LockstepScorer`, which encodes
 each run of equal lengths in its chunk with the same `encode_batch`; it
 reads parameters as constants, so parsing records no tape. Both paths
 advance the decoder LSTM with the same gate arithmetic
-(`autodiff.lstm_gates`).
+(`autodiff.lstm_gates`) and score arcs with the same biaffine
+(`_arc_scores`).
 """
 
 from __future__ import annotations
@@ -234,11 +235,9 @@ class LockstepScorer:
         z = (self.x_proj[self.starts[rows] + [state.top for state in states]]
              + self.hidden[sel] @ store["decoder.lstm.W_hh"].data.T)
         _, self.cell[sel], _, self.hidden[sel] = ad.lstm_gates(z, self.cell[sel])
-        arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[sel])).data
-        # The arithmetic of biaffine_score, one (N+1, a) @ (a,) product per row.
-        through = arc_dec @ store["biaffine.arc.U"].data + store["biaffine.arc.w_enc"].data
-        dec_term = arc_dec @ store["biaffine.arc.w_dec"].data + store["biaffine.arc.b"].data
-        return (self.arc_enc[sel] @ through[:, :, None])[:, :, 0] + dec_term[:, None]
+        # The training scorer, with each sentence's decoder row as a path of one step.
+        arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[sel][:, None]))
+        return _arc_scores(store, arc_dec, Tensor(self.arc_enc[sel])).data[:, 0]
 
     def label_scores(self, rows: np.ndarray, states: list[dec.DecoderState],
                      children: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import AdamState, ParameterStore, Rng, Tensor, adam_step, clip_gradients
 from .checkpoint import Checkpoint, as_stored
 from .config import TrainConfig
@@ -22,26 +21,14 @@ class TrainAbort(RuntimeError):
 
 def compute_loss(parser: Parser, batch: Sequence[DependencyTree],
                  training: bool = False, rng: Rng | None = None) -> Tensor:
-    """Mean over the batch of per-sentence (length-normalized) losses.
-
-    Sentence i draws its dropout masks from ``rng.split(f"s{i}")``. A batch
-    of :func:`make_batches` has one length and is one
-    :meth:`Parser.batch_loss` call; any other batch is one call per length.
+    """Mean over a batch of one length (a :func:`make_batches` batch) of
+    per-sentence (length-normalized) losses: one :meth:`Parser.batch_loss`
+    call. Sentence i draws its dropout masks from ``rng.split(f"s{i}")``.
     """
     if not batch:
         raise ValueError("empty batch")
-    rngs = [rng.split(f"s{i}") if rng is not None else None for i in range(len(batch))]
-    by_length: dict[int, list[int]] = {}
-    for i, tree in enumerate(batch):
-        by_length.setdefault(len(tree), []).append(i)
-    if len(by_length) == 1:
-        return parser.batch_loss(batch, training=training, rngs=rngs)
-    total: Tensor | None = None
-    for members in by_length.values():
-        part = ad.scale(parser.batch_loss([batch[i] for i in members], training=training,
-                                          rngs=[rngs[i] for i in members]), len(members))
-        total = part if total is None else ad.add(total, part)
-    return ad.scale(total, 1.0 / len(batch))
+    rngs = None if rng is None else [rng.split(f"s{i}") for i in range(len(batch))]
+    return parser.batch_loss(batch, training=training, rngs=rngs)
 
 
 def make_batches(trees: Sequence[DependencyTree], batch_size: int,
@@ -159,7 +146,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
                     + _diagnostics(parser.store)
                 )
             loss.backward()
-            grads = clip_gradients(parser.store.gradients(), config.clip_norm)
+            grads = parser.store.gradients()
+            clip_gradients(grads, config.clip_norm)
             adam_step(parser.store, grads, opt, lr)
             epoch_losses.append(float(loss.data))
         history.append(sum(epoch_losses) / len(epoch_losses))

@@ -127,6 +127,27 @@ class TestAdam:
             results.append(store["biaffine.w"].data.copy())
         np.testing.assert_array_equal(results[0], results[1])
 
+    def test_updates_in_place_as_the_copying_form(self):
+        # The parameter array stays the same object, and every step gives
+        # the bits of the expression that built a new array.
+        store = ParameterStore(5)
+        w = store.create("biaffine.w", (4, 3))
+        array = w.data
+        want = w.data.copy()
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        state = AdamState()
+        rng = Rng(9)
+        for t in range(1, 11):
+            g = rng.split(f"g{t}").random((4, 3)) - 0.5
+            adam_step(store, {"biaffine.w": g}, state, 0.003)
+            m = state.beta1 * m + (1.0 - state.beta1) * g
+            v = state.beta2 * v + (1.0 - state.beta2) * g * g
+            m_hat = m / (1.0 - state.beta1 ** t)
+            v_hat = v / (1.0 - state.beta2 ** t)
+            want = want - 0.003 * m_hat / (np.sqrt(v_hat) + state.epsilon)
+            assert w.data is array
+            np.testing.assert_array_equal(w.data, want)
+
 
 class TestDropout:
     def test_inference_mode_is_identity(self):
@@ -501,13 +522,17 @@ class TestParameterStore:
 
 class TestClipping:
     def test_norm_over_limit_scaled(self):
-        grads = {"a": np.array([3.0, 4.0])}
-        clipped = ad.clip_gradients(grads, 1.0)
-        assert abs(ad.global_grad_norm(clipped) - 1.0) < 1e-12
+        a, b = np.array([3.0, 0.0]), np.array([[4.0]])
+        grads = {"a": a, "b": b}
+        assert ad.clip_gradients(grads, 1.0) == 5.0
+        assert grads["a"] is a and grads["b"] is b
+        np.testing.assert_array_equal(a, [3.0 * 0.2, 0.0])
+        np.testing.assert_array_equal(b, [[4.0 * 0.2]])
 
     def test_norm_under_limit_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
-        assert ad.clip_gradients(grads, 5.0) is grads
+        assert ad.clip_gradients(grads, 5.0) == pytest.approx(0.5, abs=1e-15)
+        np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
 
 @pytest.mark.parametrize("module", [stackptr, ad], ids=["stackptr", "autodiff"])

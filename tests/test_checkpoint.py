@@ -272,7 +272,9 @@ class TestTensorSet:
          r"tensor 'decoder.lstm.W_hh' has shape \(16, 3\), expected \(16, 4\)"),
         (lambda ckpt: ckpt.params.create("encoder.extra", (2,), init="zeros"),
          "unexpected tensor 'encoder.extra'"),
-    ], ids=["missing", "shape", "extra"])
+        (lambda ckpt: ckpt.vocabs.update(word=Vocabulary(RESERVED + ("a\nb",))),
+         r"\[vocab\.word\] symbol 'a\\nb' holds a newline"),
+    ], ids=["missing", "shape", "extra", "newline"])
     def test_save_refuses_what_load_refuses(self, small_ckpt, tmp_path, change, message):
         change(small_ckpt)
         path = tmp_path / "refused.ckpt"
@@ -331,3 +333,39 @@ def test_damaged_file_loads_or_raises_checkpoint_error(small_file, damage):
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+
+# Line breaks other than "\n" and lines that look like section headers are
+# plain symbol text to the manifest; only "\n" ends a line.
+_SYMBOLS = st.lists(st.one_of(st.text(max_size=5),
+                              st.sampled_from(["\n", "\r", "\x85", "\u2028", "a\nb", "x\r\n",
+                                               "[blob]", "[tensors 0]", "[vocab.char 3]",
+                                               "- note"])),
+                    min_size=1, max_size=6, unique=True)
+
+
+@pytest.fixture(scope="module")
+def vocab_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("vocab")
+
+
+@given(key=st.sampled_from(checkpoint.VOCAB_KEYS), symbols=_SYMBOLS)
+@settings(max_examples=200, deadline=None)
+def test_vocabulary_symbols_load_back_or_are_refused(vocab_dir, key, symbols):
+    vocabs = dict(_small_checkpoint().vocabs)
+    if key == "label":
+        vocabs[key] = Vocabulary(tuple(symbols), reserved=False)
+    else:
+        vocabs[key] = Vocabulary(RESERVED + tuple(s for s in symbols if s not in RESERVED))
+    path = vocab_dir / "symbols.ckpt"
+    path.unlink(missing_ok=True)
+    try:
+        save_checkpoint(Checkpoint(params=_store(SMALL, vocabs), vocabs=vocabs, config=SMALL),
+                        path)
+    except CheckpointError:
+        assert not path.exists()
+        assert any("\n" in s for s in vocabs[key].symbols)
+        return
+    loaded = load_checkpoint(path)
+    assert {k: v.symbols for k, v in loaded.vocabs.items()} == \
+           {k: v.symbols for k, v in vocabs.items()}

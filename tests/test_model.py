@@ -242,19 +242,26 @@ def test_scorer_serves_sentences_in_any_order(tiny_config, toy_vocabs, toy_trees
 
 def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vocabs,
                                                              toy_trees):
+    # Along the gold tops, the decoding step's hidden state and arc scores
+    # are those of the training loss's LSTM and arc scorer.
     parser = Parser.build(tiny_config, toy_vocabs)
     store = parser.store
     for tree in toy_trees[:10]:
         plan = dec.gold_plan(tree)
         states = encode_batch([tree], toy_vocabs, store, tiny_config)
         tops = ad.pick(states, (np.array([0]), plan.tops[:, None]))
-        want = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"],
-                                store["decoder.lstm.W_hh"], store["decoder.lstm.b"]).data[:, 0]
+        hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"],
+                                  store["decoder.lstm.W_hh"], store["decoder.lstm.b"])
+        arcs = model._arc_scores(store, model._mlp(store, "biaffine.arc.dec",
+                                                   ad.transpose(hidden, (1, 0, 2))),
+                                 model._mlp(store, "biaffine.arc.enc", states)).data[0]
         scorer = LockstepScorer(parser, [tree])
         state = dec.initial_state(len(tree))
         for k, target in enumerate(plan.targets):
-            scorer.arc_scores(np.array([0]), [state])
-            assert np.abs(scorer.hidden[0] - want[k]).max() <= 1e-12
+            scores = scorer.arc_scores(np.array([0]), [state])
+            assert np.abs(scorer.hidden[0] - hidden.data[k, 0]).max() <= 1e-12
+            assert scores.shape == (1, len(tree) + 1)
+            assert np.abs(scores[0] - arcs[k]).max() <= 1e-12
             state = dec.step(state, int(target))
 
 

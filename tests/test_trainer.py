@@ -46,7 +46,8 @@ class TestComputeLoss:
 
     def test_loss_nonnegative(self, tiny_config, toy_vocabs, toy_trees):
         parser = Parser.build(tiny_config, toy_vocabs)
-        assert compute_loss(parser, toy_trees[:8]).data >= 0.0
+        for batch in make_batches(toy_trees, 8, Rng(2).split("b")):
+            assert compute_loss(parser, batch).data >= 0.0
 
     def test_nan_decoder_weight_is_a_numeric_error(self, tiny_config, toy_vocabs,
                                                    toy_trees):
@@ -54,8 +55,24 @@ class TestComputeLoss:
         # the per-step softmax checked each vector.
         parser = Parser.build(tiny_config, toy_vocabs)
         parser.store["decoder.lstm.W_ih"].data[0, 0] = np.nan
+        batch = max(make_batches(toy_trees, 8, Rng(2).split("b")), key=len)
+        assert len(batch) > 1
         with pytest.raises(ValueError, match="finite or -inf"):
-            compute_loss(parser, toy_trees[:2], training=True, rng=Rng(1))
+            compute_loss(parser, batch, training=True, rng=Rng(1))
+
+    def test_mixed_lengths_rejected_naming_them(self, tiny_config, toy_vocabs, toy_trees):
+        # make_batches yields batches of one length; any other batch is the
+        # encoder's error.
+        parser = Parser.build(tiny_config, toy_vocabs)
+        by_length = sorted(toy_trees, key=len)
+        short, long = by_length[0], by_length[-1]
+        with pytest.raises(ValueError, match=rf"one length, got \[{len(short)}, {len(long)}\]"):
+            compute_loss(parser, [long, short])
+
+    def test_training_without_rng_rejected(self, tiny_config, toy_vocabs, toy_trees):
+        parser = Parser.build(tiny_config, toy_vocabs)
+        with pytest.raises(ValueError, match="training needs one Rng per tree"):
+            compute_loss(parser, [toy_trees[0]], training=True)
 
     def test_empty_batch_rejected(self, tiny_config, toy_vocabs):
         parser = Parser.build(tiny_config, toy_vocabs)
