@@ -38,7 +38,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "grad_check",
-    "softmax",
     "log_softmax",
     "softmax_rows",
     "matmul",
@@ -310,20 +309,6 @@ def _check_softmax_input(values: np.ndarray) -> None:
     finite_or_masked = np.isfinite(values) | np.isneginf(values)
     if not finite_or_masked.all():
         raise ValueError("softmax scores must be finite or -inf")
-
-
-def softmax(scores: Tensor) -> Tensor:
-    """Overflow-safe softmax of a score vector; -inf entries map to exact 0."""
-    v = scores.data
-    _check_softmax_input(v)
-    shifted = v - v.max()
-    exps = np.exp(shifted)
-    probs = exps / exps.sum()
-
-    def backward(g: np.ndarray) -> None:
-        _accum(scores, probs * (g - np.dot(g, probs)))
-
-    return _node(probs, (scores,), backward)
 
 
 def log_softmax(scores: Tensor) -> Tensor:

@@ -74,6 +74,14 @@ def _check_finite(name: str, stored: np.ndarray) -> None:
         raise CheckpointError(f"tensor {name!r} holds NaN or infinite values")
 
 
+def _check_utf8(what: str, text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise CheckpointError(f"{what} holds a lone surrogate, "
+                              "which UTF-8 cannot encode") from None
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     """Write ``ckpt``, or raise, writing nothing, where loading would."""
     _check_tensor_set({name: t.data.shape for name, t in ckpt.params.items()},
@@ -86,6 +94,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     lines.append(f"rng_seed={ckpt.params.rng_seed}")
     lines.append(f"[provenance {len(ckpt.provenance)}]")
     for note in ckpt.provenance:
+        _check_utf8(f"provenance note {note!r}", note)
         lines.append("- " + note.replace("\n", " "))
     for key in VOCAB_KEYS:
         vocab = ckpt.vocabs[key]
@@ -93,6 +102,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             if "\n" in symbol:
                 raise CheckpointError(f"[vocab.{key}] symbol {symbol!r} holds a newline, "
                                       "which would end its manifest line")
+            _check_utf8(f"[vocab.{key}] symbol {symbol!r}", symbol)
         lines.append(f"[vocab.{key} {len(vocab)}]")
         lines.extend(vocab.symbols)
     blobs: list[bytes] = []

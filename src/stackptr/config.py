@@ -158,10 +158,6 @@ class TrainConfig:
                 raise ConfigError(f"{key}={text!r}: {exc}") from None
         return cls(**kwargs)
 
-    def to_file(self, path: str | Path) -> None:
-        lines = [f"{k}={v}" for k, v in self.to_flat().items()]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
         try:

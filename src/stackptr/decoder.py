@@ -1,6 +1,6 @@
 """Top-down pointer decoder: transition system, legality, biaffine scoring.
 
-The machine starts with ROOT alone on an internal stack. At every step it
+The machine starts with ROOT alone on its stack. At every step it
 "points" from the stack top t to a position p:
 
 * p == t  pops t (its subtree is finished);
@@ -10,22 +10,25 @@ A run over an n-token sentence always takes exactly 2n+1 steps: each real
 token is pushed once (n arc steps) and every position including ROOT is
 popped once (n+1 self-points). The stack emptying is the terminal state.
 
+A token is pushed exactly when it is attached to the top, so the stack is
+always the head chain from the top: popping t makes ``heads[t]`` the new
+top, and popping ROOT leaves -1, its head. A machine is therefore fully
+described by its head vector and its top, and a batch of machines by a
+(B, N+1) heads matrix and a (B,) vector of tops; no stack is kept.
+:func:`step` makes one machine's move on its head row in O(1).
+
 Legality has two flavors. In ``decode`` mode the self-point on ROOT is
 forbidden while tokens remain unattached, since popping ROOT then would
 strand them. In ``likelihood`` mode the self-point is always part of the
 normalizer — training scores the pop option even where the executor would
 refuse it — so probabilities over legal actions stay comparable across
 steps. The two masks are identical everywhere else. Neither limits the
-number of tokens attached to ROOT.
-
-One rule computes legality for a batch of machines, from a (B, N+1) heads
-matrix and a (B,) vector of stack tops (:func:`legal_masks`); one machine's
-mask (:func:`legal_mask`) is its batch-of-one case, and :func:`step` checks
-a single target with the same rule in O(1).
+number of tokens attached to ROOT. One rule computes legality for a batch
+of machines from their heads and tops (:func:`legal_masks`).
 
 Under teacher forcing the gold path fixes every step's stack top, legality
-mask and target in advance (:func:`gold_plan`): the tops come from an
-integer stack, and the 2n+1 masks from one :func:`legal_masks` call over
+mask and target in advance (:func:`gold_plan`): the tops follow the tree's
+head chain, and the 2n+1 masks come from one :func:`legal_masks` call over
 the heads at every step. The plans of a batch of same-length trees stack
 into one (:func:`stack_plans`), since every length-n path has 2n+1 steps,
 so the training objective of the whole batch is one computation over score
@@ -35,13 +38,14 @@ greedy decoding scores its one step per sentence as T = 1.
 
 Greedy search (:func:`decode_greedy`) runs a batch of sentences of any
 lengths in lockstep: each step asks one batched scorer for the scores of
-every unfinished sentence and computes all their masks with one
-:func:`legal_masks` call; the heads and label ids of all the machines are
-two (B, N+1) matrices, and the parses are read off them. Each move then
-still goes through :func:`step`, once per sentence per step: the scorers
-read the per-sentence :class:`DecoderState` it returns, and a parse makes
-exactly 2n+1 ``step`` calls per sentence, the count ``benchmark/run.py``
-checks in its traced runs.
+every unfinished sentence, given their tops, and computes all their masks
+with one :func:`legal_masks` call; the heads and label ids of all the
+machines are two (B, N+1) matrices, and the parses are read off them. The
+moves still go through :func:`step`, once per sentence per step, where
+two array assignments over the batch would do: the traced runs of
+``benchmark/run.py`` check that a parse makes exactly 2n+1 ``step`` calls
+per sentence, and the loop stays until that count comes from a counter in
+the package (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -54,34 +58,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .treebank import DependencyTree
-
-@dataclass(frozen=True)
-class DecoderState:
-    """Immutable snapshot of the pointer machine.
-
-    ``heads[i] == -1`` means unattached; position 0 (ROOT) keeps -1 forever.
-    """
-
-    n: int
-    stack: tuple[int, ...]
-    heads: tuple[int, ...]
-    step_count: int
-
-    @property
-    def top(self) -> int:
-        if not self.stack:
-            raise ValueError("empty stack has no top")
-        return self.stack[-1]
-
-    def is_terminal(self) -> bool:
-        return not self.stack
-
-
-def initial_state(n: int) -> DecoderState:
-    if n < 1:
-        raise ValueError(f"sentence length must be >= 1, got {n}")
-    return DecoderState(n=n, stack=(0,), heads=(-1,) * (n + 1), step_count=0)
-
 
 def legal_masks(heads: np.ndarray, tops: np.ndarray, mode: str = "decode") -> np.ndarray:
     """Boolean (B, N+1) masks over pointer targets for B machines at once.
@@ -102,42 +78,18 @@ def legal_masks(heads: np.ndarray, tops: np.ndarray, mode: str = "decode") -> np
     return mask
 
 
-def legal_mask(state: DecoderState, mode: str = "decode") -> np.ndarray:
-    """Boolean mask over pointer targets 0..n for the current stack top: the
-    batch-of-one case of :func:`legal_masks`."""
-    if state.is_terminal():
-        raise ValueError("no legal actions in a terminal state")
-    return legal_masks(np.array([state.heads]), np.array([state.top]), mode)[0]
+def step(heads: np.ndarray, top: int, target: int) -> int:
+    """Move one machine, given its head row and stack top; return the new top.
 
-
-def step(state: DecoderState, target: int) -> DecoderState:
-    """Apply one pointer action under decode-mode legality.
-
-    The legality test is the decode rule of :func:`legal_masks` for the one
-    target, in O(1): a stack top t != 0 may pop or attach any unattached
-    token; ROOT may pop only once every token is attached, which on a
-    reachable state is exactly when it has made 2n moves (each attach is
-    paired with the pop of the attached token).
+    An attach (``target != top``) writes ``heads[target] = top`` and makes
+    ``target`` the top. A pop returns ``heads[top]``, the position below the
+    top on the stack: -1 once ROOT pops, which ends the run. The move is not
+    checked: callers pick it from :func:`legal_masks`.
     """
-    if state.is_terminal():
-        raise ValueError("no legal actions in a terminal state")
-    t = state.top
-    if target == t:
-        legal = t != 0 or state.step_count == 2 * state.n
-    else:
-        legal = 0 < target <= state.n and state.heads[target] == -1
-    if not legal:
-        raise ValueError(
-            f"illegal pointer target {target} at step {state.step_count} "
-            f"(stack top {state.top})"
-        )
-    if target == t:
-        return DecoderState(n=state.n, stack=state.stack[:-1], heads=state.heads,
-                            step_count=state.step_count + 1)
-    heads = list(state.heads)
-    heads[target] = t
-    return DecoderState(n=state.n, stack=state.stack + (target,),
-                        heads=tuple(heads), step_count=state.step_count + 1)
+    if target == top:
+        return int(heads[top])
+    heads[target] = top
+    return target
 
 
 def _child_key(order: str, head: int):
@@ -195,20 +147,18 @@ def gold_plan(tree: DependencyTree, child_order: str = "inside_out") -> GoldPlan
     """The canonical gold path with the stack top and likelihood legality of
     every step.
 
-    The tops come from replaying the path on an integer stack. Token p is
-    unattached up to and including the step that attaches it, so the heads
-    of all 2n+1 steps are one (2n+1, n+1) expression, and their masks one
-    :func:`legal_masks` call.
+    The tops come from following the path along the tree's head chain: a
+    pop makes the popped token's head the top. Token p is unattached up to
+    and including the step that attaches it, so the heads of all 2n+1 steps
+    are one (2n+1, n+1) expression, and their masks one :func:`legal_masks`
+    call.
     """
     targets = gold_path(tree, child_order=child_order)
-    stack, tops = [0], []
+    top, tops = 0, []
     for target in targets:
-        tops.append(stack[-1])
-        if target == stack[-1]:
-            stack.pop()
-        else:
-            stack.append(target)
-    assert not stack
+        tops.append(top)
+        top = tree.heads[top] if target == top else target
+    assert top == -1
     tops_arr = np.array(tops, dtype=np.intp)
     targets_arr = np.array(targets, dtype=np.intp)
     arc_steps = np.flatnonzero(targets_arr != tops_arr)
@@ -224,16 +174,6 @@ def stack_plans(plans: Sequence[GoldPlan]) -> GoldPlan:
     return GoldPlan(tops=np.stack([p.tops for p in plans]),
                     targets=np.stack([p.targets for p in plans]),
                     legal=np.stack([p.legal for p in plans]))
-
-
-def replay(n: int, targets: Sequence[int]) -> DecoderState:
-    """Run a full action sequence from the initial state; must end terminal."""
-    state = initial_state(n)
-    for target in targets:
-        state = step(state, target)
-    if not state.is_terminal():
-        raise ValueError(f"action sequence left {len(state.stack)} items on the stack")
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +273,8 @@ def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor
     )
 
 
-ArcScorer = Callable[[np.ndarray, list[DecoderState]], np.ndarray]
-LabelScorer = Callable[[np.ndarray, list[DecoderState], np.ndarray], np.ndarray]
+ArcScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+LabelScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
@@ -342,44 +282,39 @@ def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
     """Greedy argmax decoding of a batch of sentences, in lockstep.
 
     Returns (heads, label id per real token) for each of ``lengths``, in
-    order. Each step makes one ``arc_scorer(rows, states)`` call for the
-    unfinished sentences, given their batch indices (ascending) and machine
-    states; it returns their raw scores over positions 0..N, an array
+    order. Each step makes one ``arc_scorer(rows, tops)`` call for the
+    unfinished sentences, given their batch indices (ascending) and stack
+    tops; it returns their raw scores over positions 0..N, an array
     (len(rows), N+1) with N = max(lengths), whose entries past a sentence's
-    own n are never chosen. Then one ``label_scorer(rows, states, children)``
-    call for the sentences whose move attaches a token returns their (k,
-    labels) label scores from the same step's decoder output.
+    own n are never chosen. Then one ``label_scorer(rows, children)`` call
+    for the sentences whose move attaches a token returns their (k, labels)
+    label scores from the same step's decoder output.
 
     Ties break toward the lowest position index. The transition system
     guarantees that a sentence of n tokens ends in exactly 2n+1 steps.
     """
-    states = [initial_state(n) for n in lengths]
-    # The heads and label ids of every machine as two matrices beside the
-    # states, the heads past a sentence's own n filled with 0 so that they
-    # are never legal.
+    # The heads past a sentence's own n are filled with 0 so that they are
+    # never legal.
     sizes = np.array(lengths)
     heads = np.where(np.arange(sizes.max() + 1) <= sizes[:, None], -1, 0)
     label_ids = np.full_like(heads, -1)
-    rows = np.arange(len(states))
+    tops = np.zeros(len(lengths), dtype=np.intp)
+    rows = np.arange(len(lengths))
     while len(rows):
-        active = [states[b] for b in rows]
-        tops = np.array([state.top for state in active])
+        active = tops[rows]
         raw = arc_scorer(rows, active)
-        legal = legal_masks(heads[rows], tops, mode="decode")
+        legal = legal_masks(heads[rows], active, mode="decode")
         if not np.isfinite(raw[legal]).all():
             raise ValueError("non-finite arc scores during decoding")
         targets = np.where(legal, raw, -np.inf).argmax(axis=1)
-        attach = np.flatnonzero(targets != tops)
+        attach = np.flatnonzero(targets != active)
         if len(attach):
-            attached = (rows[attach], targets[attach])
-            label_ids[attached] = label_scorer(rows[attach], [active[r] for r in attach],
-                                               targets[attach]).argmax(axis=1)
-            heads[attached] = tops[attach]
+            label_ids[rows[attach], targets[attach]] = label_scorer(
+                rows[attach], targets[attach]).argmax(axis=1)
         # One `step` per sentence per move (see the module docstring).
-        for b, state, target in zip(rows, active, targets.tolist()):
-            states[b] = step(state, target)
-        rows = rows[(targets != 0) | (tops != 0)]      # popping ROOT ends a run
-    for n, state in zip(lengths, states):
-        assert state.step_count == 2 * n + 1
+        for b, top, target in zip(rows.tolist(), active.tolist(), targets.tolist()):
+            tops[b] = step(heads[b], top, target)
+        rows = rows[tops[rows] != -1]                    # popping ROOT ends a run
+    assert (heads[:, 1:] != -1).all(), "a run ended with a token unattached"
     return [(heads[b, :n + 1].tolist(), label_ids[b, 1:n + 1].tolist())
             for b, n in enumerate(lengths)]

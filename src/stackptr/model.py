@@ -13,7 +13,10 @@ steps of all trees are single batched products: no padding, no masks.
 `parse_corpus` runs greedy decoding over bare sentences, a chunk of them
 in lockstep, through one batched :class:`LockstepScorer`, which encodes
 each run of equal lengths in its chunk with the same `encode_batch`; it
-reads parameters as constants, so parsing records no tape. Both paths
+reads parameters as constants, so parsing records no tape. The pointer
+machines themselves (a heads matrix and a vector of stack tops) live in
+`decoder.decode_greedy`; the scorer sees only the unfinished sentences'
+rows and their tops, and for labels the attached children. Both paths
 advance the decoder LSTM with the same gate arithmetic
 (`autodiff.lstm_gates`) and score arcs with the same biaffine
 (`_arc_scores`).
@@ -165,10 +168,6 @@ class Parser:
         n = plan.tops.shape[1] // 2
         return ad.scale(ad.scale(ad.neg(ll), 1.0 / n), 1.0 / len(trees))
 
-    def parse(self, sent: Sentence | DependencyTree) -> DependencyTree:
-        """Greedy-decode one sentence into a predicted tree."""
-        return self.parse_corpus([sent])[0]
-
     def parse_corpus(self, sents: Sequence[Sentence | DependencyTree]
                      ) -> list[DependencyTree]:
         """Greedy-decode sentences into predicted trees, in input order.
@@ -227,20 +226,19 @@ class LockstepScorer:
         self.hidden = np.zeros((len(states), cfg.decoder_dim))
         self.cell = np.zeros_like(self.hidden)
 
-    def arc_scores(self, rows: np.ndarray, states: list[dec.DecoderState]) -> np.ndarray:
+    def arc_scores(self, rows: np.ndarray, tops: np.ndarray) -> np.ndarray:
         """Advance the given sentences' decoders by one step, fed the encoder
         states of their stack tops; return their raw (rows, N+1) arc scores."""
         store = self.store
         sel = _leading(rows)
-        z = (self.x_proj[self.starts[rows] + [state.top for state in states]]
+        z = (self.x_proj[self.starts[rows] + tops]
              + self.hidden[sel] @ store["decoder.lstm.W_hh"].data.T)
         _, self.cell[sel], _, self.hidden[sel] = ad.lstm_gates(z, self.cell[sel])
         # The training scorer, with each sentence's decoder row as a path of one step.
         arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[sel][:, None]))
         return _arc_scores(store, arc_dec, Tensor(self.arc_enc[sel])).data[:, 0]
 
-    def label_scores(self, rows: np.ndarray, states: list[dec.DecoderState],
-                     children: np.ndarray) -> np.ndarray:
+    def label_scores(self, rows: np.ndarray, children: np.ndarray) -> np.ndarray:
         """(k, labels) scores of attaching ``children`` in the given
         sentences, from the decoder output of the current step."""
         label_dec = _mlp(self.store, "biaffine.label.dec", Tensor(self.hidden[rows]))

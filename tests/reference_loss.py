@@ -19,9 +19,19 @@ forms, ``bilinear_pair``, ``lstm_cell``, ``im2col_rows``,
 ``max_over_rows``, single-stream ``dropout``) are defined here: the
 package itself has no per-step, per-word or per-sentence path, and its
 ops take batches of rows only.
+
+It also holds the oracle of the transition system: a frozen
+:class:`DecoderState` with an explicit stack, :func:`checked_step`, which
+refuses an illegal move and copies the state, one machine's
+:func:`legal_mask` and :func:`replay`. The package keeps each machine as
+a head row and a stack top only, and moves it unchecked
+(``decoder.step``); the tests check both against this.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +41,82 @@ from stackptr import encoder as enc
 from stackptr.autodiff import Rng, Tensor
 from stackptr.model import Parser
 from stackptr.treebank import ROOT_FORM, ROOT_ID
+
+
+@dataclass(frozen=True)
+class DecoderState:
+    """Immutable snapshot of the pointer machine with an explicit stack.
+
+    ``heads[i] == -1`` means unattached; position 0 (ROOT) keeps -1 forever.
+    """
+
+    n: int
+    stack: tuple[int, ...]
+    heads: tuple[int, ...]
+    step_count: int
+
+    @property
+    def top(self) -> int:
+        if not self.stack:
+            raise ValueError("empty stack has no top")
+        return self.stack[-1]
+
+    def is_terminal(self) -> bool:
+        return not self.stack
+
+
+def initial_state(n: int) -> DecoderState:
+    if n < 1:
+        raise ValueError(f"sentence length must be >= 1, got {n}")
+    return DecoderState(n=n, stack=(0,), heads=(-1,) * (n + 1), step_count=0)
+
+
+def legal_mask(state: DecoderState, mode: str = "decode") -> np.ndarray:
+    """Boolean mask over pointer targets 0..n for the current stack top: the
+    batch-of-one case of ``decoder.legal_masks``."""
+    if state.is_terminal():
+        raise ValueError("no legal actions in a terminal state")
+    return dec.legal_masks(np.array([state.heads]), np.array([state.top]), mode)[0]
+
+
+def checked_step(state: DecoderState, target: int) -> DecoderState:
+    """Apply one pointer action under decode-mode legality, or raise.
+
+    The legality test is the decode rule of ``decoder.legal_masks`` for the
+    one target, in O(1): a stack top t != 0 may pop or attach any unattached
+    token; ROOT may pop only once every token is attached, which on a
+    reachable state is exactly when it has made 2n moves (each attach is
+    paired with the pop of the attached token).
+    """
+    if state.is_terminal():
+        raise ValueError("no legal actions in a terminal state")
+    t = state.top
+    if target == t:
+        legal = t != 0 or state.step_count == 2 * state.n
+    else:
+        legal = 0 < target <= state.n and state.heads[target] == -1
+    if not legal:
+        raise ValueError(
+            f"illegal pointer target {target} at step {state.step_count} "
+            f"(stack top {state.top})"
+        )
+    if target == t:
+        return DecoderState(n=state.n, stack=state.stack[:-1], heads=state.heads,
+                            step_count=state.step_count + 1)
+    heads = list(state.heads)
+    heads[target] = t
+    return DecoderState(n=state.n, stack=state.stack + (target,),
+                        heads=tuple(heads), step_count=state.step_count + 1)
+
+
+def replay(n: int, targets: Sequence[int]) -> DecoderState:
+    """Run a full action sequence from the initial state; must end terminal."""
+    state = initial_state(n)
+    for target in targets:
+        state = checked_step(state, target)
+    if not state.is_terminal():
+        raise ValueError(f"action sequence left {len(state.stack)} items on the stack")
+    return state
 
 
 def row(m, i):
@@ -259,9 +345,9 @@ def scorers(parser: Parser, encoder_states, training, rng):
         hid_mask = Tensor((mask >= cfg.p_rnn) / (1.0 - cfg.p_rnn))
     state_box = {}
 
-    def score_fn(state):
+    def score_fn(top):
         nonlocal hidden, cell
-        top_vec = row(encoder_states, state.top)
+        top_vec = row(encoder_states, top)
         h_in = ad.mul(hidden, hid_mask) if hid_mask is not None else hidden
         hidden, cell = lstm_cell(top_vec, h_in, cell,
                                  store["decoder.lstm.W_ih"],
@@ -273,7 +359,7 @@ def scorers(parser: Parser, encoder_states, training, rng):
                               store["biaffine.arc.w_dec"], store["biaffine.arc.w_enc"],
                               store["biaffine.arc.b"])
 
-    def label_score_fn(state, child):
+    def label_score_fn(child):
         d = state_box["label_dec"]
         e = row(label_enc, child)
         bilin = bilinear_pair(d, store["biaffine.label.U"], e)
@@ -286,18 +372,18 @@ def scorers(parser: Parser, encoder_states, training, rng):
 
 def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
                         child_order="inside_out"):
-    state = dec.initial_state(len(tree))
+    state = initial_state(len(tree))
     total = None
     for target in dec.gold_path(tree, child_order=child_order):
-        mask = dec.legal_mask(state, mode="likelihood")
-        scores = ad.mask_fill(score_fn(state), mask)
+        mask = legal_mask(state, mode="likelihood")
+        scores = ad.mask_fill(score_fn(state.top), mask)
         term = ad.pick(ad.log_softmax(scores), target)
         if target != state.top:
-            label_scores = label_score_fn(state, target)
+            label_scores = label_score_fn(target)
             term = ad.add(term, ad.pick(ad.log_softmax(label_scores),
                                         label_ids[target - 1]))
         total = term if total is None else ad.add(total, term)
-        state = dec.step(state, target)
+        state = checked_step(state, target)
     assert state.is_terminal()
     return total
 
@@ -316,26 +402,25 @@ def sentence_loss(parser: Parser, tree, training: bool = False,
 
 
 def lockstep_scorers(score_fns, label_score_fns, width):
-    """The batched scorers of ``decode_greedy`` from per-sentence, per-state
-    closures: ``score_fns[b](state)`` gives sentence b's (n+1,) arc scores,
-    padded here to ``width``; ``label_score_fns[b](state, child)`` its
-    label scores."""
-    def arc_scorer(rows, states):
+    """The batched scorers of ``decode_greedy`` from per-sentence closures:
+    ``score_fns[b](top)`` gives sentence b's (n+1,) arc scores, padded here
+    to ``width``; ``label_score_fns[b](child)`` its label scores."""
+    def arc_scorer(rows, tops):
         out = np.zeros((len(rows), width))
-        for k, (b, state) in enumerate(zip(rows, states)):
-            scores = score_fns[b](state).data
+        for k, (b, top) in enumerate(zip(rows, tops)):
+            scores = score_fns[b](int(top)).data
             out[k, :len(scores)] = scores
         return out
 
-    def label_scorer(rows, states, children):
-        return np.stack([label_score_fns[b](state, int(child)).data
-                         for b, state, child in zip(rows, states, children)])
+    def label_scorer(rows, children):
+        return np.stack([label_score_fns[b](int(child)).data
+                         for b, child in zip(rows, children)])
 
     return arc_scorer, label_scorer
 
 
 def decode_one(n, score_fn, label_score_fn):
-    """Greedy-decode one sentence, as a batch of one, with per-state scorers."""
+    """Greedy-decode one sentence, as a batch of one, with per-top scorers."""
     arc_scorer, label_scorer = lockstep_scorers([score_fn], [label_score_fn], n + 1)
     return dec.decode_greedy([n], arc_scorer, label_scorer)[0]
 

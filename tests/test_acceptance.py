@@ -16,7 +16,7 @@ from stackptr import encoder as enc
 from stackptr.autodiff import Rng, Tensor, grad_check
 from stackptr.checkpoint import save_checkpoint
 from stackptr.config import TrainConfig
-from stackptr.decoder import gold_path, initial_state, legal_mask, replay, step
+from stackptr.decoder import gold_path, gold_plan
 from stackptr.metrics import average_domains
 from stackptr.model import LockstepScorer, Parser
 from stackptr.trainer import evaluate, train
@@ -30,7 +30,7 @@ from stackptr.treebank import (
     write_conll,
 )
 
-from reference_loss import decode_one
+from reference_loss import decode_one, replay
 from synthetic import SOURCE_POOLS, TARGET_POOLS, corpus, vocabulary_overlap
 
 
@@ -86,12 +86,12 @@ def test_3_transition_oracle_exhaustive(capsys):
 
             arc_iter = iter(path)
 
-            def scorer(state):
-                scores = np.zeros(state.n + 1)
+            def scorer(top, n=n):
+                scores = np.zeros(n + 1)
                 scores[next(arc_iter)] = 1.0
                 return Tensor(scores)
 
-            def labeler(state, child):
+            def labeler(child):
                 scores = np.zeros(3)
                 scores[(child - 1) % 3] = 1.0
                 return Tensor(scores)
@@ -127,17 +127,15 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
             worst_row = max(worst_row, float(abs(p.data.sum(axis=-1) - 1.0).max()))
         scorer = LockstepScorer(parser, [tree])
         batch = np.array([0])
-        state = initial_state(len(tree))
-        for target in gold_path(tree):
-            mask = legal_mask(state, mode="likelihood")
-            scores = Tensor(scorer.arc_scores(batch, [state])[0])
-            pointer = ad.softmax(ad.mask_fill(scores, mask)).data
+        plan = gold_plan(tree)
+        for top, target, mask in zip(plan.tops, plan.targets, plan.legal):
+            scores = Tensor(scorer.arc_scores(batch, np.array([top]))[0])
+            pointer = ad.softmax_rows(ad.mask_fill(scores, mask)).data
             worst_row = max(worst_row, abs(float(pointer.sum()) - 1.0))
-            if target != state.top:
-                label_scores = scorer.label_scores(batch, [state], np.array([target]))
-                label = ad.softmax(Tensor(label_scores[0])).data
+            if target != top:
+                label_scores = scorer.label_scores(batch, np.array([target]))
+                label = ad.softmax_rows(Tensor(label_scores[0])).data
                 worst_row = max(worst_row, abs(float(label.sum()) - 1.0))
-            state = step(state, target)
 
     # Permutation covariance of the attention block itself.
     rng = Rng(7).split("perm")

@@ -28,40 +28,40 @@ SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
 
 class TestSoftmax:
     def test_uniform_on_equal_scores(self):
-        out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
+        out = ad.softmax_rows(Tensor([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-12)
 
     def test_frozen_values(self):
-        out = ad.softmax(Tensor([1.0, 2.0, 3.0]))
+        out = ad.softmax_rows(Tensor([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out.data, SOFTMAX_123, atol=1e-7)
 
     def test_no_overflow_on_huge_scores(self):
-        out = ad.softmax(Tensor([1000.0, 0.0]))
+        out = ad.softmax_rows(Tensor([1000.0, 0.0]))
         np.testing.assert_allclose(out.data, [1.0, 0.0], atol=1e-9)
 
     def test_masked_entries_exactly_zero(self):
-        out = ad.softmax(Tensor([1.0, -np.inf, 2.0]))
+        out = ad.softmax_rows(Tensor([1.0, -np.inf, 2.0]))
         assert out.data[1] == 0.0
         assert abs(out.data.sum() - 1.0) < 1e-12
 
     def test_fully_masked_is_an_error(self):
         with pytest.raises(ValueError, match="fully masked"):
-            ad.softmax(Tensor([-np.inf, -np.inf]))
+            ad.log_softmax(Tensor([-np.inf, -np.inf]))
 
     def test_empty_is_an_error(self):
         with pytest.raises(ValueError):
-            ad.softmax(Tensor([]))
+            ad.log_softmax(Tensor([]))
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            ad.softmax(Tensor([0.0, np.nan]))
+            ad.log_softmax(Tensor([0.0, np.nan]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
            st.floats(-100, 100))
     @settings(max_examples=200, deadline=None)
     def test_shift_invariance(self, scores, c):
-        a = ad.softmax(Tensor(scores)).data
-        b = ad.softmax(Tensor([s + c for s in scores])).data
+        a = ad.softmax_rows(Tensor(scores)).data
+        b = ad.softmax_rows(Tensor([s + c for s in scores])).data
         np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_row_wise_log_softmax_checks_every_row(self):
@@ -82,7 +82,7 @@ class TestSoftmax:
     def test_log_softmax_consistency(self):
         v = Tensor([0.3, -1.2, 2.0, 0.0])
         np.testing.assert_allclose(np.exp(ad.log_softmax(v).data),
-                                   ad.softmax(v).data, atol=1e-12)
+                                   ad.softmax_rows(v).data, atol=1e-12)
 
 
 class TestAdam:
@@ -296,14 +296,12 @@ class TestOpGradients:
             lambda a: ad.sum_all(ad.add(ad.sigmoid(a),
                                         ad.add(ad.tanh(a), ad.elu(a)))), [(4, 3)])
 
-    def test_softmax(self):
-        _op_gradients(lambda a: ad.softmax(a), [(6,)])
-
     def test_log_softmax(self):
         _op_gradients(lambda a: ad.log_softmax(a), [(6,)])
 
     def test_softmax_rows(self):
-        _op_gradients(lambda a: ad.softmax_rows(a), [(4, 5)])
+        for shape in [(6,), (4, 5)]:
+            _op_gradients(lambda a: ad.softmax_rows(a), [shape])
 
     def test_softmax_rows_last_axis_of_a_stack(self):
         _op_gradients(lambda a: ad.softmax_rows(a), [(2, 3, 4)])
@@ -314,7 +312,7 @@ class TestOpGradients:
 
     def test_mask_fill(self):
         mask = np.array([True, False, True, True])
-        _op_gradients(lambda a: ad.softmax(ad.mask_fill(a, mask)), [(4,)])
+        _op_gradients(lambda a: ad.softmax_rows(ad.mask_fill(a, mask)), [(4,)])
 
     def test_im2col(self):
         _op_gradients(lambda a: reference_loss.im2col_rows(a, 3), [(5, 2)])

@@ -274,7 +274,11 @@ class TestTensorSet:
          "unexpected tensor 'encoder.extra'"),
         (lambda ckpt: ckpt.vocabs.update(word=Vocabulary(RESERVED + ("a\nb",))),
          r"\[vocab\.word\] symbol 'a\\nb' holds a newline"),
-    ], ids=["missing", "shape", "extra", "newline"])
+        (lambda ckpt: ckpt.vocabs.update(word=Vocabulary(RESERVED + ("\ud800",))),
+         r"\[vocab\.word\] symbol '\\ud800' holds a lone surrogate"),
+        (lambda ckpt: ckpt.provenance.append("x\ud800"),
+         r"provenance note 'x\\ud800' holds a lone surrogate"),
+    ], ids=["missing", "shape", "extra", "newline", "surrogate-symbol", "surrogate-note"])
     def test_save_refuses_what_load_refuses(self, small_ckpt, tmp_path, change, message):
         change(small_ckpt)
         path = tmp_path / "refused.ckpt"
@@ -336,12 +340,17 @@ def test_damaged_file_loads_or_raises_checkpoint_error(small_file, damage):
 
 
 # Line breaks other than "\n" and lines that look like section headers are
-# plain symbol text to the manifest; only "\n" ends a line.
-_SYMBOLS = st.lists(st.one_of(st.text(max_size=5),
+# plain symbol text to the manifest; only "\n" ends a line. Lone surrogates
+# (which UTF-8 cannot encode) are drawn too.
+_SYMBOLS = st.lists(st.one_of(st.text(st.characters(exclude_categories=()), max_size=5),
                               st.sampled_from(["\n", "\r", "\x85", "\u2028", "a\nb", "x\r\n",
                                                "[blob]", "[tensors 0]", "[vocab.char 3]",
-                                               "- note"])),
+                                               "- note", "\ud800", "a\udfffb"])),
                     min_size=1, max_size=6, unique=True)
+
+
+def _unsaveable(symbol: str) -> bool:
+    return "\n" in symbol or any("\ud800" <= c <= "\udfff" for c in symbol)
 
 
 @pytest.fixture(scope="module")
@@ -364,7 +373,7 @@ def test_vocabulary_symbols_load_back_or_are_refused(vocab_dir, key, symbols):
                         path)
     except CheckpointError:
         assert not path.exists()
-        assert any("\n" in s for s in vocabs[key].symbols)
+        assert any(_unsaveable(s) for s in vocabs[key].symbols)
         return
     loaded = load_checkpoint(path)
     assert {k: v.symbols for k, v in loaded.vocabs.items()} == \

@@ -123,7 +123,8 @@ class TestConfigFile:
     def test_file_round_trip(self, tmp_path):
         config = TrainConfig(d_w=32, seed=5)
         path = tmp_path / "parser.cfg"
-        config.to_file(path)
+        path.write_text("".join(f"{k}={v}\n" for k, v in config.to_flat().items()),
+                        encoding="utf-8")
         assert TrainConfig.from_file(path) == config
 
     def test_comments_and_blanks_ignored(self, tmp_path):

@@ -12,21 +12,24 @@ from hypothesis import strategies as st
 from stackptr import autodiff as ad
 from stackptr.autodiff import Rng, Tensor
 from stackptr.decoder import (
-    DecoderState,
     biaffine_score,
     decode_greedy,
     gold_path,
     gold_plan,
-    initial_state,
-    legal_mask,
     legal_masks,
     path_log_likelihood,
-    replay,
     step,
 )
 from stackptr.treebank import DependencyTree, Token, TreebankError, validate_tree
 
-from reference_loss import decode_one, lockstep_scorers
+from reference_loss import (
+    checked_step,
+    decode_one,
+    initial_state,
+    legal_mask,
+    lockstep_scorers,
+    replay,
+)
 
 
 def _tree(heads, labels=None):
@@ -47,9 +50,9 @@ def all_head_vectors(n):
 
 
 def step_allows(state, target):
-    """Whether ``step`` accepts ``target``: the scalar legality check."""
+    """Whether the oracle's ``checked_step`` accepts ``target``."""
     try:
-        step(state, target)
+        checked_step(state, target)
     except ValueError:
         return False
     return True
@@ -62,7 +65,7 @@ def reachable_states(n):
         state = frontier.pop()
         for target in range(n + 1):
             if step_allows(state, target):
-                child = step(state, target)
+                child = checked_step(state, target)
                 if not child.is_terminal() and child not in seen:
                     seen.add(child)
                     frontier.append(child)
@@ -79,50 +82,54 @@ def assert_plan_replays(tree, child_order):
         assert top == state.top
         want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
         assert legal.tolist() == want
-        state = step(state, int(target))
+        state = checked_step(state, int(target))
     assert state.is_terminal()
     assert int(plan.arc_steps.sum()) == n
 
 
 def zero_scorer(n):
-    return lambda state: Tensor(np.zeros(n + 1))
+    return lambda top: Tensor(np.zeros(n + 1))
 
 
 def zero_labeler(label_count):
-    return lambda state, child: Tensor(np.zeros(label_count))
+    return lambda child: Tensor(np.zeros(label_count))
 
 
 class TestStep:
     def test_n1_full_run(self):
         s = initial_state(1)
-        s = step(s, 1)      # ROOT -> token
-        s = step(s, 1)      # token self-points
+        s = checked_step(s, 1)      # ROOT -> token
+        s = checked_step(s, 1)      # token self-points
         assert s.heads == (-1, 0)
-        s = step(s, 0)      # ROOT self-points
+        s = checked_step(s, 0)      # ROOT self-points
         assert s.is_terminal()
         assert s.step_count == 3
+        # The same run on a head row: the top after each move, -1 at the end.
+        heads = np.array([-1, -1])
+        assert [step(heads, 0, 1), step(heads, 1, 1), step(heads, 0, 0)] == [1, 0, -1]
+        assert heads.tolist() == [-1, 0]
 
     def test_self_point_pops_without_new_arcs(self):
-        s = step(initial_state(2), 2)
+        s = checked_step(initial_state(2), 2)
         assert s.stack == (0, 2)
-        popped = step(s, 2)
+        popped = checked_step(s, 2)
         assert popped.stack == (0,)
         assert popped.heads == s.heads
 
     def test_pointing_to_attached_token_is_illegal(self):
-        s = step(initial_state(2), 1)   # arc 0 -> 1
-        s = step(s, 2)                  # arc 1 -> 2
-        s = step(s, 2)                  # pop 2
+        s = checked_step(initial_state(2), 1)   # arc 0 -> 1
+        s = checked_step(s, 2)                  # arc 1 -> 2
+        s = checked_step(s, 2)                  # pop 2
         with pytest.raises(ValueError, match="illegal"):
-            step(s, 2)                  # 2 already attached
+            checked_step(s, 2)                  # 2 already attached
 
     def test_root_cannot_pop_early(self):
         with pytest.raises(ValueError, match="illegal"):
-            step(initial_state(2), 0)
+            checked_step(initial_state(2), 0)
 
     def test_out_of_range_target(self):
         with pytest.raises(ValueError, match="illegal"):
-            step(initial_state(2), 3)
+            checked_step(initial_state(2), 3)
 
     def test_terminal_state_has_no_actions(self):
         s = replay(1, [1, 1, 0])
@@ -140,7 +147,7 @@ class TestLegalMask:
         np.testing.assert_array_equal(mask, [True, True, True, True])
 
     def test_on_stack_tokens_excluded(self):
-        s = step(initial_state(3), 2)
+        s = checked_step(initial_state(3), 2)
         mask = legal_mask(s)
         # top is 2: self-point legal, 1/3 unattached legal, ROOT illegal
         np.testing.assert_array_equal(mask, [False, True, True, True])
@@ -149,7 +156,7 @@ class TestLegalMask:
         # All attached, one root child, stack back at [0]: only the pop.
         s = initial_state(2)
         for target in (1, 2, 2, 1):
-            s = step(s, target)
+            s = checked_step(s, target)
         assert s.stack == (0,)
         mask = legal_mask(s)
         np.testing.assert_array_equal(mask, [True, False, False])
@@ -157,8 +164,8 @@ class TestLegalMask:
     def test_root_may_take_a_second_child(self):
         # Token 2 still unattached when ROOT resurfaces: pointing must stay
         # legal or the machine deadlocks.
-        s = step(initial_state(2), 1)
-        s = step(s, 1)
+        s = checked_step(initial_state(2), 1)
+        s = checked_step(s, 1)
         assert s.stack == (0,)
         mask = legal_mask(s, mode="decode")
         np.testing.assert_array_equal(mask, [False, False, True])
@@ -171,7 +178,7 @@ class TestLegalMask:
 class TestBatchedLegality:
     def test_equals_the_scalar_check_in_step_on_every_reachable_state(self):
         # All reachable states with n <= 5, padded to one (B, 6) batch: the
-        # decode rows are what `step` accepts, the likelihood rows add the
+        # decode rows are what `checked_step` accepts, the likelihood rows add the
         # self-point, and nothing past a state's own n is ever legal.
         states = [s for n in range(1, 6) for s in reachable_states(n)]
         heads = np.zeros((len(states), 6), dtype=int)
@@ -186,6 +193,11 @@ class TestBatchedLegality:
             want[state.top] = True
             assert likelihood[b].tolist() == want
             np.testing.assert_array_equal(legal_mask(state, "decode"), decode[b, :state.n + 1])
+            # The stack is the head chain from the top, down to ROOT.
+            chain = [state.top]
+            while chain[-1] != 0:
+                chain.append(state.heads[chain[-1]])
+            assert tuple(reversed(chain)) == state.stack
         assert len(states) == 12701
 
 
@@ -207,7 +219,7 @@ class TestGoldPath:
             gold_path(_tree([-1, 0]), "bfs")
 
     def test_gold_plan_replays_path(self):
-        # Against a replay through `step`, one state at a time: the likelihood
+        # Against the oracle's replay, one state at a time: the likelihood
         # mask is what `step` accepts plus the self-point.
         for child_order in ("inside_out", "left2right", "right2left"):
             for n in range(1, 6):
@@ -251,8 +263,8 @@ class TestExhaustiveOracle:
                 tree = _tree(heads)
                 path = iter(gold_path(tree))
 
-                def score_fn(state):
-                    scores = np.zeros(state.n + 1)
+                def score_fn(top, n=n):
+                    scores = np.zeros(n + 1)
                     scores[next(path)] = 1.0
                     return Tensor(scores)
 
@@ -265,19 +277,20 @@ class TestExhaustiveOracle:
         trees = [trees[int(k)] for k in order]          # lengths mixed
         paths = [iter(gold_path(tree)) for tree in trees]
 
-        def oracle(path):
-            def score_fn(state):
-                scores = np.zeros(state.n + 1)
+        def oracle(path, n):
+            def score_fn(top):
+                scores = np.zeros(n + 1)
                 scores[next(path)] = 1.0
                 return Tensor(scores)
             return score_fn
 
-        def labeler(state, child):
+        def labeler(child):
             scores = np.zeros(3)
             scores[(child - 1) % 3] = 1.0
             return Tensor(scores)
 
-        arcs, labels = lockstep_scorers([oracle(p) for p in paths], [labeler] * len(trees),
+        arcs, labels = lockstep_scorers([oracle(p, len(t)) for p, t in zip(paths, trees)],
+                                        [labeler] * len(trees),
                                         width=5)
         decoded = decode_greedy([len(t) for t in trees], arcs, labels)
         assert len(trees) == 145
@@ -295,13 +308,19 @@ class TestExhaustiveOracle:
 
 class TestRandomPlayouts:
     def test_thousand_playouts_terminate_well_formed(self):
+        # `step` on a head row and a top makes every move the oracle makes.
         rng = Rng(17).split("playouts")
         for trial in range(1000):
             n = 1 + trial % 6
             s = initial_state(n)
+            heads, top = np.full(n + 1, -1), 0
             while not s.is_terminal():
                 legal = np.flatnonzero(legal_mask(s, mode="decode"))
-                s = step(s, int(legal[rng.integers(0, len(legal))]))
+                target = int(legal[rng.integers(0, len(legal))])
+                s = checked_step(s, target)
+                top = step(heads, top, target)
+                assert heads.tolist() == list(s.heads)
+                assert top == (s.top if s.stack else -1)
             assert s.step_count == 2 * n + 1
             validate_tree(s.heads, allow_multiple_roots=True)
 
@@ -328,7 +347,7 @@ class TestBiaffineScore:
         score = _one_row(d, e, Tensor(np.zeros((3, 3))),
                          Tensor(np.zeros(3)), Tensor(np.zeros(3)),
                          Tensor(0.0), mask=np.array([True, True, False, True]))
-        probs = ad.softmax(score).data
+        probs = ad.softmax_rows(score).data
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 0.0, 1 / 3], atol=1e-12)
 
     def test_masked_position_probability_exactly_zero(self):
@@ -338,7 +357,7 @@ class TestBiaffineScore:
         score = _one_row(d, e, Tensor(rng.random((4, 4))),
                          Tensor(rng.random(4)), Tensor(rng.random(4)),
                          Tensor(0.3), mask=np.array([True, False, True, True, False]))
-        probs = ad.softmax(score).data
+        probs = ad.softmax_rows(score).data
         assert probs[1] == 0.0 and probs[4] == 0.0
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -412,7 +431,7 @@ class TestPathLogLikelihood:
                 assert child == target
                 le = np.exp(ls - ls.max())
                 prob *= (le / le.sum())[label_ids[target - 1]]
-            state = step(state, target)
+            state = checked_step(state, target)
         assert math.exp(ll.data) == pytest.approx(prob, abs=1e-10)
 
     def test_label_scorer_shape_enforced(self):
@@ -429,7 +448,7 @@ class TestGreedyDecoding:
         for offset in (0.0, 5.0, -3.25):
             calls = iter(base)
 
-            def scorer(state, off=offset):
+            def scorer(top, off=offset):
                 return Tensor(next(calls) + off)
 
             heads, labels = decode_one(3, scorer, zero_labeler(2))
@@ -439,7 +458,7 @@ class TestGreedyDecoding:
                 assert (heads, labels) == reference
 
     def test_labels_assigned_per_arc(self):
-        def labeler(state, child):
+        def labeler(child):
             scores = np.zeros(4)
             scores[child % 4] = 1.0
             return Tensor(scores)
@@ -452,13 +471,13 @@ class TestGreedyDecoding:
         rng = Rng(43).split("any")
         for trial in range(50):
             n = 1 + trial % 6
-            scorer = lambda state: Tensor(rng.random(n + 1) * 10 - 5)
+            scorer = lambda top: Tensor(rng.random(n + 1) * 10 - 5)
             heads, _ = decode_one(n, scorer, zero_labeler(3))
             validate_tree(heads, allow_multiple_roots=True)
 
     def test_nan_in_one_sentence_of_a_batch_raises(self):
         def scorer(scores):
-            return lambda state: Tensor(scores)
+            return lambda top: Tensor(scores)
 
         fns = [scorer(np.zeros(4)), scorer(np.array([0.0, np.nan, 0.0])), scorer(np.zeros(2))]
         arcs, labels = lockstep_scorers(fns, [zero_labeler(2)] * 3, width=4)
@@ -469,7 +488,7 @@ class TestGreedyDecoding:
         # A scorer trying to hang everything off ROOT: for n=2 it points
         # 0->1, pops 1 (preferred to pointing 1->2) and then attaches the
         # stranded 2 to ROOT as well.
-        def root_greedy(state):
+        def root_greedy(top):
             scores = np.zeros(3)
             scores[1] = 2.0
             scores[2] = 1.0
@@ -483,16 +502,19 @@ class TestGreedyDecoding:
        seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 3, 1000]))
 @settings(max_examples=60, deadline=None)
 def test_lockstep_batch_equals_one_sentence_at_a_time(lengths, seed, levels):
-    # Scores are a function of the sentence and its machine state; few
-    # levels make many ties, which both paths break toward the lowest index.
+    # Scores are a function of the sentence, its step count and its stack
+    # top; few levels make many ties, which both paths break toward the
+    # lowest index.
     def scorer(b, n):
-        def score_fn(state):
-            rng = Rng(seed).split(repr((b, state.stack, state.heads)))
+        calls = itertools.count()
+
+        def score_fn(top):
+            rng = Rng(seed).split(repr((b, next(calls), top)))
             return Tensor(np.floor(rng.random(n + 1) * levels))
         return score_fn
 
     def labeler(b):
-        def label_fn(state, child):
+        def label_fn(child):
             return Tensor(np.floor(Rng(seed).split(f"{b}:{child}").random(4) * levels))
         return label_fn
 

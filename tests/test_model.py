@@ -171,7 +171,7 @@ def test_multi_root_loss_is_finite_under_single_root(tiny_config):
 def test_greedy_parse_matches_reference(tiny_config, toy_vocabs, toy_trees):
     parser = Parser.build(tiny_config, toy_vocabs)
     for tree in toy_trees:
-        got = parser.parse(tree)
+        got = parser.parse_corpus([tree])[0]
         heads, label_ids = reference_loss.parse_heads_labels(parser, tree)
         assert list(got.heads) == heads
         assert list(got.labels) == [toy_vocabs["label"].symbol(i) for i in label_ids]
@@ -211,11 +211,18 @@ def test_parse_corpus_calls_step_once_per_sentence_per_step(tiny_config, monkeyp
     lengths = [1, 7, 3, 3, 12, 2, 5]
     sents = [_sentence(rng, n) for n in lengths]
     calls = []
+    lengths_by_row = {}
     real_step = dec.step
 
-    def counting_step(state, target):
-        calls.append(state.n)
-        return real_step(state, target)
+    def counting_step(heads, top, target):
+        # A row's first move comes before any attach on it, so its -1s are
+        # then ROOT and its n tokens. Holding the heads matrix keeps its rows'
+        # addresses from being reused by a later chunk's.
+        address = heads.__array_interface__["data"][0]
+        if address not in lengths_by_row:
+            lengths_by_row[address] = (int((heads == -1).sum()) - 1, heads.base)
+        calls.append(lengths_by_row[address][0])
+        return real_step(heads, top, target)
 
     monkeypatch.setattr(dec, "step", counting_step)
     parser = Parser.build(tiny_config, VOCABS)
@@ -256,13 +263,11 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
                                                    ad.transpose(hidden, (1, 0, 2))),
                                  model._mlp(store, "biaffine.arc.enc", states)).data[0]
         scorer = LockstepScorer(parser, [tree])
-        state = dec.initial_state(len(tree))
-        for k, target in enumerate(plan.targets):
-            scores = scorer.arc_scores(np.array([0]), [state])
+        for k in range(len(plan.tops)):
+            scores = scorer.arc_scores(np.array([0]), plan.tops[k:k + 1])
             assert np.abs(scorer.hidden[0] - hidden.data[k, 0]).max() <= 1e-12
             assert scores.shape == (1, len(tree) + 1)
             assert np.abs(scores[0] - arcs[k]).max() <= 1e-12
-            state = dec.step(state, int(target))
 
 
 def test_parsing_reads_parameters_as_constants(tiny_config, toy_vocabs, toy_trees):
