@@ -2,18 +2,18 @@
 
 Everything the parser trains with lives here: a float64 tensor type that
 records a tape of backward closures, the handful of operations the model is
-built from (matrix products of two matrices or of two equal-size stacks of
-them, axis permutation, elementwise ops, softmax over the last axis,
-concatenation, masked max-over-time pooling, a fused LSTM over a (T, B, d)
-batch of equal-length sequences whose gate arithmetic decoding shares,
-dropout with one random stream per batch row), a named parameter store
-with deterministic initialization, the Adam optimizer, and a
-finite-difference gradient checker.
+built from (products of a matrix or stack of rows with a weight matrix or
+of two equal-size stacks of matrices, axis permutation, elementwise ops,
+softmax over the last axis, concatenation, masked max-over-time pooling, a
+fused LSTM over a (T, B, d) batch of equal-length sequences whose gate
+arithmetic decoding shares, dropout with one random stream per batch row),
+a named parameter store with deterministic initialization, the Adam
+optimizer, and a finite-difference gradient checker.
 
 Ops take whole batches, so one training batch records one tape whose size
-does not depend on the batch size. Products with a weight matrix run on
-the batch flattened to (rows, d): numpy is much slower on a stacked
-(T, B, d) @ (d, k) product than on the same rows as one matrix.
+does not depend on the batch size. :func:`matmul` runs a stack times a
+weight matrix on the stack flattened to (rows, d), so callers pass their
+(B, T, d) stacks as they are.
 
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
@@ -47,7 +47,6 @@ __all__ = [
     "pick",
     "sum_all",
     "scale",
-    "sigmoid",
     "tanh",
     "elu",
     "max_over_windows",
@@ -137,9 +136,11 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    """Sum a broadcast gradient back down to ``shape``. The extra leading
+    axes are summed as one axis of rows, as for a product run flat."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.reshape((-1,) + g.shape[extra:]).sum(axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -159,13 +160,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -192,8 +186,24 @@ def _swap_last(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product (m, k) @ (k, n) -> (m, n), or the batched product of
-    two stacks (B, m, k) @ (B, k, n) -> (B, m, n)."""
+    """Product of ``a`` (..., k) with a matrix ``b`` (k, n) -> (..., n), or
+    the batched product of two stacks (B, m, k) @ (B, k, n) -> (B, m, n).
+
+    A stack times a matrix runs as one (rows, k) @ (k, n) product: numpy is
+    much slower on a stacked (T, B, k) @ (k, n) product than on the same
+    rows as one matrix.
+    """
+    if b.data.ndim == 2:
+        rows = a.data.reshape(-1, a.data.shape[-1])
+
+        def backward(g: np.ndarray) -> None:
+            g_rows = g.reshape(-1, g.shape[-1])
+            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape))
+            _accum(b, rows.T @ g_rows)
+
+        out_data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+        return _node(out_data, (a, b), backward)
+
     def backward(g: np.ndarray) -> None:
         _accum(a, g @ _swap_last(b.data))
         _accum(b, _swap_last(a.data) @ g)
@@ -206,10 +216,9 @@ def transpose(m: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     transpose of a matrix, or of every matrix in a stack)."""
     if axes is None:
         axes = tuple(range(m.data.ndim - 2)) + (m.data.ndim - 1, m.data.ndim - 2)
-    inverse = tuple(np.argsort(axes))
 
     def backward(g: np.ndarray) -> None:
-        _accum(m, g.transpose(inverse))
+        _accum(m, g.transpose(np.argsort(axes)))
 
     return _node(m.data.transpose(axes), (m,), backward)
 
@@ -264,15 +273,6 @@ def sum_all(t: Tensor) -> Tensor:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out_data = _sigmoid(t.data)
-
-    def backward(g: np.ndarray) -> None:
-        _accum(t, g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (t,), backward)
 
 
 def tanh(t: Tensor) -> Tensor:

@@ -189,15 +189,12 @@ def biaffine_score(decoder_rows: Tensor, encoder_mat: Tensor, weight: Tensor,
     ``decoder_rows`` is (T, d_dec) and ``encoder_mat`` (n+1, d_enc), or
     both are stacks of B sentences, (B, T, d_dec) and (B, n+1, d_enc);
     ``weight`` is (d_dec, d_enc). The output is the raw (T, n+1) matrix, or
-    (B, T, n+1). The weight products run on all decoder rows as one matrix.
+    (B, T, n+1).
     """
-    lead = decoder_rows.shape[:-1]
-    flat = ad.reshape(decoder_rows, (-1, decoder_rows.shape[-1]))
     # Row t of `through` is U'd_t + w_enc, so one product with the encoder
     # rows gives both e-dependent terms.
-    through = ad.reshape(ad.add(ad.matmul(flat, weight), w_enc), lead + (-1,))
-    dec_term = ad.reshape(ad.add(ad.matmul(flat, ad.reshape(w_dec, (-1, 1))), bias),
-                          lead + (1,))
+    through = ad.add(ad.matmul(decoder_rows, weight), w_enc)
+    dec_term = ad.add(ad.matmul(decoder_rows, ad.reshape(w_dec, (-1, 1))), bias)
     return ad.add(ad.matmul(through, ad.transpose(encoder_mat)), dec_term)
 
 

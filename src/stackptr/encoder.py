@@ -91,12 +91,11 @@ def char_cnn(forms, char_vocab: Vocabulary, store: ad.ParameterStore,
     (:func:`char_windows`); a form's max skips those past its own."""
     width = config.filter_width
     windows, real = char_windows(forms, char_vocab, width)
-    chars = ad.pick(store["embeddings.char"], windows.reshape(-1, width))
-    flat = ad.reshape(chars, (-1, width * config.char_dim))
-    conv = ad.add(ad.matmul(flat, ad.transpose(store["encoder.charcnn.W"])),
+    chars = ad.reshape(ad.pick(store["embeddings.char"], windows),
+                       windows.shape[:2] + (width * config.char_dim,))
+    conv = ad.add(ad.matmul(chars, ad.transpose(store["encoder.charcnn.W"])),
                   store["encoder.charcnn.b"])
-    pooled = ad.reshape(ad.tanh(conv), windows.shape[:2] + (config.num_filters,))
-    return ad.max_over_windows(pooled, real)
+    return ad.max_over_windows(ad.tanh(conv), real)
 
 
 def embed_tokens(sents, vocabs: dict[str, Vocabulary],
@@ -142,13 +141,9 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
     ``collect_probs``, when given, receives the (B, r, n+1, n+1)
     probability tensor — the exact rows used to mix values.
     """
-    batch, length, width = x.shape
-    rows = ad.reshape(x, (batch * length, width))
-
     def project(p: str) -> Tensor:
         weight = ad.concat([store[f"encoder.attn.head{h}.W{p}"] for h in range(config.r)])
-        heads = ad.reshape(ad.matmul(rows, ad.transpose(weight)),
-                           (batch, length, config.r, -1))
+        heads = ad.reshape(ad.matmul(x, ad.transpose(weight)), x.shape[:2] + (config.r, -1))
         return ad.transpose(heads, (0, 2, 1, 3))                   # (B, r, n+1, head)
 
     q, k, v = project("q"), project("k"), project("v")
@@ -156,9 +151,8 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
     probs = ad.softmax_rows(scores)
     if collect_probs is not None:
         collect_probs.append(probs)
-    mixed = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (batch * length, width))
-    return ad.reshape(ad.matmul(mixed, ad.transpose(store["encoder.attn.Wm"])),
-                      (batch, length, width))
+    mixed = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), x.shape)
+    return ad.matmul(mixed, ad.transpose(store["encoder.attn.Wm"]))
 
 
 def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,

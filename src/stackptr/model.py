@@ -74,13 +74,9 @@ def parameter_shapes(config: TrainConfig, vocabs: dict[str, Vocabulary]
 
 
 def _mlp(store: ParameterStore, prefix: str, x: Tensor) -> Tensor:
-    """One ELU layer on each row of ``x`` (..., d), run as one matrix of
-    rows."""
-    w = store[f"{prefix}.W"]
-    b = store[f"{prefix}.b"]
-    rows = ad.reshape(x, (-1, x.shape[-1]))
-    out = ad.elu(ad.add(ad.matmul(rows, ad.transpose(w)), b))
-    return ad.reshape(out, x.shape[:-1] + (w.shape[0],))
+    """One ELU layer on each row of ``x`` (..., d)."""
+    return ad.elu(ad.add(ad.matmul(x, ad.transpose(store[f"{prefix}.W"])),
+                         store[f"{prefix}.b"]))
 
 
 def _arc_scores(store: ParameterStore, dec_rows: Tensor, arc_enc: Tensor) -> Tensor:
@@ -166,7 +162,7 @@ class Parser:
         ll = dec.path_log_likelihood(plan, _arc_scores(store, arc_dec, arc_enc),
                                      label_scores, label_ids, self.label_count)
         n = plan.tops.shape[1] // 2
-        return ad.scale(ad.scale(ad.neg(ll), 1.0 / n), 1.0 / len(trees))
+        return ad.scale(ad.scale(ll, -1.0 / n), 1.0 / len(trees))
 
     def parse_corpus(self, sents: Sequence[Sentence | DependencyTree]
                      ) -> list[DependencyTree]:

@@ -15,7 +15,7 @@ sentence at a time, are the oracle for the lockstep greedy parse. Its
 token rows stack one character CNN per word, the oracle for the encoder's
 whole-batch ``char_cnn``. The per-step, per-word and per-sentence tape ops
 it needs (``row``, ``slice1d``, ``stack_rows``, ``matmul`` with its vector
-forms, ``bilinear_pair``, ``lstm_cell``, ``im2col_rows``,
+forms, ``bilinear_pair``, ``sigmoid``, ``lstm_cell``, ``im2col_rows``,
 ``max_over_rows``, single-stream ``dropout``) are defined here: the
 package itself has no per-step, per-word or per-sentence path, and its
 ops take batches of rows only.
@@ -246,14 +246,25 @@ def embed_tokens(sent, vocabs, store, config):
     return ad.concat([words, chars, poses], axis=1)
 
 
+def sigmoid(t):
+    """The logistic function of each entry; the package's LSTM computes its
+    gates inside ``lstm_sequence`` and has no sigmoid op."""
+    out_data = ad._sigmoid(t.data)
+
+    def backward(g):
+        ad._accum(t, g * out_data * (1.0 - out_data))
+
+    return ad._node(out_data, (t,), backward)
+
+
 def lstm_cell(x, h, c, w_ih, w_hh, bias):
     """One LSTM step built from tape ops; gate order i, f, g, o. Returns (h', c')."""
     hidden = w_hh.data.shape[1]
     z = ad.add(ad.add(matmul(w_ih, x), matmul(w_hh, h)), bias)
-    i = ad.sigmoid(slice1d(z, 0, hidden))
-    f = ad.sigmoid(slice1d(z, hidden, 2 * hidden))
+    i = sigmoid(slice1d(z, 0, hidden))
+    f = sigmoid(slice1d(z, hidden, 2 * hidden))
     g = ad.tanh(slice1d(z, 2 * hidden, 3 * hidden))
-    o = ad.sigmoid(slice1d(z, 3 * hidden, 4 * hidden))
+    o = sigmoid(slice1d(z, 3 * hidden, 4 * hidden))
     c_next = ad.add(ad.mul(f, c), ad.mul(i, g))
     h_next = ad.mul(o, ad.tanh(c_next))
     return h_next, c_next
@@ -398,7 +409,7 @@ def sentence_loss(parser: Parser, tree, training: bool = False,
     label_ids = [parser.vocabs["label"].index(lbl) for lbl in tree.labels]
     ll = path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
                              child_order=parser.config.child_order)
-    return ad.scale(ad.neg(ll), 1.0 / len(tree))
+    return ad.scale(ll, -1.0 / len(tree))
 
 
 def lockstep_scorers(score_fns, label_score_fns, width):
