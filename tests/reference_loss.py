@@ -247,8 +247,8 @@ def embed_tokens(sent, vocabs, store, config):
 
 
 def sigmoid(t):
-    """The logistic function of each entry; the package's LSTM computes its
-    gates inside ``lstm_sequence`` and has no sigmoid op."""
+    """The logistic function of each entry; the package computes its LSTM
+    gates in ``lstm_gates`` and has no sigmoid op."""
     out_data = ad._sigmoid(t.data)
 
     def backward(g):
