@@ -1,16 +1,21 @@
 """Token encoding: embeddings, character CNN, self-attention, BiLSTM.
 
-The pipeline for a batch of B sentences of one length n (virtual ROOT
-included at position 0), one tape for the whole batch:
+The pipeline for a batch of B sentences of any lengths, padded to the
+longest N (virtual ROOT included at position 0), one tape for the whole
+batch:
 
-    token matrix  = [word emb ; char-CNN(word) ; POS emb]   (B, n+1, d_model)
-    attended      = multi-head self-attention(token matrix) (B, n+1, d_model)
-    encoder state = BiLSTM(attended)                        (B, n+1, 2*hidden)
+    token matrix  = [word emb ; char-CNN(word) ; POS emb]   (B, N+1, d_model)
+    attended      = multi-head self-attention(token matrix) (B, N+1, d_model)
+    encoder state = BiLSTM(attended)                        (B, N+1, 2*hidden)
 
-Training encodes each batch, and parsing each run of equal-length sentences
-in its chunk, through this one path (:func:`encode_batch`). Every sentence
-draws its dropout masks from its own random streams, so its masks do not
-depend on the batch it is in.
+A sentence's rows past its own n+1 are padding: attention gives its keys
+no weight, and both LSTM directions reach them only after the sentence's
+real rows, so a real row is the same as in a batch of that sentence alone.
+Padded rows are finite and never read. Training encodes each batch (one
+length, so no padding), and parsing each chunk of sentences, through this
+one path (:func:`encode_batch`). Every sentence draws its dropout masks
+from its own random streams, so its masks do not depend on the batch it is
+in.
 
 The attention block is deliberately bare: no positional signal, no residual
 connection, no layer normalization. Word order therefore reaches the scores
@@ -100,26 +105,31 @@ def char_cnn(forms, char_vocab: Vocabulary, store: ad.ParameterStore,
 
 def embed_tokens(sents, vocabs: dict[str, Vocabulary],
                  store: ad.ParameterStore, config: TrainConfig) -> Tensor:
-    """Concatenated word/char-CNN/POS vectors of sentences of one length,
-    ROOT first: (B, n+1, d_model). The char-CNN runs over all B*(n+1)
-    forms at once.
+    """Concatenated word/char-CNN/POS vectors of sentences of any lengths,
+    ROOT first, padded to the longest: (B, N+1, d_model). A padded row
+    holds the PAD word and POS embeddings and a zero char-CNN row. The
+    char-CNN runs over the real forms only, all at once, and one gather
+    places its rows in the padded grid.
 
     Each sentence is anything with a ``tokens`` attribute (Sentence or
     DependencyTree); position never enters the representation.
     """
-    lengths = {len(sent.tokens) for sent in sents}
-    if len(lengths) != 1:
-        raise ValueError(f"a batch needs sentences of one length, got {sorted(lengths)}")
+    sizes = np.array([len(sent.tokens) + 1 for sent in sents])
+    real = np.arange(sizes.max()) < sizes[:, None]
     forms = [form for sent in sents
              for form in (ROOT_FORM,) + tuple(t.form for t in sent.tokens)]
-    word_ids = [[ROOT_ID] + [vocabs["word"].index(t.form) for t in sent.tokens]
-                for sent in sents]
-    pos_ids = [[ROOT_ID] + [vocabs["pos"].index(t.pos) for t in sent.tokens]
-               for sent in sents]
-    words = ad.pick(store["embeddings.word"], np.array(word_ids))
-    poses = ad.pick(store["embeddings.pos"], np.array(pos_ids))
-    chars = ad.reshape(char_cnn(forms, vocabs["char"], store, config),
-                       (len(sents), -1, config.num_filters))
+    word_ids = np.full(real.shape, PAD, dtype=np.intp)
+    word_ids[real] = [id_ for sent in sents for id_ in
+                      (ROOT_ID, *(vocabs["word"].index(t.form) for t in sent.tokens))]
+    pos_ids = np.full(real.shape, PAD, dtype=np.intp)
+    pos_ids[real] = [id_ for sent in sents for id_ in
+                     (ROOT_ID, *(vocabs["pos"].index(t.pos) for t in sent.tokens))]
+    words = ad.pick(store["embeddings.word"], word_ids)
+    poses = ad.pick(store["embeddings.pos"], pos_ids)
+    slots = np.full(real.shape, len(forms))          # padded slots take the zero row
+    slots[real] = np.arange(len(forms))
+    chars = ad.pick(ad.concat([char_cnn(forms, vocabs["char"], store, config),
+                               Tensor(np.zeros((1, config.num_filters)))]), slots)
     return ad.concat([words, chars, poses], axis=2)
 
 
@@ -131,14 +141,18 @@ def attention_scale(config: TrainConfig) -> float:
 
 def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
                               config: TrainConfig,
-                              collect_probs: list[Tensor] | None = None) -> Tensor:
+                              collect_probs: list[Tensor] | None = None,
+                              lengths: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product self-attention within each sentence of a batch of
-    token rows (B, n+1, d_model); returns (B, n+1, d_model).
+    token rows (B, N+1, d_model); returns (B, N+1, d_model).
 
     The r heads run as one stack: each of the query, key and value
     projections is one product with the heads' weights concatenated, and
     the scores, softmax and mixing are (B, r, ., .) batched products.
-    ``collect_probs``, when given, receives the (B, r, n+1, n+1)
+    ``lengths`` (B,), when given, holds each sentence's n: its keys past
+    n are set to -inf before the softmax, so they get probability 0
+    (key 0, ROOT, is always real). Without it every row is real.
+    ``collect_probs``, when given, receives the (B, r, N+1, N+1)
     probability tensor — the exact rows used to mix values.
     """
     def project(p: str) -> Tensor:
@@ -148,6 +162,9 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
 
     q, k, v = project("q"), project("k"), project("v")
     scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / attention_scale(config))
+    if lengths is not None:
+        keys = np.arange(x.shape[1]) <= lengths[:, None]
+        scores = ad.mask_fill(scores, keys[:, None, None, :])
     probs = ad.softmax_rows(scores)
     if collect_probs is not None:
         collect_probs.append(probs)
@@ -156,9 +173,15 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
 
 
 def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
-                  training: bool = False, rngs: list[Rng] | None = None) -> Tensor:
-    """Bidirectional LSTM over each sentence's token rows (B, n+1, d) ->
-    (B, n+1, 2*d_h). Both directions run the whole batch time-major.
+                  training: bool = False, rngs: list[Rng] | None = None,
+                  lengths: np.ndarray | None = None) -> Tensor:
+    """Bidirectional LSTM over each sentence's token rows (B, N+1, d) ->
+    (B, N+1, 2*d_h). Both directions run the whole batch time-major.
+
+    ``lengths`` (B,), when given, holds each sentence's n; without it
+    every row is real. The backward direction reverses each sentence
+    within its own n+1 rows and leaves its padded rows at the end, so in
+    both directions a sentence's padded steps come after its real ones.
 
     Variational dropout: each direction draws one input mask and one
     recurrent mask per sentence b from ``rngs[b]``, shared by all of its
@@ -166,8 +189,13 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
     """
     if x.shape[1] == 0:
         raise ValueError("empty token matrix")
-    seq = ad.transpose(x, (1, 0, 2))                 # (n+1, B, d)
-    reverse = np.arange(x.shape[1] - 1, -1, -1)
+    seq = ad.transpose(x, (1, 0, 2))                 # (N+1, B, d)
+    # Step t of sentence b's backward run reads its row reverse[t, b]. The
+    # map swaps each real row with its mirror, so it also maps the states back.
+    steps = np.arange(x.shape[1])[:, None]
+    sizes = x.shape[1] if lengths is None else lengths + 1
+    reverse = (np.where(steps < sizes, sizes - 1 - steps, steps),
+               np.arange(x.shape[0]))
     outputs = []
     for direction in ("fw", "bw"):
         prefix = f"encoder.lstm.{direction}"
@@ -192,10 +220,13 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
 def encode_batch(sents, vocabs: dict[str, Vocabulary],
                  store: ad.ParameterStore, config: TrainConfig,
                  training: bool = False, rngs: list[Rng] | None = None) -> Tensor:
-    """Full encoder pass for sentences of one length: (B, n+1, 2*d_h).
+    """Full encoder pass for sentences of any lengths, in any order, padded
+    to the longest N: (B, N+1, 2*d_h). Sentence b's rows 0..n_b equal those
+    of encoding it alone; its rows past n_b are finite padding.
     Sentence b draws its dropout masks from ``rngs[b]`` when training."""
+    lengths = np.array([len(sent.tokens) for sent in sents])
     tokens = embed_tokens(sents, vocabs, store, config)
     tokens = ad.dropout(tokens, config.p_in, training,
                         ad.split_each(rngs, "p_in") if training else None)
-    attended = multi_head_self_attention(tokens, store, config)
-    return bilstm_encode(attended, store, config, training, rngs)
+    attended = multi_head_self_attention(tokens, store, config, lengths=lengths)
+    return bilstm_encode(attended, store, config, training, rngs, lengths)

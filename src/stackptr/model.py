@@ -12,11 +12,12 @@ the (2n+1, B, .) gathered top states, and the arc and label scores of all
 steps of all trees are single batched products: no padding, no masks.
 `parse_corpus` runs greedy decoding over bare sentences, a chunk of them
 in lockstep, through one batched :class:`LockstepScorer`, which encodes
-each run of equal lengths in its chunk with the same `encode_batch`; it
-reads parameters as constants, so parsing records no tape. The pointer
-machines themselves (a heads matrix and a vector of stack tops) live in
-`decoder.decode_greedy`; the scorer sees only the unfinished sentences'
-rows and their tops, and for labels the attached children. Both paths
+the whole chunk, padded to its longest sentence, with one call of the same
+`encode_batch`; it reads parameters as constants, so parsing records no
+tape. The pointer machines themselves (a heads matrix and a vector of
+stack tops) live in `decoder.decode_greedy`; the scorer sees only the
+unfinished sentences' rows and their tops, and for labels the attached
+children. Both paths
 advance the decoder LSTM with the same gate arithmetic
 (`autodiff.lstm_gates`) and score arcs with the same biaffine
 (`_arc_scores`).
@@ -24,7 +25,6 @@ advance the decoder LSTM with the same gate arithmetic
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,9 @@ from .config import TrainConfig
 from .treebank import DependencyTree, Sentence, Vocabulary, make_tree
 
 # Most sentences decoded in lockstep at once. It bounds the memory of the
-# chunk's decoder input projection, (sum of n+1, 4 * decoder_dim) float64:
-# 64 MB at full size for 64 sentences of 60 tokens.
+# chunk's decoder input projection, (sum of n+1, 4 * decoder_dim) float64,
+# and of its padded (B, r, N+1, N+1) attention tensor: 64 MB and 7.6 MB at
+# full size for 64 sentences of 60 tokens.
 DECODE_CHUNK = 64
 
 
@@ -127,6 +128,9 @@ class Parser:
         store = self.store
         if training and (rngs is None or len(rngs) != len(trees)):
             raise ValueError("training needs one Rng per tree")
+        lengths = {len(tree.tokens) for tree in trees}
+        if len(lengths) != 1:     # every gold path must have the same 2n+1 steps
+            raise ValueError(f"a batch needs sentences of one length, got {sorted(lengths)}")
         states = enc.encode_batch(trees, self.vocabs, store, cfg,
                                   training=training, rngs=rngs)       # (B, n+1, D)
         plan = dec.stack_plans([dec.gold_plan(t, child_order=cfg.child_order)
@@ -195,11 +199,10 @@ class LockstepScorer:
     """Arc and label scores for a batch of sentences greedy-decoded in
     lockstep (the scorers of :func:`decoder.decode_greedy`).
 
-    Each sentence is encoded once, each run of equal lengths as one batch
-    (:meth:`Parser.parse_corpus` sorts its chunks, so equal lengths are one
-    run); the arc and label encoder-MLP rows are padded to (B, N+1, .),
-    and every encoder state goes through the decoder
-    LSTM's input weights up front (unpadded: sentence b's position p is row
+    The whole batch, in any order, is encoded by one :func:`encoder.encode_batch`
+    call, padded to (B, N+1, .), and so are the arc and label encoder-MLP
+    rows. Every real encoder state goes through the decoder LSTM's input
+    weights up front (unpadded: sentence b's position p is row
     starts[b] + p), so a step gathers one projected row per sentence and
     adds only the recurrent product of the (B, d) batch. Parameters are
     read as constants: nothing is recorded for differentiation.
@@ -208,18 +211,15 @@ class LockstepScorer:
     def __init__(self, parser: Parser, sents: Sequence[Sentence | DependencyTree]):
         cfg = parser.config
         self.store = store = parser.store.constants()
-        states = []
-        for _, run in itertools.groupby(sents, key=lambda s: len(s.tokens)):
-            states.extend(enc.encode_batch(list(run), parser.vocabs, store, cfg).data)
-        padded = np.zeros((len(states), max(map(len, states)), states[0].shape[1]))
-        for b, rows in enumerate(states):
-            padded[b, :len(rows)] = rows
-        self.arc_enc = _mlp(store, "biaffine.arc.enc", Tensor(padded)).data
-        self.label_enc = _mlp(store, "biaffine.label.enc", Tensor(padded)).data
-        self.starts = np.cumsum([0] + [len(rows) for rows in states[:-1]])
-        self.x_proj = np.concatenate(states) @ store["decoder.lstm.W_ih"].data.T
+        padded = enc.encode_batch(sents, parser.vocabs, store, cfg)
+        self.arc_enc = _mlp(store, "biaffine.arc.enc", padded).data
+        self.label_enc = _mlp(store, "biaffine.label.enc", padded).data
+        sizes = np.array([len(sent.tokens) + 1 for sent in sents])
+        self.starts = np.cumsum(sizes) - sizes
+        real = np.arange(padded.shape[1]) < sizes[:, None]
+        self.x_proj = padded.data[real] @ store["decoder.lstm.W_ih"].data.T
         self.x_proj += store["decoder.lstm.b"].data
-        self.hidden = np.zeros((len(states), cfg.decoder_dim))
+        self.hidden = np.zeros((len(sents), cfg.decoder_dim))
         self.cell = np.zeros_like(self.hidden)
 
     def arc_scores(self, rows: np.ndarray, tops: np.ndarray) -> np.ndarray:

@@ -251,6 +251,67 @@ def test_encoder_end_to_end_gradients(tiny_config, toy_vocabs):
     assert errs[worst] < 1e-4, f"{worst}: {errs[worst]}"
 
 
+# Forms from CHARS (some out of vocabulary) and POS tags the toy corpus has.
+SENTENCES = st.lists(
+    st.lists(st.tuples(st.text(alphabet=CHARS, min_size=1, max_size=5),
+                       st.sampled_from(["NN", "VV", "DT", "JJ", "AD", "XX"])),
+             min_size=1, max_size=7).map(
+        lambda tokens: Sentence(tuple(Token(form, pos) for form, pos in tokens))),
+    min_size=1, max_size=6)
+
+
+@given(sents=SENTENCES, seed=st.integers(0, 2**16))
+@example(sents=[Sentence((Token("猫", "NN"),)),
+                Sentence(tuple(Token("狗睡", "VV") for _ in range(7))),
+                Sentence((Token("夔", "XX"), Token("吃鱼", "NN")))], seed=0)
+@settings(max_examples=40, deadline=None)
+def test_mixed_length_batch_matches_each_sentence_alone(tiny_config, toy_vocabs, sents,
+                                                        seed):
+    """Sentences of mixed lengths in any order: each one's real rows equal
+    its encoding alone, padded keys get probability exactly 0 and real
+    keys more, and every real query row's probabilities sum to 1."""
+    store = _setup(tiny_config, toy_vocabs, seed=seed)
+    lengths = np.array([len(sent.tokens) for sent in sents])
+    states = encode_batch(sents, toy_vocabs, store, tiny_config).data
+    assert states.shape == (len(sents), lengths.max() + 1, 2 * tiny_config.d_h)
+    assert np.isfinite(states).all()
+    for row, sent, n in zip(states, sents, lengths):
+        alone = encode_batch([sent], toy_vocabs, store, tiny_config).data[0]
+        assert np.abs(row[:n + 1] - alone).max() <= 1e-12
+
+    probs = []
+    multi_head_self_attention(embed_tokens(sents, toy_vocabs, store, tiny_config),
+                              store, tiny_config, probs, lengths=lengths)
+    real = np.arange(lengths.max() + 1) <= lengths[:, None]              # (B, N+1)
+    keys = np.broadcast_to(real[:, None, None, :], probs[0].shape)
+    assert (probs[0].data[~keys] == 0.0).all()
+    assert (probs[0].data[keys] > 0.0).all()
+    sums = probs[0].data.sum(axis=-1).transpose(0, 2, 1)[real]           # (rows, r)
+    assert np.abs(sums - 1.0).max() <= 1e-12
+
+
+def test_mixed_length_encoder_gradients(tiny_config, toy_vocabs):
+    """A weighted sum of the real rows of an unsorted mixed-length batch:
+    the key mask, the per-sentence reversal and the char-row placement
+    all pass the finite-difference check."""
+    store = _setup(tiny_config, toy_vocabs)
+    sents = [Sentence(tuple(Token(form, pos) for form, pos in tokens)) for tokens in (
+        [("猫", "NN"), ("睡", "VV"), ("夔", "NN")],
+        [("狗", "NN")],
+        [("鱼", "NN"), ("吃", "VV"), ("猫狗", "NN"), ("睡", "VV"), ("Z", "JJ")])]
+    lengths = np.array([len(sent.tokens) for sent in sents])
+    real = np.nonzero(np.arange(lengths.max() + 1) <= lengths[:, None])
+    weights = Tensor(Rng(4).split("mix").random((len(real[0]), 2 * tiny_config.d_h)))
+
+    def loss(params):
+        states = encode_batch(sents, toy_vocabs, params, tiny_config)
+        return ad.sum_all(ad.mul(ad.pick(states, real), weights))
+
+    errs = grad_check(loss, store, epsilon=1e-5)
+    worst = max(errs, key=errs.get)
+    assert errs[worst] < 1e-4, f"{worst}: {errs[worst]}"
+
+
 def test_shapes_depend_only_on_config(tiny_config, toy_vocabs):
     store = _setup(tiny_config, toy_vocabs)
     for tree in corpus(seed=2, size=5):

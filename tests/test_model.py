@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stackptr import autodiff as ad
 from stackptr import decoder as dec
+from stackptr import encoder as enc
 from stackptr import model
 from stackptr.autodiff import Rng
 from stackptr.config import CHILD_ORDERS
@@ -231,6 +232,23 @@ def test_parse_corpus_calls_step_once_per_sentence_per_step(tiny_config, monkeyp
     assert len(calls) == sum(2 * n + 1 for n in lengths)
     for n in set(lengths):
         assert calls.count(n) == lengths.count(n) * (2 * n + 1)
+
+
+def test_parse_corpus_encodes_each_chunk_in_one_call(tiny_config, monkeypatch):
+    # Mixed lengths share one padded encoder pass per chunk: 3 chunks, 3 calls.
+    rng = Rng(11).split("sentences")
+    sents = [_sentence(rng, n) for n in [1, 7, 3, 3, 12, 2, 5]]
+    calls = []
+    real_encode = enc.encode_batch
+
+    def counting_encode(batch, *args, **kwargs):
+        calls.append(sorted(len(s.tokens) for s in batch))
+        return real_encode(batch, *args, **kwargs)
+
+    monkeypatch.setattr(enc, "encode_batch", counting_encode)
+    with mock.patch.object(model, "DECODE_CHUNK", 3):
+        Parser.build(tiny_config, VOCABS).parse_corpus(sents)
+    assert calls == [[5, 7, 12], [2, 3, 3], [1]]
 
 
 def test_scorer_serves_sentences_in_any_order(tiny_config, toy_vocabs, toy_trees):

@@ -61,8 +61,8 @@ class TestComputeLoss:
             compute_loss(parser, batch, training=True, rng=Rng(1))
 
     def test_mixed_lengths_rejected_naming_them(self, tiny_config, toy_vocabs, toy_trees):
-        # make_batches yields batches of one length; any other batch is the
-        # encoder's error.
+        # make_batches yields batches of one length; batch_loss refuses any
+        # other, since every gold path of a batch must have 2n+1 steps.
         parser = Parser.build(tiny_config, toy_vocabs)
         by_length = sorted(toy_trees, key=len)
         short, long = by_length[0], by_length[-1]
