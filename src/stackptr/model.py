@@ -17,9 +17,8 @@ the whole chunk, padded to its longest sentence, with one call of the same
 tape. The pointer machines themselves (a heads matrix and a vector of
 stack tops) live in `decoder.decode_greedy`; the scorer sees only the
 unfinished sentences' rows and their tops, and for labels the attached
-children. Both paths
-advance the decoder LSTM with the same gate arithmetic
-(`autodiff.lstm_gates`) and score arcs with the same biaffine
+children. Both paths advance the decoder LSTM with the same gate
+arithmetic (`autodiff.lstm_gates`) and score arcs with the same biaffine
 (`_arc_scores`).
 """
 
@@ -199,11 +198,11 @@ class LockstepScorer:
     """Arc and label scores for a batch of sentences greedy-decoded in
     lockstep (the scorers of :func:`decoder.decode_greedy`).
 
-    The whole batch, in any order, is encoded by one :func:`encoder.encode_batch`
-    call, padded to (B, N+1, .), and so are the arc and label encoder-MLP
-    rows. Every real encoder state goes through the decoder LSTM's input
-    weights up front (unpadded: sentence b's position p is row
-    starts[b] + p), so a step gathers one projected row per sentence and
+    The whole batch, in any order, is encoded by one
+    :func:`encoder.encode_batch` call, padded to (B, N+1, .), and so are
+    the arc and label encoder-MLP rows. Every real encoder state goes
+    through the decoder LSTM's input weights up front (unpadded: sentence
+    b's position p is row starts[b] + p), so a step gathers one projected row per sentence and
     adds only the recurrent product of the (B, d) batch. Parameters are
     read as constants: nothing is recorded for differentiation.
     """
