@@ -128,8 +128,6 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         if t.grad is None:
             # A copy, never ``g`` itself: one backward may hand the same
             # array to several parents, and a later ``+=`` would reach them all.
-            if np.shape(g) != t.data.shape:
-                g = np.broadcast_to(g, t.data.shape)
             t.grad = np.array(g, dtype=np.float64)
         else:
             t.grad += g
@@ -390,17 +388,16 @@ def dropout_masks(shape: tuple[int, ...] | int, rate: float,
     return np.stack([dropout_mask(shape, rate, rng) for rng in rngs])
 
 
-def dropout(t: Tensor, rate: float, training: bool,
-            rngs: Sequence["Rng"] | None = None) -> Tensor:
-    """Inverted dropout of a batch: kept entries scaled by 1/(1-rate).
-    Row b of the leading axis draws its mask from ``rngs[b]``, so each
-    sequence keeps its own stream whatever batch it is in."""
-    if not training or rate == 0.0:
+def dropout(t: Tensor, rate: float, rngs: Sequence["Rng"] | None) -> Tensor:
+    """Inverted dropout of a batch, kept entries scaled by 1/(1-rate); the
+    identity without streams (evaluation). Row b of the leading axis draws its
+    mask from ``rngs[b]``, so each sequence keeps its own stream in any batch."""
+    if rngs is None or rate == 0.0:
         return t
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1): {rate}")
-    if rngs is None or None in rngs or len(rngs) != t.data.shape[0]:
-        raise ValueError("training-mode dropout needs one Rng per batch row")
+    if None in rngs or len(rngs) != t.data.shape[0]:
+        raise ValueError("dropout needs one Rng per batch row")
     factor = dropout_masks(t.data.shape[1:], rate, rngs)
     out_data = t.data * factor
 
@@ -573,9 +570,9 @@ class Rng:
         return int(self._generator().integers(low, high))
 
 
-def split_each(rngs: Sequence[Rng], name: str) -> list[Rng]:
-    """The child stream ``name`` of each of ``rngs`` (one per batch row)."""
-    return [rng.split(name) for rng in rngs]
+def split_each(rngs: Sequence[Rng] | None, name: str) -> list[Rng] | None:
+    """The child stream ``name`` of each of ``rngs`` (one per row); None stays None."""
+    return None if rngs is None else [rng.split(name) for rng in rngs]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, TrainConfig
+from .config import ConfigError, TrainConfig, _read_flat
 from .metrics import evaluate_domains
 from .model import Parser
 from .trainer import train
@@ -46,20 +46,17 @@ def _write_repro(out: str, verb: str, config: TrainConfig | None,
 
 
 def _load_config(args: argparse.Namespace, base: TrainConfig | None = None) -> TrainConfig:
-    config = base if base is not None else TrainConfig()
+    """``base`` (default TrainConfig()), overlaid with the ``--config``
+    file's keys and then with the ``--set`` pairs."""
+    flat = (base if base is not None else TrainConfig()).to_flat()
     if getattr(args, "config", None):
-        config = TrainConfig.from_file(args.config)
-    overrides: dict[str, str] = {}
+        flat.update(_read_flat(args.config))
     for kv in getattr(args, "set", None) or []:
         key, sep, value = kv.partition("=")
         if not sep:
             raise ConfigError(f"--set {kv!r}: expected KEY=VALUE")
-        overrides[key] = value
-    if overrides:
-        flat = config.to_flat()
-        flat.update(overrides)
-        config = TrainConfig.from_flat(flat)
-    return config
+        flat[key] = value
+    return TrainConfig.from_flat(flat)
 
 
 def _seed(text: str) -> int:
@@ -193,7 +190,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--retain", default="embeddings.,encoder.,decoder.")
     p.add_argument("--reinit", default="biaffine.")
     p.add_argument("--seed", type=_seed, help="surgery seed (default: config seed)")
-    p.add_argument("--config")
+    p.add_argument("--config", help="key=value config file over the source's config")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.set_defaults(handler=_cmd_finetune, outputs=lambda a: [a.out, a.out + ".repro"])
 

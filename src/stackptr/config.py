@@ -160,17 +160,22 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrainConfig":
-        try:
-            text = _open_text(path).read()
-        except TreebankError as exc:
-            raise ConfigError(f"config {exc}") from None
-        raw: dict[str, str] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
-        return cls.from_flat(raw)
+        return cls.from_flat(_read_flat(path))
+
+
+def _read_flat(path: str | Path) -> dict[str, str]:
+    """The key=value pairs of a config file, unchecked ('#' starts a comment line)."""
+    try:
+        text = _open_text(path).read()
+    except TreebankError as exc:
+        raise ConfigError(f"config {exc}") from None
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        raw[key.strip()] = value.strip()
+    return raw

@@ -113,14 +113,17 @@ def gold_path(tree: DependencyTree, child_order: str = "inside_out") -> list[int
     for i in range(1, len(tree) + 1):
         children.setdefault(tree.heads[i], []).append(i)
     targets: list[int] = []
-
-    def visit(node: int) -> None:
-        for child in sorted(children.get(node, []), key=_child_key(child_order, node)):
-            targets.append(child)
-            visit(child)
-        targets.append(node)
-
-    visit(0)
+    stack = [0]   # node k >= 0 opens k's visit, ~k closes it: no recursion
+    while stack:
+        node = stack.pop()
+        if node < 0:
+            targets.append(~node)
+            continue
+        if node:
+            targets.append(node)
+        stack.append(~node)
+        stack.extend(sorted(children.get(node, []), key=_child_key(child_order, node),
+                            reverse=True))      # first child on top (keys are distinct)
     return targets
 
 

@@ -173,7 +173,7 @@ def multi_head_self_attention(x: Tensor, store: ad.ParameterStore,
 
 
 def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
-                  training: bool = False, rngs: list[Rng] | None = None,
+                  rngs: list[Rng] | None = None,
                   lengths: np.ndarray | None = None) -> Tensor:
     """Bidirectional LSTM over each sentence's token rows (B, N+1, d) ->
     (B, N+1, 2*d_h). Both directions run the whole batch time-major.
@@ -183,9 +183,9 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
     within its own n+1 rows and leaves its padded rows at the end, so in
     both directions a sentence's padded steps come after its real ones.
 
-    Variational dropout: each direction draws one input mask and one
-    recurrent mask per sentence b from ``rngs[b]``, shared by all of its
-    steps.
+    Variational dropout, when ``rngs`` is given: each direction draws one
+    input mask and one recurrent mask per sentence b from ``rngs[b]``,
+    shared by all of its steps.
     """
     if x.shape[1] == 0:
         raise ValueError("empty token matrix")
@@ -201,7 +201,7 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
         prefix = f"encoder.lstm.{direction}"
         rows = seq
         hid_mask = None
-        if training and config.p_rnn > 0.0:
+        if rngs is not None and config.p_rnn > 0.0:
             in_mask = ad.dropout_masks(x.shape[2], config.p_rnn,
                                        ad.split_each(rngs, f"{prefix}.in"))
             hid_mask = ad.dropout_masks(config.d_h, config.p_rnn,
@@ -219,14 +219,15 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
 
 def encode_batch(sents, vocabs: dict[str, Vocabulary],
                  store: ad.ParameterStore, config: TrainConfig,
-                 training: bool = False, rngs: list[Rng] | None = None) -> Tensor:
+                 rngs: list[Rng] | None = None) -> Tensor:
     """Full encoder pass for sentences of any lengths, in any order, padded
     to the longest N: (B, N+1, 2*d_h). Sentence b's rows 0..n_b equal those
-    of encoding it alone; its rows past n_b are finite padding.
-    Sentence b draws its dropout masks from ``rngs[b]`` when training."""
+    of encoding it alone; its rows past n_b are finite padding. Sentence b
+    draws its dropout masks from ``rngs[b]``; no ``rngs`` means evaluation."""
+    if rngs is not None and len(rngs) != len(sents):
+        raise ValueError("dropout needs one Rng per sentence")
     lengths = np.array([len(sent.tokens) for sent in sents])
     tokens = embed_tokens(sents, vocabs, store, config)
-    tokens = ad.dropout(tokens, config.p_in, training,
-                        ad.split_each(rngs, "p_in") if training else None)
+    tokens = ad.dropout(tokens, config.p_in, ad.split_each(rngs, "p_in"))
     attended = multi_head_self_attention(tokens, store, config, lengths=lengths)
-    return bilstm_encode(attended, store, config, training, rngs, lengths)
+    return bilstm_encode(attended, store, config, rngs, lengths)

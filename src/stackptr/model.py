@@ -114,33 +114,28 @@ class Parser:
 
     # -- training and inference entry points ---------------------------------
 
-    def batch_loss(self, trees: Sequence[DependencyTree], training: bool = False,
+    def batch_loss(self, trees: Sequence[DependencyTree],
                    rngs: Sequence[Rng] | None = None) -> Tensor:
         """Mean over ``trees``, all of one length n, of each gold path's
         length-normalized negative log-likelihood, as one tape.
 
-        Tree b draws its dropout masks from its own streams, children of
-        ``rngs[b]`` (needed when training), in the order a batch of one
-        would draw them.
+        With ``rngs`` (training), tree b draws its dropout masks from its
+        own streams, children of ``rngs[b]``, in the order a batch of one
+        would draw them. Without them (evaluation) nothing is dropped.
         """
         cfg = self.config
         store = self.store
-        if training and (rngs is None or len(rngs) != len(trees)):
-            raise ValueError("training needs one Rng per tree")
         lengths = {len(tree.tokens) for tree in trees}
         if len(lengths) != 1:     # every gold path must have the same 2n+1 steps
             raise ValueError(f"a batch needs sentences of one length, got {sorted(lengths)}")
-        states = enc.encode_batch(trees, self.vocabs, store, cfg,
-                                  training=training, rngs=rngs)       # (B, n+1, D)
+        states = enc.encode_batch(trees, self.vocabs, store, cfg, rngs)  # (B, n+1, D)
         plan = dec.stack_plans([dec.gold_plan(t, child_order=cfg.child_order)
                                 for t in trees])                       # (B, 2n+1, ...)
-        drop_rngs = ad.split_each(rngs, "p_out") if training else None
-        arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states),
-                             cfg.p_out, training, drop_rngs)
-        label_enc = ad.dropout(_mlp(store, "biaffine.label.enc", states),
-                               cfg.p_out, training, drop_rngs)
+        drop_rngs = ad.split_each(rngs, "p_out")
+        arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states), cfg.p_out, drop_rngs)
+        label_enc = ad.dropout(_mlp(store, "biaffine.label.enc", states), cfg.p_out, drop_rngs)
         hid_mask = None
-        if training and cfg.p_rnn > 0.0:
+        if rngs is not None and cfg.p_rnn > 0.0:
             hid_mask = ad.dropout_masks(cfg.decoder_dim, cfg.p_rnn,
                                         ad.split_each(rngs, "decoder.hid"))
         batch = np.arange(len(trees))
@@ -151,7 +146,7 @@ class Parser:
         arc_b, arc_t = np.nonzero(plan.arc_steps)   # B*n steps, tree by tree in path order
         label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, (arc_b, arc_t)))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)
-        if training and cfg.p_out > 0.0:
+        if rngs is not None and cfg.p_out > 0.0:
             # Every step draws its label-row mask, then its arc-row mask, from
             # its tree's p_out stream: one (2n+1, label+arc) draw per tree.
             factors = ad.dropout_masks((plan.tops.shape[1],

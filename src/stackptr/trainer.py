@@ -20,15 +20,16 @@ class TrainAbort(RuntimeError):
 
 
 def compute_loss(parser: Parser, batch: Sequence[DependencyTree],
-                 training: bool = False, rng: Rng | None = None) -> Tensor:
+                 rng: Rng | None = None) -> Tensor:
     """Mean over a batch of one length (a :func:`make_batches` batch) of
     per-sentence (length-normalized) losses: one :meth:`Parser.batch_loss`
-    call. Sentence i draws its dropout masks from ``rng.split(f"s{i}")``.
+    call. With ``rng`` (training), sentence i draws its dropout masks from
+    ``rng.split(f"s{i}")``; without it (evaluation) nothing is dropped.
     """
     if not batch:
         raise ValueError("empty batch")
     rngs = None if rng is None else [rng.split(f"s{i}") for i in range(len(batch))]
-    return parser.batch_loss(batch, training=training, rngs=rngs)
+    return parser.batch_loss(batch, rngs)
 
 
 def make_batches(trees: Sequence[DependencyTree], batch_size: int,
@@ -133,8 +134,7 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
                                                epoch_rng.split("batches"))):
             parser.store.zero_grads()
             try:
-                loss = compute_loss(parser, batch, training=True,
-                                    rng=epoch_rng.split(f"drop{b}"))
+                loss = compute_loss(parser, batch, epoch_rng.split(f"drop{b}"))
             except (ValueError, FloatingPointError) as exc:
                 raise TrainAbort(
                     f"numeric failure at epoch {epoch}, batch {b}: {exc}; "

@@ -401,8 +401,8 @@ def path_log_likelihood(tree, label_ids, score_fn, label_score_fn,
 
 def sentence_loss(parser: Parser, tree, training: bool = False,
                   rng: Rng | None = None) -> Tensor:
-    """The per-step loss of one tree: ``Parser.batch_loss([tree], training,
-    [rng])``."""
+    """The per-step loss of one tree: ``Parser.batch_loss([tree], [rng])``
+    when training, ``Parser.batch_loss([tree])`` otherwise."""
     states = encode_sentence(tree, parser.vocabs, parser.store, parser.config,
                              training=training, rng=rng)
     score_fn, label_score_fn = scorers(parser, states, training, rng)

@@ -219,10 +219,8 @@ def test_6_surgery_contract(capsys, source_checkpoint):
 
     sent = corpus(seed=101, size=1, pools=SOURCE_POOLS)[0]
     before = enc.encode_batch([sent], source_checkpoint.vocabs,
-                              source_checkpoint.params, TRANSFER,
-                              training=False, rngs=None).data
-    after = enc.encode_batch([sent], grafted.vocabs, grafted.params, TRANSFER,
-                             training=False, rngs=None).data
+                              source_checkpoint.params, TRANSFER).data
+    after = enc.encode_batch([sent], grafted.vocabs, grafted.params, TRANSFER).data
     states_ok = bool(np.array_equal(before, after))
 
     _verdict(capsys, "surgery contract",

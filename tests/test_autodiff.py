@@ -152,27 +152,30 @@ class TestAdam:
 class TestDropout:
     def test_inference_mode_is_identity(self):
         t = Tensor(np.arange(6.0).reshape(2, 3))
-        assert ad.dropout(t, 0.5, training=False) is t
+        assert ad.dropout(t, 0.5, None) is t
+        assert ad.split_each(None, "p_in") is None
 
     def test_zero_rate_is_identity(self):
         t = Tensor(np.ones(4))
-        assert ad.dropout(t, 0.0, training=True, rngs=[Rng(0)] * 4) is t
+        assert ad.dropout(t, 0.0, [Rng(0)] * 4) is t
 
     def test_monte_carlo_expectation(self):
         # Inverted scaling keeps E[output] == input: 1e5 trials within 1%.
         rng = Rng(123).split("dropout-mc")
         trials, width = 100_000, 4
         t = Tensor(np.ones((1, trials, width)))
-        mean = ad.dropout(t, 0.5, training=True, rngs=[rng]).data[0].mean(axis=0)
+        mean = ad.dropout(t, 0.5, [rng]).data[0].mean(axis=0)
         assert np.all(np.abs(mean - 1.0) < 0.01)
 
-    def test_requires_rng_when_training(self):
-        with pytest.raises(ValueError):
-            ad.dropout(Tensor([1.0]), 0.5, training=True, rngs=None)
+    def test_wrong_stream_count_rejected(self):
+        t = Tensor(np.ones((2, 3)))
+        for rngs in ([Rng(0)], [Rng(0)] * 3, [Rng(0), None]):
+            with pytest.raises(ValueError, match="one Rng per batch row"):
+                ad.dropout(t, 0.5, rngs)
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor([1.0]), 1.0, training=True, rngs=[Rng(0)])
+            ad.dropout(Tensor([1.0]), 1.0, [Rng(0)])
 
     def test_split_draw_equals_alternating_draws(self):
         # What lets one (steps, a+b) mask draw stand in for per-step pairs.
@@ -404,8 +407,7 @@ class TestOpGradients:
         # Same rng seeds per evaluation -> the mask is constant, so central
         # differences see a deterministic function. One stream per row.
         def build(a):
-            return ad.dropout(a, 0.4, training=True,
-                              rngs=[Rng(77).split(f"fixed{b}") for b in range(6)])
+            return ad.dropout(a, 0.4, [Rng(77).split(f"fixed{b}") for b in range(6)])
 
         _op_gradients(build, [(6, 3)])
 

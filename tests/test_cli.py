@@ -133,6 +133,23 @@ class TestEvalVerb:
         assert "average_las=100.0" in capsys.readouterr().out
 
 
+class TestFinetuneVerb:
+    def test_config_file_overlays_the_source_config(self, work, tmp_path):
+        # The file changes two training fields; every other field, the
+        # architecture included, stays the checkpoint's.
+        cfg = tmp_path / "ft.cfg"
+        cfg.write_text("learning_rate=0.0005\nmax_epochs=1\n")
+        tuned = tmp_path / "ft.ckpt"
+        code = run(["finetune", "--source", str(work.model),
+                    "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(tuned), "--config", str(cfg)])
+        assert code == 0
+        repro = (tmp_path / "ft.ckpt.repro").read_text().splitlines()
+        assert "config.d_w=6" in repro
+        assert "config.learning_rate=0.0005" in repro
+        assert "config.seed=3" in repro
+
+
 class TestSurgeryInspectVerb:
     def test_statuses(self, work, tmp_path, capsys):
         tuned = tmp_path / "tuned.ckpt"
@@ -158,6 +175,20 @@ class TestExitCodes:
                     "--out", str(tuned), "--set", "d_h=8"])
         assert code == 2
         assert "d_h 4 -> 8" in capsys.readouterr().err
+        assert not tuned.exists()
+
+    def test_finetune_config_file_architecture_change_is_usage_error(self, work, tmp_path,
+                                                                    capsys):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("d_h=8\n")
+        tuned = tmp_path / "wide.ckpt"
+        code = run(["finetune", "--source", str(work.model),
+                    "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(tuned), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "d_h 4 -> 8" in err
+        assert "d_w" not in err
         assert not tuned.exists()
 
     @pytest.mark.parametrize("override, named", [

@@ -214,6 +214,16 @@ class TestGoldPath:
         assert gold_path(tree, "left2right") == [3, 1, 1, 2, 2, 4, 4, 3, 0]
         assert gold_path(tree, "right2left") == [3, 4, 4, 2, 2, 1, 1, 3, 0]
 
+    def test_deep_chain(self):
+        # Deeper than Python's default recursion limit: the walk keeps its
+        # own stack.
+        n = 1500
+        tree = _tree([-1, *range(n)])
+        assert gold_path(tree) == [*range(1, n + 1), *range(n, -1, -1)]
+        plan = gold_plan(tree)
+        assert plan.tops.tolist() == [*range(n + 1), *range(n - 1, -1, -1)]
+        assert int(plan.arc_steps.sum()) == n
+
     def test_unknown_order(self):
         with pytest.raises(ValueError, match="child_order"):
             gold_path(_tree([-1, 0]), "bfs")

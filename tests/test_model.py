@@ -61,7 +61,7 @@ def _loss_and_grads(loss_fn, parser):
 
 def _assert_agree(parser, tree, training, seed):
     fused = _loss_and_grads(
-        lambda: parser.batch_loss([tree], training=training, rngs=[Rng(seed)]), parser)
+        lambda: parser.batch_loss([tree], [Rng(seed)] if training else None), parser)
     reference = _loss_and_grads(
         lambda: reference_loss.sentence_loss(parser, tree, training=training,
                                              rng=Rng(seed)), parser)
@@ -119,7 +119,7 @@ def test_batch_loss_is_the_mean_of_per_sentence_reference_losses(tiny_config, si
             total = loss if total is None else ad.add(total, loss)
         return ad.scale(total, 1.0 / len(batch))
 
-    fused = _loss_and_grads(lambda: parser.batch_loss(batch, training=training, rngs=rngs),
+    fused = _loss_and_grads(lambda: parser.batch_loss(batch, rngs if training else None),
                             parser)
     want = _loss_and_grads(reference, parser)
     assert abs(fused[0] - want[0]) <= TOLERANCE
@@ -145,8 +145,8 @@ def test_batch_loss_tape_size_is_independent_of_batch_size(tiny_config, monkeypa
         batch = _same_length_batch(3, size, 4)
         assert len(batch) == size
         created.clear()
-        parser.batch_loss(batch, training=training,
-                          rngs=[Rng(1).split(f"s{b}") for b in range(size)])
+        parser.batch_loss(batch, [Rng(1).split(f"s{b}") for b in range(size)]
+                          if training else None)
         sizes[size] = len(created)
     assert sizes[1] == sizes[32]
 
@@ -156,6 +156,35 @@ def test_batch_loss_needs_one_length(tiny_config):
     batch = [_same_length_batch(1, 1, 2)[0], _same_length_batch(1, 1, 3)[0]]
     with pytest.raises(ValueError, match="one length"):
         parser.batch_loss(batch)
+
+
+def test_streams_at_zero_rates_equal_evaluation(tiny_config):
+    # Streams switch dropout on; at rates of zero nothing is drawn or
+    # dropped, so the loss and every gradient keep their bits.
+    batch = _same_length_batch(4, 5, 4)
+    rngs = [Rng(2).split(f"s{b}") for b in range(len(batch))]
+    parser = Parser.build(tiny_config.replaced(p_in=0.0, p_rnn=0.0, p_out=0.0), VOCABS)
+    loss, grads = _loss_and_grads(lambda: parser.batch_loss(batch, rngs), parser)
+    want, want_grads = _loss_and_grads(lambda: parser.batch_loss(batch), parser)
+    assert loss == want
+    for name, grad in want_grads.items():
+        np.testing.assert_array_equal(grads[name], grad, err_msg=name)
+
+    parser = Parser.build(tiny_config, VOCABS)
+    assert tiny_config.p_in > 0.0 and tiny_config.p_rnn > 0.0 and tiny_config.p_out > 0.0
+    assert (_loss_and_grads(lambda: parser.batch_loss(batch, rngs), parser)[0]
+            != _loss_and_grads(lambda: parser.batch_loss(batch), parser)[0])
+
+
+def test_batch_loss_rejects_wrong_stream_count(tiny_config):
+    # At p_in = 0 no dropout call sees the streams before the BiLSTM, where
+    # one stream would broadcast its masks over the whole batch.
+    batch = _same_length_batch(1, 3, 4)
+    for config in (tiny_config, tiny_config.replaced(p_in=0.0)):
+        parser = Parser.build(config, VOCABS)
+        for count in (1, 2, 4):
+            with pytest.raises(ValueError, match="one Rng per sentence"):
+                parser.batch_loss(batch, [Rng(1).split(f"s{b}") for b in range(count)])
 
 
 def test_multi_root_loss_is_finite_under_single_root(tiny_config):

@@ -58,7 +58,7 @@ class TestComputeLoss:
         batch = max(make_batches(toy_trees, 8, Rng(2).split("b")), key=len)
         assert len(batch) > 1
         with pytest.raises(ValueError, match="finite or -inf"):
-            compute_loss(parser, batch, training=True, rng=Rng(1))
+            compute_loss(parser, batch, Rng(1))
 
     def test_mixed_lengths_rejected_naming_them(self, tiny_config, toy_vocabs, toy_trees):
         # make_batches yields batches of one length; batch_loss refuses any
@@ -68,11 +68,6 @@ class TestComputeLoss:
         short, long = by_length[0], by_length[-1]
         with pytest.raises(ValueError, match=rf"one length, got \[{len(short)}, {len(long)}\]"):
             compute_loss(parser, [long, short])
-
-    def test_training_without_rng_rejected(self, tiny_config, toy_vocabs, toy_trees):
-        parser = Parser.build(tiny_config, toy_vocabs)
-        with pytest.raises(ValueError, match="training needs one Rng per tree"):
-            compute_loss(parser, [toy_trees[0]], training=True)
 
     def test_empty_batch_rejected(self, tiny_config, toy_vocabs):
         parser = Parser.build(tiny_config, toy_vocabs)

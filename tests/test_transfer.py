@@ -154,10 +154,8 @@ class TestTransplant:
         src_parser = Parser(tiny_config, source_ckpt.vocabs, source_ckpt.params)
         new_parser = Parser(tiny_config, grafted.vocabs, grafted.params)
         sent = corpus(seed=5, size=20, pools=SOURCE_POOLS)[0]
-        a = enc.encode_batch([sent], src_parser.vocabs, src_parser.store,
-                             tiny_config, training=False, rngs=None)
-        b = enc.encode_batch([sent], new_parser.vocabs, new_parser.store,
-                             tiny_config, training=False, rngs=None)
+        a = enc.encode_batch([sent], src_parser.vocabs, src_parser.store, tiny_config)
+        b = enc.encode_batch([sent], new_parser.vocabs, new_parser.store, tiny_config)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_provenance_chains(self, source_ckpt, grafted):
