@@ -5,8 +5,8 @@ records a tape of backward closures, the handful of operations the model is
 built from (products of a matrix or stack of rows with a weight matrix or
 of two equal-size stacks of matrices, axis permutation, elementwise ops,
 softmax over the last axis, concatenation, masked max-over-time pooling, a
-fused LSTM over a (T, B, d) batch of equal-length sequences whose gate
-arithmetic decoding shares, dropout with one random stream per batch row),
+fused LSTM over a (B, T, d) batch of sequences, forward or reversed, whose
+gate arithmetic decoding shares, dropout with one random stream per row),
 a named parameter store with deterministic initialization, the Adam
 optimizer, and a finite-difference gradient checker.
 
@@ -270,7 +270,9 @@ def sum_all(t: Tensor) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    # Below z = -709.78, exp(-z) overflows to inf and the sigmoid is exactly 0.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -450,25 +452,33 @@ def lstm_gates(z: np.ndarray, c: np.ndarray
 
 
 def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
-                  h_mask: np.ndarray | None = None) -> Tensor:
-    """LSTM over a batch of equal-length sequences ``x`` (T, B, d), each
-    from a zero state; returns the hidden states (T, B, h). Each step is
-    one :func:`lstm_gates` call for the whole batch.
+                  in_mask: np.ndarray | None = None, h_mask: np.ndarray | None = None,
+                  reverse: np.ndarray | None = None) -> Tensor:
+    """LSTM over the row sequences of a batch ``x`` (B, T, d), each from a
+    zero state; returns the hidden states (B, T, h) in row order. Inside,
+    the batch runs time-major, one :func:`lstm_gates` call per step.
 
-    ``h_mask`` (B, h) multiplies the recurrent input at every step
-    (variational dropout: one mask per sequence). The input projection is
-    one (T*B, d) @ (d, 4h) product, each step's recurrent term one
-    (B, h) @ (h, 4h) product, and the whole batch is one tape node: its
-    backward is hand-written BPTT whose weight gradients are single
-    (4h, T*B) @ (T*B, .) products (the fused recurrent layer of Appleyard
-    et al. 2016, batched across sequences).
+    ``in_mask`` (B, d) and ``h_mask`` (B, h) multiply each sequence's input
+    rows and recurrent input (variational dropout: one mask per sequence).
+    ``reverse`` (B,) runs sequence b backward over its first ``reverse[b]``
+    rows, then forward over the rest. The input projection is one
+    (T*B, d) @ (d, 4h) product, each step's recurrent term one
+    (B, h) @ (h, 4h) product, and the batch one tape node: its backward is
+    hand-written BPTT whose weight gradients are single (4h, T*B) @ (T*B, .)
+    products (the fused recurrent layer of Appleyard et al. 2016, batched
+    across sequences).
     """
-    xs = x.data
-    steps, batch, width = xs.shape
+    batch, steps, width = x.data.shape
     if steps == 0:
         raise ValueError("LSTM over an empty sequence")
     hidden = w_hh.data.shape[1]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
+    # Step t of sequence b reads its row flip[t, b]. A mirror map is its own
+    # inverse, so flip also maps the steps' states and gradients back to rows.
+    t_ = np.arange(steps)[:, None]
+    flip = t_ if reverse is None else np.where(t_ < reverse, reverse - 1 - t_, t_)
+    to_steps, to_rows = (np.arange(batch), flip), (flip.T, np.arange(batch)[:, None])
+    xs = x.data[to_steps] if in_mask is None else x.data[to_steps] * in_mask
     rows = xs.reshape(steps * batch, width)
     w_rec_t = w_hh.data.T     # a view: a contiguous copy costs more than it saves
     z_in = (rows @ w_ih.data.T + bias.data).reshape(steps, batch, 4 * hidden)
@@ -484,6 +494,7 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
             z_in[t] + h_in[t] @ w_rec_t, cells[t])
 
     def backward(g: np.ndarray) -> None:
+        g = g[to_steps]
         dz = np.empty((steps, batch, 4 * hidden))
         dh_next = np.zeros((batch, hidden))
         dc_next = np.zeros((batch, hidden))
@@ -509,9 +520,10 @@ def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         if bias.requires_grad:
             _accum(bias, dz_rows.sum(axis=0))
         if x.requires_grad:
-            _accum(x, (dz_rows @ w_ih.data).reshape(steps, batch, width))
+            dx = (dz_rows @ w_ih.data).reshape(steps, batch, width)
+            _accum(x, (dx if in_mask is None else dx * in_mask)[to_rows])
 
-    return _node(out_data, (x, w_ih, w_hh, bias), backward)
+    return _node(out_data[to_rows], (x, w_ih, w_hh, bias), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import ConfigError, TrainConfig, _read_flat
+from .config import ConfigError, TrainConfig, read_flat
 from .metrics import evaluate_domains
 from .model import Parser
 from .trainer import train
@@ -50,7 +50,7 @@ def _load_config(args: argparse.Namespace, base: TrainConfig | None = None) -> T
     file's keys and then with the ``--set`` pairs."""
     flat = (base if base is not None else TrainConfig()).to_flat()
     if getattr(args, "config", None):
-        flat.update(_read_flat(args.config))
+        flat.update(read_flat(args.config))
     for kv in getattr(args, "set", None) or []:
         key, sep, value = kv.partition("=")
         if not sep:

@@ -158,12 +158,8 @@ class TrainConfig:
                 raise ConfigError(f"{key}={text!r}: {exc}") from None
         return cls(**kwargs)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_flat(_read_flat(path))
 
-
-def _read_flat(path: str | Path) -> dict[str, str]:
+def read_flat(path: str | Path) -> dict[str, str]:
     """The key=value pairs of a config file, unchecked ('#' starts a comment line)."""
     try:
         text = _open_text(path).read()

@@ -176,45 +176,35 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
                   rngs: list[Rng] | None = None,
                   lengths: np.ndarray | None = None) -> Tensor:
     """Bidirectional LSTM over each sentence's token rows (B, N+1, d) ->
-    (B, N+1, 2*d_h). Both directions run the whole batch time-major.
+    (B, N+1, 2*d_h). Each direction is one :func:`autodiff.lstm_sequence`
+    over the whole batch.
 
     ``lengths`` (B,), when given, holds each sentence's n; without it
     every row is real. The backward direction reverses each sentence
     within its own n+1 rows and leaves its padded rows at the end, so in
     both directions a sentence's padded steps come after its real ones.
 
-    Variational dropout, when ``rngs`` is given: each direction draws one
-    input mask and one recurrent mask per sentence b from ``rngs[b]``,
-    shared by all of its steps.
+    Variational dropout, when ``rngs`` (one per sentence) is given: each
+    direction draws one input mask and one recurrent mask per sentence b
+    from ``rngs[b]``, shared by all of its steps.
     """
     if x.shape[1] == 0:
         raise ValueError("empty token matrix")
-    seq = ad.transpose(x, (1, 0, 2))                 # (N+1, B, d)
-    # Step t of sentence b's backward run reads its row reverse[t, b]. The
-    # map swaps each real row with its mirror, so it also maps the states back.
-    steps = np.arange(x.shape[1])[:, None]
-    sizes = x.shape[1] if lengths is None else lengths + 1
-    reverse = (np.where(steps < sizes, sizes - 1 - steps, steps),
-               np.arange(x.shape[0]))
+    if rngs is not None and len(rngs) != x.shape[0]:
+        raise ValueError("dropout needs one Rng per sentence")
+    sizes = np.full(x.shape[0], x.shape[1]) if lengths is None else lengths + 1
     outputs = []
-    for direction in ("fw", "bw"):
+    for direction, reverse in (("fw", None), ("bw", sizes)):
         prefix = f"encoder.lstm.{direction}"
-        rows = seq
-        hid_mask = None
+        in_mask = hid_mask = None
         if rngs is not None and config.p_rnn > 0.0:
             in_mask = ad.dropout_masks(x.shape[2], config.p_rnn,
                                        ad.split_each(rngs, f"{prefix}.in"))
             hid_mask = ad.dropout_masks(config.d_h, config.p_rnn,
                                         ad.split_each(rngs, f"{prefix}.hid"))
-            rows = ad.mul(rows, Tensor(in_mask))
-        if direction == "bw":
-            rows = ad.pick(rows, reverse)
-        states = ad.lstm_sequence(rows, store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"],
-                                  store[f"{prefix}.b"], hid_mask)
-        if direction == "bw":
-            states = ad.pick(states, reverse)
-        outputs.append(states)
-    return ad.transpose(ad.concat(outputs, axis=2), (1, 0, 2))
+        outputs.append(ad.lstm_sequence(x, store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"],
+                                        store[f"{prefix}.b"], in_mask, hid_mask, reverse))
+    return ad.concat(outputs, axis=2)
 
 
 def encode_batch(sents, vocabs: dict[str, Vocabulary],

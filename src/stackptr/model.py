@@ -8,7 +8,7 @@ output goes through small ELU layers before the biaffine arc/label scorers.
 trees of one length n, as one tape. The encoder runs the whole batch
 (`encoder.encode_batch`). Every length-n gold path has 2n+1 steps and
 fixes each step's stack top in advance, so the decoder is one LSTM over
-the (2n+1, B, .) gathered top states, and the arc and label scores of all
+the (B, 2n+1, .) gathered top states, and the arc and label scores of all
 steps of all trees are single batched products: no padding, no masks.
 `parse_corpus` runs greedy decoding over bare sentences, a chunk of them
 in lockstep, through one batched :class:`LockstepScorer`, which encodes
@@ -139,10 +139,9 @@ class Parser:
             hid_mask = ad.dropout_masks(cfg.decoder_dim, cfg.p_rnn,
                                         ad.split_each(rngs, "decoder.hid"))
         batch = np.arange(len(trees))
-        tops = ad.pick(states, (batch, plan.tops.T))                  # (2n+1, B, D)
+        tops = ad.pick(states, (batch[:, None], plan.tops))           # (B, 2n+1, D)
         hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
-                                  store["decoder.lstm.b"], hid_mask)
-        hidden = ad.transpose(hidden, (1, 0, 2))                       # (B, 2n+1, D)
+                                  store["decoder.lstm.b"], h_mask=hid_mask)
         arc_b, arc_t = np.nonzero(plan.arc_steps)   # B*n steps, tree by tree in path order
         label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, (arc_b, arc_t)))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)

@@ -3,6 +3,7 @@ determinism."""
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -392,16 +393,27 @@ class TestOpGradients:
         _op_gradients(lambda l, w, r: ad.bilinear_vec(l, w, r),
                       [(4, 3), (2, 3, 5), (4, 5)])
 
+    # The ids False and True name the unmasked and the recurrent-masked case.
     @pytest.mark.parametrize("steps", [1, 4])
-    @pytest.mark.parametrize("masked", [False, True])
-    def test_lstm_sequence(self, steps, masked):
-        # A (T, B, d) batch of three sequences, one recurrent mask row each.
-        h_mask = ad.dropout_mask((3, 4), 0.5, Rng(3).split("h")) if masked else None
+    @pytest.mark.parametrize("case", [pytest.param("plain", id="False"),
+                                      pytest.param("h_mask", id="True"),
+                                      "in_mask", "reverse", "reverse_one"])
+    def test_lstm_sequence(self, steps, case):
+        # A (B, T, d) batch of three sequences with one mask row each, or of
+        # one. "reverse" runs the three backward over mixed lengths, one of
+        # them 1, with both masks; "reverse_one" runs one sequence backward.
+        batch = 1 if case == "reverse_one" else 3
+        in_mask = (ad.dropout_mask((3, 3), 0.5, Rng(3).split("in"))
+                   if case in ("in_mask", "reverse") else None)
+        h_mask = (ad.dropout_mask((3, 4), 0.5, Rng(3).split("h"))
+                  if case in ("h_mask", "reverse") else None)
+        reverse = {"reverse": np.array([steps, 1, min(3, steps)]),
+                   "reverse_one": np.array([steps])}.get(case)
 
         def build(x, w_ih, w_hh, b):
-            return ad.lstm_sequence(x, w_ih, w_hh, b, h_mask)
+            return ad.lstm_sequence(x, w_ih, w_hh, b, in_mask, h_mask, reverse)
 
-        _op_gradients(build, [(steps, 3, 3), (16, 3), (16, 4), (16,)])
+        _op_gradients(build, [(batch, steps, 3), (16, 3), (16, 4), (16,)])
 
     def test_dropout_gradient_with_fixed_mask(self):
         # Same rng seeds per evaluation -> the mask is constant, so central
@@ -428,25 +440,50 @@ class TestLstmSequence:
             h, c = reference_loss.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c,
                                             w_ih, w_hh, b)
             chained.append(h.data)
-        fused = ad.lstm_sequence(Tensor(x[:, None]), w_ih, w_hh, b, h_mask[None]).data[:, 0]
+        fused = ad.lstm_sequence(Tensor(x[None]), w_ih, w_hh, b, h_mask=h_mask[None]).data[0]
         np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)
 
     def test_batch_rows_match_one_sequence_at_a_time(self):
+        # Forward, and reversed over each sequence's first reverse[k] rows,
+        # where sequence k is the run of its masked rows flipped there alone,
+        # with the states flipped back.
         rng = Rng(13).split("batch")
-        x = rng.random((4, 3, 5)) - 0.5
+        x = rng.random((3, 4, 5)) - 0.5
         w_ih, w_hh, b = (Tensor(rng.random(shape) - 0.5)
                          for shape in [(16, 5), (16, 4), (16,)])
+        in_mask = ad.dropout_mask((3, 5), 0.3, rng.split("in"))
         h_mask = ad.dropout_mask((3, 4), 0.3, rng.split("mask"))
-        batched = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask).data
+        reverse = np.array([4, 1, 3])
+        batched = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask=h_mask).data
+        flipped = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, in_mask, h_mask, reverse).data
+
+        def flip(rows, n):
+            return np.concatenate([rows[:n][::-1], rows[n:]])
+
         for k in range(3):
-            one = ad.lstm_sequence(Tensor(x[:, k:k + 1]), w_ih, w_hh, b,
-                                   h_mask[k:k + 1]).data[:, 0]
-            np.testing.assert_allclose(batched[:, k], one, atol=1e-15)
+            one = ad.lstm_sequence(Tensor(x[k:k + 1]), w_ih, w_hh, b,
+                                   h_mask=h_mask[k:k + 1]).data[0]
+            np.testing.assert_allclose(batched[k], one, atol=1e-15)
+            alone = ad.lstm_sequence(Tensor(flip(x[k] * in_mask[k], reverse[k])[None]),
+                                     w_ih, w_hh, b, h_mask=h_mask[k:k + 1]).data[0]
+            np.testing.assert_allclose(flipped[k], flip(alone, reverse[k]), atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ad.lstm_sequence(Tensor(np.zeros((0, 1, 3))), Tensor(np.zeros((16, 3))),
+            ad.lstm_sequence(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((16, 3))),
                              Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)))
+
+    def test_saturated_gates_raise_no_warning(self):
+        # exp(800) overflows a float; the sigmoid gates are exactly 0 at -800
+        # and 1 at +800, and other inputs keep the bits of 1 / (1 + exp(-z)).
+        z = np.repeat([[-800.0], [800.0]], 8, axis=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            act, _, _, _ = ad.lstm_gates(z, np.ones((2, 2)))
+        np.testing.assert_array_equal(act, [[0, 0, 0, 0, -1, -1, 0, 0],
+                                            [1, 1, 1, 1, 1, 1, 1, 1]])
+        z = np.concatenate([np.linspace(-709.0, 709.0, 20_001), [np.inf, np.nan]])
+        np.testing.assert_array_equal(ad._sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
 
 
 class TestRng:

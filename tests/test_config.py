@@ -12,6 +12,7 @@ from stackptr.config import (
     ArchitectureMismatch,
     ConfigError,
     TrainConfig,
+    read_flat,
 )
 
 FIELDS = [f.name for f in dataclasses.fields(TrainConfig)]
@@ -125,25 +126,25 @@ class TestConfigFile:
         path = tmp_path / "parser.cfg"
         path.write_text("".join(f"{k}={v}\n" for k, v in config.to_flat().items()),
                         encoding="utf-8")
-        assert TrainConfig.from_file(path) == config
+        assert TrainConfig.from_flat(read_flat(path)) == config
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nd_w=100\n  seed = 3  \n")
-        config = TrainConfig.from_file(path)
+        config = TrainConfig.from_flat(read_flat(path))
         assert config.d_w == 100 and config.seed == 3
 
     def test_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("d_h=64\n")
-        config = TrainConfig.from_file(path)
+        config = TrainConfig.from_flat(read_flat(path))
         assert config.d_h == 64 and config.d_w == 300
 
     def test_bad_line_reports_number(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("d_w=100\nnot a setting\n")
         with pytest.raises(ValueError, match="line 2"):
-            TrainConfig.from_file(path)
+            TrainConfig.from_flat(read_flat(path))
 
 
 class TestConfigErrors:
@@ -188,13 +189,13 @@ class TestConfigErrors:
         path = tmp_path / "c.cfg"
         path.write_bytes(b"d_w=6\n\xff=1\n")
         with pytest.raises(ConfigError, match="config line 2: invalid UTF-8 byte 0xff"):
-            TrainConfig.from_file(path)
+            TrainConfig.from_flat(read_flat(path))
 
     def test_bad_file_line_is_a_config_error(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("not a setting\n")
         with pytest.raises(ConfigError, match="line 1"):
-            TrainConfig.from_file(path)
+            TrainConfig.from_flat(read_flat(path))
 
     def test_architecture_mismatch_is_a_config_error(self):
         assert issubclass(ArchitectureMismatch, ConfigError)

@@ -237,6 +237,14 @@ class TestBiLstm:
             bilstm_encode(Tensor(np.zeros((1, 0, tiny_config.d_model))),
                           store, tiny_config)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_wrong_stream_count_rejected(self, tiny_config, toy_vocabs, count):
+        store = _setup(tiny_config, toy_vocabs)
+        rngs = [Rng(4).split(f"sent{k}") for k in range(count)]
+        with pytest.raises(ValueError, match="one Rng per sentence"):
+            bilstm_encode(Tensor(np.zeros((3, 5, tiny_config.d_model))),
+                          store, tiny_config, rngs)
+
 
 def test_encoder_end_to_end_gradients(tiny_config, toy_vocabs):
     """Sum of encoder states as the loss; full parameter sweep at 1e-4."""

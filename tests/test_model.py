@@ -303,16 +303,15 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
     for tree in toy_trees[:10]:
         plan = dec.gold_plan(tree)
         states = encode_batch([tree], toy_vocabs, store, tiny_config)
-        tops = ad.pick(states, (np.array([0]), plan.tops[:, None]))
+        tops = ad.pick(states, (np.array([[0]]), plan.tops[None]))
         hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"],
                                   store["decoder.lstm.W_hh"], store["decoder.lstm.b"])
-        arcs = model._arc_scores(store, model._mlp(store, "biaffine.arc.dec",
-                                                   ad.transpose(hidden, (1, 0, 2))),
+        arcs = model._arc_scores(store, model._mlp(store, "biaffine.arc.dec", hidden),
                                  model._mlp(store, "biaffine.arc.enc", states)).data[0]
         scorer = LockstepScorer(parser, [tree])
         for k in range(len(plan.tops)):
             scores = scorer.arc_scores(np.array([0]), plan.tops[k:k + 1])
-            assert np.abs(scorer.hidden[0] - hidden.data[k, 0]).max() <= 1e-12
+            assert np.abs(scorer.hidden[0] - hidden.data[0, k]).max() <= 1e-12
             assert scores.shape == (1, len(tree) + 1)
             assert np.abs(scores[0] - arcs[k]).max() <= 1e-12
 
