@@ -444,9 +444,9 @@ class TestLstmSequence:
         np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)
 
     def test_batch_rows_match_one_sequence_at_a_time(self):
-        # Forward, and reversed over each sequence's first reverse[k] rows,
-        # where sequence k is the run of its masked rows flipped there alone,
-        # with the states flipped back.
+        # Each sequence of a batch matches a run of it alone: forward, and,
+        # reversed over its first reverse[k] rows, a run on its masked rows
+        # flipped there, whose states are flipped back.
         rng = Rng(13).split("batch")
         x = rng.random((3, 4, 5)) - 0.5
         w_ih, w_hh, b = (Tensor(rng.random(shape) - 0.5)
