@@ -625,7 +625,8 @@ class ParameterStore:
         return t
 
     def put(self, name: str, values: np.ndarray) -> Tensor:
-        """Register a parameter with explicit values (checkpoint load, surgery)."""
+        """Register a parameter with explicit values (checkpoint load, surgery),
+        copied into a new float64 array: the store never aliases the caller's buffer."""
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name}")
         t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)

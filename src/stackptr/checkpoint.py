@@ -47,6 +47,8 @@ class Checkpoint:
     vocabs: dict[str, Vocabulary]
     config: TrainConfig
     provenance: list[str] = field(default_factory=list)
+    # Epoch-mean training losses of the run that produced it; not stored in the file.
+    history: list[float] = field(default_factory=list)
 
 
 def as_stored(values: np.ndarray) -> np.ndarray:
@@ -105,22 +107,23 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
             _check_utf8(f"[vocab.{key}] symbol {symbol!r}", symbol)
         lines.append(f"[vocab.{key} {len(vocab)}]")
         lines.extend(vocab.symbols)
-    blobs: list[bytes] = []
+    lines.append(f"[tensors {len(ckpt.params)}]")
+    arrays: list[np.ndarray] = []
     offset = 0
-    tensor_lines: list[str] = []
     for name, tensor in ckpt.params.items():
         with np.errstate(over="ignore", invalid="ignore"):
             stored = np.ascontiguousarray(tensor.data, dtype=STORED_DTYPE)
         _check_finite(name, stored)
         shape_text = ",".join(str(d) for d in tensor.data.shape)
-        tensor_lines.append(f"{name}\t{shape_text}\t{offset}")
-        blobs.append(stored.tobytes())
+        lines.append(f"{name}\t{shape_text}\t{offset}")
+        arrays.append(stored)
         offset += stored.nbytes
-    lines.append(f"[tensors {len(tensor_lines)}]")
-    lines.extend(tensor_lines)
-    lines.append("[blob]")
-    payload = "\n".join(lines).encode("utf-8") + b"\n" + b"".join(blobs)
-    Path(path).write_bytes(payload)
+    lines.append("[blob]\n")
+    manifest = "\n".join(lines).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(manifest)
+        for stored in arrays:
+            fh.write(stored)
 
 
 class _Reader:
@@ -153,9 +156,6 @@ class _Reader:
         if not (count.isascii() and count.isdigit()):
             raise CheckpointError(f"bad section count in {text!r}")
         return int(count)
-
-    def rest(self) -> bytes:
-        return self.data[self.pos:]
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -217,23 +217,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         blob_end += 4 * math.prod(shape)
     _check_tensor_set(shapes, parameter_shapes(config, vocabs))
     reader.section("blob")
-    blob = reader.rest()
+    blob_size = len(reader.data) - reader.pos
     params = ParameterStore(rng_seed)
     offset = 0
     for name, shape in shapes.items():
         count = math.prod(shape)
         end = offset + 4 * count
-        if end > len(blob):
-            raise CheckpointError(
-                f"tensor {name!r} needs blob bytes {offset}..{end}, "
-                f"but the blob holds {len(blob)}"
-            )
-        values = np.frombuffer(blob, dtype=STORED_DTYPE, count=count, offset=offset)
+        if end > blob_size:
+            raise CheckpointError(f"tensor {name!r} needs blob bytes {offset}..{end}, "
+                                  f"but the blob holds {blob_size}")
+        values = np.frombuffer(reader.data, dtype=STORED_DTYPE, count=count,
+                               offset=reader.pos + offset)
         _check_finite(name, values)
-        params.put(name, values.reshape(shape).astype(np.float64))
+        params.put(name, values.reshape(shape))
         offset = end
-    if len(blob) != blob_end:
-        raise CheckpointError(
-            f"{len(blob) - blob_end} trailing bytes after the last tensor"
-        )
+    if blob_size != blob_end:
+        raise CheckpointError(f"{blob_size - blob_end} trailing bytes after the last tensor")
     return Checkpoint(params=params, vocabs=vocabs, config=config, provenance=provenance)

@@ -5,8 +5,8 @@ the requested artifact was fully written; 1 is a runtime failure (partial
 outputs are removed); 2 is a usage error: a config key or value that does
 not parse or is out of range, or a fine-tune config that changes the
 checkpoint's architecture. Every artifact-producing run writes a
-`<out>.repro` record (config snapshot, seed, input digests) beside its
-output.
+`<out>.repro` record (config snapshot, seed, input digests, and for
+`finetune` the surgery's retain/reinit prefixes and seed) beside its output.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ def _digest(path: str) -> str:
 
 
 def _write_repro(out: str, verb: str, config: TrainConfig | None,
-                 inputs: dict[str, str]) -> None:
+                 inputs: dict[str, str], surgery: dict[str, object] | None = None) -> None:
     lines = [f"verb={verb}"]
     if config is not None:
         lines += [f"config.{k}={v}" for k, v in config.to_flat().items()]
+    lines += [f"surgery.{k}={v}" for k, v in (surgery or {}).items()]
     lines += [f"input.{name}={_digest(path)}" for name, path in sorted(inputs.items())]
     Path(out + ".repro").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -96,7 +97,8 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
     ckpt = finetune(grafted, train_trees, dev_trees, config, log=_log)
     save_checkpoint(ckpt, args.out)
     _write_repro(args.out, "finetune", config,
-                 {"source": args.source, "train": args.train, "dev": args.dev})
+                 {"source": args.source, "train": args.train, "dev": args.dev},
+                 {"retain": args.retain, "reinit": args.reinit, "seed": seed})
     _log(f"wrote {args.out}")
     return 0
 

@@ -179,6 +179,5 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
         f"{origin}, seed {config.seed}",
         f"best epoch {best_epoch}, dev LAS {best_las:.4f}",
     ]
-    ckpt = Checkpoint(params=final, vocabs=vocabs, config=config, provenance=provenance)
-    ckpt.history = history  # epoch-mean losses, for inspection and tests
-    return ckpt
+    return Checkpoint(params=final, vocabs=vocabs, config=config, provenance=provenance,
+                      history=history)

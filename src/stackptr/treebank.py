@@ -332,8 +332,8 @@ def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
 def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
                                rng: Rng) -> np.ndarray:
     """Read word vectors, one word and ``dim`` values per line separated by
-    whitespace, after an optional "count dim" header; OOV rows get uniform
-    +-0.05.
+    whitespace, after an optional "count dim" header (a first line of two
+    integers); OOV rows get uniform +-0.05.
 
     Every in-vocabulary row, including PAD/UNK/ROOT, starts random and is
     overwritten where the file provides a vector. Blank lines are skipped.
@@ -344,7 +344,7 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     table = rng.split("pretrained-fill").uniform(-0.05, 0.05, (len(vocab), dim))
     for lineno, line in enumerate(_open_text(path), start=1):
         parts = line.split()
-        if not parts or (len(parts) == 2 and lineno == 1):
+        if not parts or (lineno == 1 and len(parts) == 2 and "".join(parts).isdecimal()):
             continue  # blank line, or the optional "count dim" header
         if len(parts) != dim + 1:
             raise TreebankError(f"line {lineno}: expected {dim + 1} fields, got {len(parts)}")

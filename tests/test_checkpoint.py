@@ -15,6 +15,7 @@ from stackptr.checkpoint import (
     Checkpoint,
     CheckpointError,
     FORMAT_VERSION,
+    as_stored,
     load_checkpoint,
     save_checkpoint,
 )
@@ -120,6 +121,24 @@ class TestRoundTrip:
         noted = dataclasses.replace(small_ckpt, provenance=small_ckpt.provenance + ["two\nlines"])
         save_checkpoint(noted, path)
         assert "two lines" in load_checkpoint(path).provenance
+
+    def test_history_is_not_stored(self, small_ckpt, tmp_path):
+        path = tmp_path / "h.ckpt"
+        save_checkpoint(dataclasses.replace(small_ckpt, history=[2.5, 1.25]), path)
+        assert load_checkpoint(path).history == []
+
+    def test_loaded_tensors_own_their_values(self, small_ckpt, tmp_path):
+        # Loading reads float32 views of the file's bytes; the store must copy them.
+        path = tmp_path / "o.ckpt"
+        save_checkpoint(small_ckpt, path)
+        first = load_checkpoint(path)
+        for name, tensor in first.params.items():
+            data = tensor.data
+            assert data.dtype == np.float64, name
+            assert data.flags.c_contiguous and data.flags.writeable and data.flags.owndata, name
+            data[...] = 7.0
+        for name, tensor in load_checkpoint(path).params.items():
+            np.testing.assert_array_equal(tensor.data, as_stored(small_ckpt.params[name].data))
 
 
 class TestValidation:
@@ -368,9 +387,9 @@ def test_vocabulary_symbols_load_back_or_are_refused(vocab_dir, key, symbols):
         vocabs[key] = Vocabulary(RESERVED + tuple(s for s in symbols if s not in RESERVED))
     path = vocab_dir / "symbols.ckpt"
     path.unlink(missing_ok=True)
+    params = _store(SMALL, vocabs)
     try:
-        save_checkpoint(Checkpoint(params=_store(SMALL, vocabs), vocabs=vocabs, config=SMALL),
-                        path)
+        save_checkpoint(Checkpoint(params=params, vocabs=vocabs, config=SMALL), path)
     except CheckpointError:
         assert not path.exists()
         assert any(_unsaveable(s) for s in vocabs[key].symbols)
@@ -378,3 +397,12 @@ def test_vocabulary_symbols_load_back_or_are_refused(vocab_dir, key, symbols):
     loaded = load_checkpoint(path)
     assert {k: v.symbols for k, v in loaded.vocabs.items()} == \
            {k: v.symbols for k, v in vocabs.items()}
+    # Symbols of several UTF-8 bytes make the manifest's byte length differ
+    # from its character length, so every tensor must still be read from
+    # its byte offset.
+    assert loaded.params.names() == params.names()
+    for name, tensor in params.items():
+        assert loaded.params[name].data.tobytes() == as_stored(tensor.data).tobytes(), name
+    again = vocab_dir / "again.ckpt"
+    save_checkpoint(loaded, again)
+    assert again.read_bytes() == path.read_bytes()

@@ -148,6 +148,25 @@ class TestFinetuneVerb:
         assert "config.d_w=6" in repro
         assert "config.learning_rate=0.0005" in repro
         assert "config.seed=3" in repro
+        assert "surgery.retain=embeddings.,encoder.,decoder." in repro
+        assert "surgery.reinit=biaffine." in repro
+        assert "surgery.seed=3" in repro  # the config seed, when --seed is not given
+
+    def test_repro_records_the_surgery(self, work, tmp_path):
+        tuned = tmp_path / "ft.ckpt"
+        code = run(["finetune", "--source", str(work.model),
+                    "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(tuned), "--retain", "embeddings.,encoder.",
+                    "--reinit", "decoder.,biaffine.", "--seed", "11",
+                    "--set", "max_epochs=0"])
+        assert code == 0
+        repro = (tmp_path / "ft.ckpt.repro").read_text().splitlines()
+        surgery = [line for line in repro if line.startswith("surgery.")]
+        assert surgery == ["surgery.retain=embeddings.,encoder.",
+                           "surgery.reinit=decoder.,biaffine.", "surgery.seed=11"]
+        # Beside the config lines, before the input digests.
+        last_config = max(i for i, line in enumerate(repro) if line.startswith("config."))
+        assert repro.index(surgery[0]) == last_config + 1
 
 
 class TestSurgeryInspectVerb:

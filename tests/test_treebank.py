@@ -304,6 +304,19 @@ class TestPretrainedEmbeddings:
         table = load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
         np.testing.assert_array_equal(table[3], [1.0, 2.0, 3.0])
 
+    def test_two_field_first_line_is_a_vector_when_not_integers(self, tmp_path):
+        # With d_w = 1 a vector line has two fields, like the "count dim" header.
+        path = tmp_path / "emb.txt"
+        path.write_text("猫 0.25\n睡 -0.5\n", encoding="utf-8")
+        table = load_pretrained_embeddings(path, self._vocab(), 1, Rng(0))
+        np.testing.assert_array_equal(table[3:], [[0.25], [-0.5]])
+
+    def test_malformed_two_field_first_line_is_an_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("猫 1.0\n睡 1.0 2.0 3.0\n", encoding="utf-8")
+        with pytest.raises(TreebankError, match="line 1: expected 4 fields, got 2"):
+            load_pretrained_embeddings(path, self._vocab(), 3, Rng(0))
+
     def test_wrong_field_count_is_an_error(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("猫 1.0 2.0\n", encoding="utf-8")
