@@ -5,10 +5,11 @@ records a tape of backward closures, the handful of operations the model is
 built from (products of a matrix or stack of rows with a weight matrix or
 of two equal-size stacks of matrices, axis permutation, elementwise ops,
 softmax over the last axis, concatenation, masked max-over-time pooling, a
-fused LSTM over a (B, T, d) batch of sequences, forward or reversed, whose
-gate arithmetic decoding shares, dropout with one random stream per row),
-a named parameter store with deterministic initialization, the Adam
-optimizer, and a finite-difference gradient checker.
+fused LSTM over a (B, T, d) batch of sequences, all of its directions in one
+loop, each forward or reversed, whose gate arithmetic decoding shares,
+dropout with one random stream per row), a named parameter store with
+deterministic initialization, the Adam optimizer, and a finite-difference
+gradient checker.
 
 Ops take whole batches, so one training batch records one tape whose size
 does not depend on the batch size. :func:`matmul` runs a stack times a
@@ -451,79 +452,81 @@ def lstm_gates(z: np.ndarray, c: np.ndarray
     return act, c_next, tanh_c, act[..., o_] * tanh_c
 
 
-def lstm_sequence(x: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
+def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
                   in_mask: np.ndarray | None = None, h_mask: np.ndarray | None = None,
                   reverse: np.ndarray | None = None) -> Tensor:
-    """LSTM over the row sequences of a batch ``x`` (B, T, d), each from a
-    zero state; returns the hidden states (B, T, h) in row order. Inside,
-    the batch runs time-major, one :func:`lstm_gates` call per step.
+    """LSTM in D directions, one (W_ih, W_hh, b) triple of ``weights`` each,
+    over the row sequences of a batch ``x`` (B, T, d), each from a zero state;
+    returns the hidden states (B, T, D*h) in row order, direction by direction.
 
-    ``in_mask`` (B, d) and ``h_mask`` (B, h) multiply each sequence's input
-    rows and recurrent input (variational dropout: one mask per sequence).
-    ``reverse`` (B,) runs sequence b backward over its first ``reverse[b]``
-    rows, then forward over the rest. The input projection is one
-    (T*B, d) @ (d, 4h) product, each step's recurrent term one
-    (B, h) @ (h, 4h) product, and the batch one tape node: its backward is
-    hand-written BPTT whose weight gradients are single (4h, T*B) @ (T*B, .)
-    products (the fused recurrent layer of Appleyard et al. 2016, batched
-    across sequences).
+    ``in_mask`` (D, B, d) and ``h_mask`` (D, B, h) multiply each sequence's
+    input rows and recurrent input (variational dropout: one mask per sequence
+    and direction). ``reverse`` (D, B) runs sequence b of direction k backward
+    over its first ``reverse[k, b]`` rows, then forward over the rest; 0, or no
+    ``reverse``, runs it forward. The batch runs time-major, one :func:`lstm_gates`
+    call per step for all directions, and each direction keeps its own
+    (T*B, d) @ (d, 4h) input and (B, h) @ (h, 4h) step products. The op is one
+    tape node, its backward hand-written BPTT in one loop with (4h, T*B) @ (T*B, .)
+    weight gradients (the fused recurrent layer of Appleyard et al. 2016).
     """
     batch, steps, width = x.data.shape
     if steps == 0:
         raise ValueError("LSTM over an empty sequence")
-    hidden = w_hh.data.shape[1]
+    dirs, hidden = len(weights), weights[0][1].data.shape[1]
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
-    # Step t of sequence b reads its row flip[t, b]. A mirror map is its own
-    # inverse, so flip also maps the steps' states and gradients back to rows.
-    t_ = np.arange(steps)[:, None]
-    flip = t_ if reverse is None else np.where(t_ < reverse, reverse - 1 - t_, t_)
-    to_steps, to_rows = (np.arange(batch), flip), (flip.T, np.arange(batch)[:, None])
-    xs = x.data[to_steps] if in_mask is None else x.data[to_steps] * in_mask
-    rows = xs.reshape(steps * batch, width)
-    w_rec_t = w_hh.data.T     # a view: a contiguous copy costs more than it saves
-    z_in = (rows @ w_ih.data.T + bias.data).reshape(steps, batch, 4 * hidden)
-    gates = np.empty((steps, batch, 4 * hidden))     # activations i, f, g, o
-    h_in = np.zeros((steps, batch, hidden))          # recurrent input of each step
-    cells = np.zeros((steps + 1, batch, hidden))     # cells[t] is step t's incoming c
-    tanh_c = np.empty((steps, batch, hidden))
-    out_data = np.empty((steps, batch, hidden))
+    # Step t of direction k reads row flip[k, t, b] of sequence b. A mirror
+    # map is its own inverse, so flip also maps states and gradients back.
+    ends = np.broadcast_to(0 if reverse is None else reverse, (dirs, batch))[:, None]
+    t_, lanes = np.arange(steps)[:, None], np.arange(batch)
+    flip = np.where(t_ < ends, ends - 1 - t_, t_)
+    xs = x.data[lanes, flip]                             # (D, T, B, d) step rows
+    if in_mask is not None:
+        xs *= in_mask[:, None]
+    # Each step's activations i, f, g, o overwrite its input pre-activations.
+    gates = np.empty((dirs, steps, batch, 4 * hidden))
+    for rows, z, (w_ih, _, bias) in zip(xs, gates, weights):
+        np.add(rows.reshape(-1, width) @ w_ih.data.T, bias.data, out=z.reshape(-1, 4 * hidden))
+    states = np.zeros((dirs, steps + 1, batch, hidden))  # states[:, t] is step t's incoming h
+    cells = np.zeros((steps + 1, dirs, batch, hidden))   # cells[t] is step t's incoming c
+    tanh_c = np.empty((steps, dirs, batch, hidden))
     for t in range(steps):
-        if t:
-            h_in[t] = out_data[t - 1] if h_mask is None else out_data[t - 1] * h_mask
-        gates[t], cells[t + 1], tanh_c[t], out_data[t] = lstm_gates(
-            z_in[t] + h_in[t] @ w_rec_t, cells[t])
+        h_in = states[:, t] if h_mask is None else states[:, t] * h_mask
+        gates[:, t], cells[t + 1], tanh_c[t], states[:, t + 1] = lstm_gates(
+            gates[:, t] + [h @ w.data.T for h, (_, w, _) in zip(h_in, weights)], cells[t])
 
     def backward(g: np.ndarray) -> None:
-        g = g[to_steps]
-        dz = np.empty((steps, batch, 4 * hidden))
-        dh_next = np.zeros((batch, hidden))
-        dc_next = np.zeros((batch, hidden))
+        g = g.reshape(batch, steps, dirs, hidden)[lanes, flip.transpose(1, 0, 2),
+                                                  np.arange(dirs)[:, None]]
+        dz = np.empty((dirs, steps, batch, 4 * hidden))
+        dh_next = dc_next = np.zeros((dirs, batch, hidden))
         for t in range(steps - 1, -1, -1):
-            act = gates[t]
-            i, f, gg, o = act[:, i_], act[:, f_], act[:, g_], act[:, o_]
+            i, f, gg, o = (gates[:, t, ..., gate] for gate in (i_, f_, g_, o_))
             dh = g[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[t, :, i_] = dc * gg * i * (1.0 - i)
-            dz[t, :, f_] = dc * cells[t] * f * (1.0 - f)
-            dz[t, :, g_] = dc * i * (1.0 - gg * gg)
-            dz[t, :, o_] = dh * tanh_c[t] * o * (1.0 - o)
+            dz[:, t, :, i_] = dc * gg * i * (1.0 - i)
+            dz[:, t, :, f_] = dc * cells[t] * f * (1.0 - f)
+            dz[:, t, :, g_] = dc * i * (1.0 - gg * gg)
+            dz[:, t, :, o_] = dh * tanh_c[t] * o * (1.0 - o)
             dc_next = dc * f
             if t:
-                dh_next = dz[t] @ w_hh.data
+                dh_next = np.array([d @ w.data for d, (_, w, _) in zip(dz[:, t], weights)])
                 if h_mask is not None:
                     dh_next = dh_next * h_mask
-        dz_rows = dz.reshape(steps * batch, 4 * hidden)
-        if w_ih.requires_grad:
-            _accum(w_ih, dz_rows.T @ rows)
-        if w_hh.requires_grad:
-            _accum(w_hh, dz_rows.T @ h_in.reshape(steps * batch, hidden))
-        if bias.requires_grad:
-            _accum(bias, dz_rows.sum(axis=0))
-        if x.requires_grad:
-            dx = (dz_rows @ w_ih.data).reshape(steps, batch, width)
-            _accum(x, (dx if in_mask is None else dx * in_mask)[to_rows])
+        for k, (w_ih, w_hh, bias) in enumerate(weights):
+            dz_rows = dz[k].reshape(-1, 4 * hidden)
+            if w_ih.requires_grad:
+                _accum(w_ih, dz_rows.T @ xs[k].reshape(-1, width))
+            if w_hh.requires_grad:
+                h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
+                _accum(w_hh, dz_rows.T @ h_in.reshape(-1, hidden))
+            if bias.requires_grad:
+                _accum(bias, dz_rows.sum(axis=0))
+            if x.requires_grad:
+                dx = (dz_rows @ w_ih.data).reshape(steps, batch, width)
+                _accum(x, (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]])
 
-    return _node(out_data[to_rows], (x, w_ih, w_hh, bias), backward)
+    out = states[np.arange(dirs), flip.transpose(2, 1, 0) + 1, lanes[:, None, None]]
+    return _node(out.reshape(batch, steps, -1), (x, *[w for ws in weights for w in ws]), backward)
 
 
 # ---------------------------------------------------------------------------

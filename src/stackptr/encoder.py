@@ -176,8 +176,8 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
                   rngs: list[Rng] | None = None,
                   lengths: np.ndarray | None = None) -> Tensor:
     """Bidirectional LSTM over each sentence's token rows (B, N+1, d) ->
-    (B, N+1, 2*d_h). Each direction is one :func:`autodiff.lstm_sequence`
-    over the whole batch.
+    (B, N+1, 2*d_h), forward states first: one :func:`autodiff.lstm_sequence`
+    call runs both directions over the whole batch.
 
     ``lengths`` (B,), when given, holds each sentence's n; without it
     every row is real. The backward direction reverses each sentence
@@ -193,18 +193,15 @@ def bilstm_encode(x: Tensor, store: ad.ParameterStore, config: TrainConfig,
     if rngs is not None and len(rngs) != x.shape[0]:
         raise ValueError("dropout needs one Rng per sentence")
     sizes = np.full(x.shape[0], x.shape[1]) if lengths is None else lengths + 1
-    outputs = []
-    for direction, reverse in (("fw", None), ("bw", sizes)):
-        prefix = f"encoder.lstm.{direction}"
-        in_mask = hid_mask = None
-        if rngs is not None and config.p_rnn > 0.0:
-            in_mask = ad.dropout_masks(x.shape[2], config.p_rnn,
-                                       ad.split_each(rngs, f"{prefix}.in"))
-            hid_mask = ad.dropout_masks(config.d_h, config.p_rnn,
-                                        ad.split_each(rngs, f"{prefix}.hid"))
-        outputs.append(ad.lstm_sequence(x, store[f"{prefix}.W_ih"], store[f"{prefix}.W_hh"],
-                                        store[f"{prefix}.b"], in_mask, hid_mask, reverse))
-    return ad.concat(outputs, axis=2)
+    prefixes = ("encoder.lstm.fw", "encoder.lstm.bw")
+    in_mask = hid_mask = None
+    if rngs is not None and config.p_rnn > 0.0:
+        def masks(width: int, kind: str) -> np.ndarray:
+            streams = [rng.split(f"{prefix}.{kind}") for prefix in prefixes for rng in rngs]
+            return ad.dropout_masks(width, config.p_rnn, streams).reshape(2, len(rngs), width)
+        in_mask, hid_mask = masks(x.shape[2], "in"), masks(config.d_h, "hid")
+    weights = [tuple(store[f"{prefix}.{w}"] for w in ("W_ih", "W_hh", "b")) for prefix in prefixes]
+    return ad.lstm_sequence(x, weights, in_mask, hid_mask, (np.zeros_like(sizes), sizes))
 
 
 def encode_batch(sents, vocabs: dict[str, Vocabulary],

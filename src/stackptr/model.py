@@ -137,11 +137,11 @@ class Parser:
         hid_mask = None
         if rngs is not None and cfg.p_rnn > 0.0:
             hid_mask = ad.dropout_masks(cfg.decoder_dim, cfg.p_rnn,
-                                        ad.split_each(rngs, "decoder.hid"))
+                                        ad.split_each(rngs, "decoder.hid"))[None]
         batch = np.arange(len(trees))
         tops = ad.pick(states, (batch[:, None], plan.tops))           # (B, 2n+1, D)
-        hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
-                                  store["decoder.lstm.b"], h_mask=hid_mask)
+        hidden = ad.lstm_sequence(tops, [(store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
+                                          store["decoder.lstm.b"])], h_mask=hid_mask)
         arc_b, arc_t = np.nonzero(plan.arc_steps)   # B*n steps, tree by tree in path order
         label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, (arc_b, arc_t)))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)

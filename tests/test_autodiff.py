@@ -397,23 +397,34 @@ class TestOpGradients:
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("case", [pytest.param("plain", id="False"),
                                       pytest.param("h_mask", id="True"),
-                                      "in_mask", "reverse", "reverse_one"])
+                                      "in_mask", "reverse", "reverse_one",
+                                      "bi_masks", "bi_reverse", "bi_one"])
     def test_lstm_sequence(self, steps, case):
         # A (B, T, d) batch of three sequences with one mask row each, or of
         # one. "reverse" runs the three backward over mixed lengths, one of
         # them 1, with both masks; "reverse_one" runs one sequence backward.
-        batch = 1 if case == "reverse_one" else 3
-        in_mask = (ad.dropout_mask((3, 3), 0.5, Rng(3).split("in"))
-                   if case in ("in_mask", "reverse") else None)
-        h_mask = (ad.dropout_mask((3, 4), 0.5, Rng(3).split("h"))
-                  if case in ("h_mask", "reverse") else None)
-        reverse = {"reverse": np.array([steps, 1, min(3, steps)]),
-                   "reverse_one": np.array([steps])}.get(case)
+        # The "bi" cases run two directions in one call, with both masks:
+        # forward and fully backward, both backward over mixed lengths, and
+        # forward and backward over one sequence.
+        dirs, batch, use_in, use_h, reverse = {
+            "plain": (1, 3, False, False, None),
+            "h_mask": (1, 3, False, True, None),
+            "in_mask": (1, 3, True, False, None),
+            "reverse": (1, 3, True, True, [[steps, 1, min(3, steps)]]),
+            "reverse_one": (1, 1, False, False, [[steps]]),
+            "bi_masks": (2, 3, True, True, [[0] * 3, [steps] * 3]),
+            "bi_reverse": (2, 3, True, True, [[1, steps, min(2, steps)],
+                                              [steps, 1, min(3, steps)]]),
+            "bi_one": (2, 1, True, True, [[0], [steps]]),
+        }[case]
+        in_mask = ad.dropout_mask((dirs, batch, 3), 0.5, Rng(3).split("in")) if use_in else None
+        h_mask = ad.dropout_mask((dirs, batch, 4), 0.5, Rng(3).split("h")) if use_h else None
 
-        def build(x, w_ih, w_hh, b):
-            return ad.lstm_sequence(x, w_ih, w_hh, b, in_mask, h_mask, reverse)
+        def build(x, *w):
+            triples = [w[3 * k:3 * k + 3] for k in range(dirs)]
+            return ad.lstm_sequence(x, triples, in_mask, h_mask, reverse)
 
-        _op_gradients(build, [(batch, steps, 3), (16, 3), (16, 4), (16,)])
+        _op_gradients(build, [(batch, steps, 3)] + [(16, 3), (16, 4), (16,)] * dirs)
 
     def test_dropout_gradient_with_fixed_mask(self):
         # Same rng seeds per evaluation -> the mask is constant, so central
@@ -440,7 +451,8 @@ class TestLstmSequence:
             h, c = reference_loss.lstm_cell(Tensor(x[t]), ad.mul(h, Tensor(h_mask)), c,
                                             w_ih, w_hh, b)
             chained.append(h.data)
-        fused = ad.lstm_sequence(Tensor(x[None]), w_ih, w_hh, b, h_mask=h_mask[None]).data[0]
+        fused = ad.lstm_sequence(Tensor(x[None]), [(w_ih, w_hh, b)],
+                                 h_mask=h_mask[None, None]).data[0]
         np.testing.assert_allclose(fused, np.array(chained), atol=1e-15)
 
     def test_batch_rows_match_one_sequence_at_a_time(self):
@@ -454,24 +466,54 @@ class TestLstmSequence:
         in_mask = ad.dropout_mask((3, 5), 0.3, rng.split("in"))
         h_mask = ad.dropout_mask((3, 4), 0.3, rng.split("mask"))
         reverse = np.array([4, 1, 3])
-        batched = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, h_mask=h_mask).data
-        flipped = ad.lstm_sequence(Tensor(x), w_ih, w_hh, b, in_mask, h_mask, reverse).data
+        weights = [(w_ih, w_hh, b)]
+        batched = ad.lstm_sequence(Tensor(x), weights, h_mask=h_mask[None]).data
+        flipped = ad.lstm_sequence(Tensor(x), weights, in_mask[None], h_mask[None],
+                                   reverse[None]).data
 
         def flip(rows, n):
             return np.concatenate([rows[:n][::-1], rows[n:]])
 
         for k in range(3):
-            one = ad.lstm_sequence(Tensor(x[k:k + 1]), w_ih, w_hh, b,
-                                   h_mask=h_mask[k:k + 1]).data[0]
+            one = ad.lstm_sequence(Tensor(x[k:k + 1]), weights,
+                                   h_mask=h_mask[None, k:k + 1]).data[0]
             np.testing.assert_allclose(batched[k], one, atol=1e-15)
             alone = ad.lstm_sequence(Tensor(flip(x[k] * in_mask[k], reverse[k])[None]),
-                                     w_ih, w_hh, b, h_mask=h_mask[k:k + 1]).data[0]
+                                     weights, h_mask=h_mask[None, k:k + 1]).data[0]
             np.testing.assert_allclose(flipped[k], flip(alone, reverse[k]), atol=1e-15)
+
+    def test_two_directions_match_two_one_direction_calls_bit_for_bit(self):
+        # One call over two directions gives the states, dx and all six
+        # weight gradients of two one-direction calls side by side. The
+        # comparison is on the bits, so even -0.0 against 0.0 would fail.
+        rng = Rng(14).split("two")
+        x = rng.random((3, 4, 5)) - 0.5
+        triples = [[rng.random(shape) - 0.5 for shape in [(16, 5), (16, 4), (16,)]]
+                   for _ in range(2)]
+        in_mask = ad.dropout_mask((2, 3, 5), 0.3, rng.split("in"))
+        h_mask = ad.dropout_mask((2, 3, 4), 0.3, rng.split("h"))
+        reverse = np.array([[0, 0, 0], [4, 1, 3]])
+        upstream = Tensor(rng.random((3, 4, 8)))
+
+        def run(one_call):
+            xt = Tensor(x, requires_grad=True)
+            ws = [tuple(Tensor(a, requires_grad=True) for a in triple) for triple in triples]
+            if one_call:
+                out = ad.lstm_sequence(xt, ws, in_mask, h_mask, reverse)
+            else:
+                out = ad.concat([ad.lstm_sequence(xt, [ws[k]], in_mask[k:k + 1],
+                                                  h_mask[k:k + 1], reverse[k:k + 1])
+                                 for k in range(2)], axis=2)
+            ad.sum_all(ad.mul(out, upstream)).backward()
+            return [out.data, xt.grad] + [w.grad for triple in ws for w in triple]
+
+        for both, apart in zip(run(True), run(False)):
+            np.testing.assert_array_equal(both.view(np.uint64), apart.view(np.uint64))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ad.lstm_sequence(Tensor(np.zeros((1, 0, 3))), Tensor(np.zeros((16, 3))),
-                             Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)))
+            ad.lstm_sequence(Tensor(np.zeros((1, 0, 3))), [(Tensor(np.zeros((16, 3))),
+                             Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)))])
 
     def test_saturated_gates_raise_no_warning(self):
         # exp(800) overflows a float; the sigmoid gates are exactly 0 at -800

@@ -304,8 +304,8 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
         plan = dec.gold_plan(tree)
         states = encode_batch([tree], toy_vocabs, store, tiny_config)
         tops = ad.pick(states, (np.array([[0]]), plan.tops[None]))
-        hidden = ad.lstm_sequence(tops, store["decoder.lstm.W_ih"],
-                                  store["decoder.lstm.W_hh"], store["decoder.lstm.b"])
+        hidden = ad.lstm_sequence(tops, [(store["decoder.lstm.W_ih"],
+                                          store["decoder.lstm.W_hh"], store["decoder.lstm.b"])])
         arcs = model._arc_scores(store, model._mlp(store, "biaffine.arc.dec", hidden),
                                  model._mlp(store, "biaffine.arc.enc", states)).data[0]
         scorer = LockstepScorer(parser, [tree])
