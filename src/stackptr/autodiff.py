@@ -39,6 +39,8 @@ __all__ = [
     "AdamState",
     "adam_step",
     "grad_check",
+    "add",
+    "mul",
     "log_softmax",
     "softmax_rows",
     "matmul",

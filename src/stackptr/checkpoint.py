@@ -17,11 +17,14 @@ as 32-bit floats (training math stays 64-bit; :func:`as_stored` gives the
 stored values); loading then saving a file reproduces it byte for byte.
 Every value must be finite. Every fault in a file is a
 :class:`CheckpointError`, and saving refuses what loading would refuse.
+Saving writes a temporary file beside the target and renames it into place,
+so a write that fails part-way leaves any file already there as it was.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -120,10 +123,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         offset += stored.nbytes
     lines.append("[blob]\n")
     manifest = "\n".join(lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(manifest)
-        for stored in arrays:
-            fh.write(stored)
+    target = Path(path)
+    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as fh:     # not mkstemp, whose file would be 0600
+            fh.write(manifest)
+            for stored in arrays:
+                fh.write(stored)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -7,12 +7,15 @@ not parse or is out of range, or a fine-tune config that changes the
 checkpoint's architecture. Every artifact-producing run writes a
 `<out>.repro` record (config snapshot, seed, input digests, and for
 `finetune` the surgery's retain/reinit prefixes and seed) beside its output.
+A failed run removes only the outputs it created or rewrote; files already
+at those paths that it did not touch stay.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,6 +37,15 @@ def _log(message: str) -> None:
 
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _identity(path: str) -> tuple[int, int, int] | None:
+    """(inode, mtime in ns, size) of the file at ``path``, or None if none."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_mtime_ns, st.st_size
 
 
 def _write_repro(out: str, verb: str, config: TrainConfig | None,
@@ -224,11 +236,13 @@ def run(argv: list[str]) -> int:
         args = build_arg_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
+    before = {path: _identity(path) for path in args.outputs(args)}
     try:
         return args.handler(args)
     except Exception as exc:
-        for path in args.outputs(args):
-            Path(path).unlink(missing_ok=True)
+        for path, identity in before.items():
+            if _identity(path) != identity:     # created or rewritten by this run
+                Path(path).unlink(missing_ok=True)
         _log(f"stackptr {args.verb}: error: {exc}")
         return 2 if isinstance(exc, ConfigError) else 1
 

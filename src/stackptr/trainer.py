@@ -87,10 +87,11 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     then keep the checkpoint's architecture fields (``ArchitectureMismatch``
     otherwise). Under ``single_root`` every training tree must have one
     root child (``TreebankError`` otherwise); greedy decoding may still
-    attach several tokens to ROOT. Identical seeds, config, and corpora
-    reproduce the returned checkpoint bitwise. Its parameters are rounded
-    the way a checkpoint file stores them, so saving and loading it
-    changes nothing.
+    attach several tokens to ROOT. With ``initial``, every training label
+    must be in its label vocabulary (``TreebankError`` otherwise).
+    Identical seeds, config, and corpora reproduce the returned checkpoint
+    bitwise. Its parameters are rounded the way a checkpoint file stores
+    them, so saving and loading it changes nothing.
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")
@@ -111,6 +112,11 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     else:
         config.check_architecture(initial.config)
         vocabs = initial.vocabs
+        for index, tree in enumerate(train_trees):
+            for label in tree.labels:
+                if label not in vocabs["label"]:
+                    raise TreebankError(f"training tree {index} has label {label!r}, which "
+                                        "the initial checkpoint's label vocabulary lacks")
         store = ParameterStore(initial.params.rng_seed)
         for name, tensor in initial.params.items():
             store.put(name, tensor.data)

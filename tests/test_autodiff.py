@@ -2,6 +2,7 @@
 determinism."""
 
 import hashlib
+import inspect
 import math
 import warnings
 
@@ -25,6 +26,13 @@ import reference_loss
 
 # Frozen with mpmath (50 digits): softmax([1,2,3]) = exp(x_i)/sum exp(x_j).
 SOFTMAX_123 = (0.09003057317038046, 0.24472847105479767, 0.6652409557748219)
+
+
+def test_all_names_every_public_function_and_class():
+    public = {name for name, value in vars(ad).items()
+              if not name.startswith("_") and getattr(value, "__module__", None) == ad.__name__
+              and (inspect.isfunction(value) or inspect.isclass(value))}
+    assert sorted(ad.__all__) == sorted(public)
 
 
 class TestSoftmax:

@@ -1,6 +1,7 @@
 """Checkpoint file format: round trips, corruption detection."""
 
 import dataclasses
+import errno
 import struct
 from unittest import mock
 
@@ -139,6 +140,48 @@ class TestRoundTrip:
             data[...] = 7.0
         for name, tensor in load_checkpoint(path).params.items():
             np.testing.assert_array_equal(tensor.data, as_stored(small_ckpt.params[name].data))
+
+    def test_failed_write_keeps_the_old_file(self, small_ckpt, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_ckpt, path)
+        old = path.read_bytes()
+        written = []
+        real_open = open
+
+        class DiskFull:
+            """Takes the first write (the manifest), then reports a full disk."""
+
+            def __init__(self, file, mode):
+                self.fh = real_open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if written:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(self.fh.write(data))
+
+        small_ckpt.params["encoder.charcnn.W"].data[...] += 1.0
+        with mock.patch.object(checkpoint, "open", DiskFull, create=True):
+            with pytest.raises(OSError, match="No space left"):
+                save_checkpoint(small_ckpt, path)
+        assert written and written[0] > 0
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        small_ckpt.params["encoder.charcnn.W"].data[...] -= 1.0
+        for name, tensor in load_checkpoint(path).params.items():
+            np.testing.assert_array_equal(tensor.data, as_stored(small_ckpt.params[name].data))
+
+    def test_saved_file_has_the_mode_of_a_plainly_written_file(self, small_ckpt, tmp_path):
+        path = tmp_path / "mode.ckpt"
+        save_checkpoint(small_ckpt, path)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 class TestValidation:

@@ -114,6 +114,48 @@ class TestParseVerb:
         assert not (tmp_path / "pred.conllx.repro").exists()
 
 
+class TestFailedRunKeepsOutputsItDidNotWrite:
+    """A failed run removes what it wrote and leaves what was already there."""
+
+    @staticmethod
+    def _existing(tmp_path, work, name):
+        out = tmp_path / name
+        out.write_bytes(work.model.read_bytes())
+        Path(f"{out}.repro").write_text("verb=earlier\n", encoding="utf-8")
+        return out, {p: p.read_bytes() for p in (out, Path(f"{out}.repro"))}
+
+    def test_train(self, work, tmp_path):
+        out, before = self._existing(tmp_path, work, "model.ckpt")
+        code = run(["train", "--train", str(work.train), "--dev", str(work.dev),
+                    "--out", str(out), "--set", "d_h=0"])
+        assert code == 2
+        assert {p: p.read_bytes() for p in before} == before
+
+    def test_finetune(self, work, tmp_path):
+        out, before = self._existing(tmp_path, work, "tuned.ckpt")
+        code = run(["finetune", "--source", str(work.model), "--train", str(work.train),
+                    "--dev", str(work.dev), "--out", str(out), "--set", "d_h=8"])
+        assert code == 2
+        assert {p: p.read_bytes() for p in before} == before
+
+    def test_parse(self, work, tmp_path):
+        out, before = self._existing(tmp_path, work, "pred.conllx")
+        bad = tmp_path / "bad.conllx"
+        bad.write_text("1\t猫\t_\tNN\n\n", encoding="utf-8")
+        code = run(["parse", "--model", str(work.model),
+                    "--input", str(bad), "--output", str(out)])
+        assert code == 1
+        assert {p: p.read_bytes() for p in before} == before
+        # A run that rewrites the output and then fails removes it, and
+        # leaves the record it never reached.
+        with mock.patch.object(cli, "_write_repro", side_effect=OSError("disk full")):
+            code = run(["parse", "--model", str(work.model),
+                        "--input", str(work.dev), "--output", str(out)])
+        assert code == 1
+        assert not out.exists()
+        assert Path(f"{out}.repro").read_bytes() == before[Path(f"{out}.repro")]
+
+
 class TestEvalVerb:
     def test_domain_breakdown(self, work, tmp_path, capsys):
         assert run(["eval",

@@ -185,6 +185,16 @@ class TestTrain:
         with pytest.raises(TreebankError, match=r"training tree 4 has root children \[1, 2\]"):
             train(quick.replaced(single_root=True), toy_trees[:4] + [tree], toy_trees[:2])
 
+    def test_label_unknown_to_the_initial_checkpoint_rejected_up_front(self, quick,
+                                                                      toy_trees):
+        # Not a numeric failure: the label is checked before any training.
+        base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
+        tokens = (Token("猫", "NN"), Token("狗", "NN"))
+        tree = DependencyTree(tokens, (-1, 2, 0), ("zzz_unseen", "root"))
+        with pytest.raises(TreebankError, match="training tree 4 has label 'zzz_unseen'"):
+            train(quick.replaced(max_epochs=1), toy_trees[:4] + [tree], toy_trees[:4],
+                  initial=base)
+
     def test_architecture_change_rejected_up_front(self, quick, toy_trees):
         base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
         with pytest.raises(ArchitectureMismatch, match="d_h 4 -> 8"):
