@@ -27,11 +27,12 @@ number of tokens attached to ROOT. One rule computes legality for a batch
 of machines from their heads and tops (:func:`legal_masks`).
 
 Under teacher forcing the gold path fixes every step's stack top, legality
-mask and target in advance (:func:`gold_plan`): the tops follow the tree's
-head chain, and the 2n+1 masks come from one :func:`legal_masks` call over
-the heads at every step. The plans of a batch of same-length trees stack
-into one (:func:`stack_plans`), since every length-n path has 2n+1 steps,
-so the training objective of the whole batch is one computation over score
+mask and target in advance. Every length-n path has 2n+1 steps, so
+:func:`gold_plan` plans a batch of same-length trees at once, with no loop
+over steps: a path names each token at its attach step, whose top is the
+token's head, and at its pop step, whose top is the token, and all masks
+come from one :func:`legal_masks` call over the heads at every step. The
+training objective of the whole batch is then one computation over score
 stacks (:func:`path_log_likelihood`): :func:`biaffine_score` turns the
 (B, T, d) decoder rows of T steps into their (B, T, n+1) score rows, and
 greedy decoding scores its one step per sentence as T = 1.
@@ -129,11 +130,12 @@ def gold_path(tree: DependencyTree, child_order: str = "inside_out") -> list[int
 
 @dataclass(frozen=True)
 class GoldPlan:
-    """What teacher forcing fixes in advance for each of the 2n+1 steps.
+    """What teacher forcing fixes in advance for each of the 2n+1 steps of
+    each of B gold paths.
 
-    ``tops[k]`` is the stack top at step k, ``targets[k]`` the gold pointer
-    target, and ``legal[k]`` the likelihood-mode legality mask over 0..n.
-    A stacked plan (:func:`stack_plans`) has a leading batch axis on each.
+    ``tops[b, k]`` is the stack top at step k of path b, ``targets[b, k]``
+    the gold pointer target, both (B, 2n+1), and ``legal[b, k]`` the
+    likelihood-mode legality mask over 0..n, (B, 2n+1, n+1).
     """
 
     tops: np.ndarray
@@ -142,41 +144,35 @@ class GoldPlan:
 
     @property
     def arc_steps(self) -> np.ndarray:
-        """Boolean (..., 2n+1): the steps that attach a token (target != top)."""
+        """Boolean (B, 2n+1): the steps that attach a token (target != top)."""
         return self.targets != self.tops
 
 
-def gold_plan(tree: DependencyTree, child_order: str = "inside_out") -> GoldPlan:
-    """The canonical gold path with the stack top and likelihood legality of
-    every step.
+def gold_plan(trees: Sequence[DependencyTree], child_order: str = "inside_out") -> GoldPlan:
+    """The canonical gold paths of a batch of trees of one length n, with the
+    stack top and likelihood legality of every step.
 
-    The tops come from following the path along the tree's head chain: a
-    pop makes the popped token's head the top. Token p is unattached up to
-    and including the step that attaches it, so the heads of all 2n+1 steps
-    are one (2n+1, n+1) expression, and their masks one :func:`legal_masks`
-    call.
+    A gold path names each token twice, when it is attached and when it is
+    popped, and ROOT once, at its final pop, so a stable sort of each row of
+    targets lists ROOT's step and then each token's attach and pop steps. An
+    attach step's top is the token's head and a pop step's top the token
+    itself. Token p is unattached up to and including its attach step, so
+    the heads of every step of every tree are one (B, 2n+1, n+1) expression,
+    and their masks one :func:`legal_masks` call.
     """
-    targets = gold_path(tree, child_order=child_order)
-    top, tops = 0, []
-    for target in targets:
-        tops.append(top)
-        top = tree.heads[top] if target == top else target
-    assert top == -1
-    tops_arr = np.array(tops, dtype=np.intp)
-    targets_arr = np.array(targets, dtype=np.intp)
-    arc_steps = np.flatnonzero(targets_arr != tops_arr)
-    attach_step = np.full(len(tree) + 1, -1)
-    attach_step[targets_arr[arc_steps]] = arc_steps
-    heads = np.where(np.arange(len(targets))[:, None] > attach_step, tree.heads, -1)
-    return GoldPlan(tops=tops_arr, targets=targets_arr,
-                    legal=legal_masks(heads, tops_arr, mode="likelihood"))
-
-
-def stack_plans(plans: Sequence[GoldPlan]) -> GoldPlan:
-    """The plans of same-length trees as one plan with a leading batch axis."""
-    return GoldPlan(tops=np.stack([p.tops for p in plans]),
-                    targets=np.stack([p.targets for p in plans]),
-                    legal=np.stack([p.legal for p in plans]))
+    lengths = sorted({len(tree) for tree in trees})
+    if len(lengths) != 1:     # every gold path must have the same 2n+1 steps
+        raise ValueError(f"a batch needs sentences of one length, got {lengths}")
+    targets = np.array([gold_path(tree, child_order) for tree in trees], dtype=np.intp)
+    heads = np.array([tree.heads for tree in trees], dtype=np.intp)
+    attach = np.argsort(targets, axis=1, kind="stable")[:, 1::2]   # (B, n): token p at p-1
+    tops = targets.copy()
+    tops[np.arange(len(trees))[:, None], attach] = heads[:, 1:]
+    # ROOT, never attached, counts as attached before step 0: its head is -1.
+    attached = np.arange(targets.shape[1])[:, None] > np.insert(attach, 0, -1, axis=1)[:, None]
+    legal = legal_masks(np.where(attached, heads[:, None], -1).reshape(-1, heads.shape[1]),
+                        tops.reshape(-1), mode="likelihood")
+    return GoldPlan(tops=tops, targets=targets, legal=legal.reshape(attached.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -242,34 +238,26 @@ def create_biaffine_params(store: ad.ParameterStore, encoder_dim: int,
 
 
 def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor,
-                        label_ids, label_count: int) -> Tensor:
-    """Sum of log P(action) + log P(label) along a gold path, or along every
-    path of a stacked plan.
+                        gold_labels: np.ndarray) -> Tensor:
+    """Sum of log P(action) + log P(label) along every gold path of ``plan``.
 
     ``arc_scores`` holds the raw (unmasked) scores over 0..n of every step,
-    (2n+1, n+1), or (B, 2n+1, n+1) for a stack; ``label_scores`` the label
-    scores of the arc steps, sentence by sentence in path order,
-    (B*n, label_count). ``label_ids`` is the gold label id per token, (n,)
-    or (B, n).
+    (B, 2n+1, n+1). ``label_scores`` holds the label scores of the B*n arc
+    steps, tree by tree in path order, (B*n, labels), and ``gold_labels``
+    the gold label id of each of those steps, (B*n,).
     """
     if arc_scores.shape != plan.legal.shape:
         raise ValueError(f"arc scorer returned {arc_scores.shape}, "
                          f"expected {plan.legal.shape}")
-    # Every path attaches each of its n tokens once, so the children of
-    # each sentence's arc steps fill one row of this (..., n) array.
-    children = plan.targets[plan.arc_steps].reshape(plan.targets.shape[:-1] + (-1,))
-    if label_scores.shape != (children.size, label_count):
-        raise ValueError(
-            f"label scorer returned {label_scores.shape}, "
-            f"expected ({children.size}, {label_count})"
-        )
+    rows = int(plan.arc_steps.sum())
+    if label_scores.shape[0] != rows or len(gold_labels) != rows:
+        raise ValueError(f"label scorer returned {label_scores.shape} for "
+                         f"{len(gold_labels)} gold labels, expected {rows} rows")
     arc_logp = ad.log_softmax(ad.mask_fill(arc_scores, plan.legal))
     label_logp = ad.log_softmax(label_scores)
-    gold_labels = np.take_along_axis(np.asarray(label_ids, dtype=np.intp),
-                                     children - 1, axis=-1).reshape(-1)
     return ad.add(
         ad.sum_all(ad.pick(arc_logp, tuple(np.indices(plan.targets.shape)) + (plan.targets,))),
-        ad.sum_all(ad.pick(label_logp, (np.arange(children.size), gold_labels))),
+        ad.sum_all(ad.pick(label_logp, (np.arange(rows), gold_labels))),
     )
 
 

@@ -108,10 +108,6 @@ class Parser:
         create_parameters(store, config, vocabs)
         return cls(config, vocabs, store)
 
-    @property
-    def label_count(self) -> int:
-        return len(self.vocabs["label"])
-
     # -- training and inference entry points ---------------------------------
 
     def batch_loss(self, trees: Sequence[DependencyTree],
@@ -125,12 +121,8 @@ class Parser:
         """
         cfg = self.config
         store = self.store
-        lengths = {len(tree.tokens) for tree in trees}
-        if len(lengths) != 1:     # every gold path must have the same 2n+1 steps
-            raise ValueError(f"a batch needs sentences of one length, got {sorted(lengths)}")
+        plan = dec.gold_plan(trees, child_order=cfg.child_order)      # (B, 2n+1, ...)
         states = enc.encode_batch(trees, self.vocabs, store, cfg, rngs)  # (B, n+1, D)
-        plan = dec.stack_plans([dec.gold_plan(t, child_order=cfg.child_order)
-                                for t in trees])                       # (B, 2n+1, ...)
         drop_rngs = ad.split_each(rngs, "p_out")
         arc_enc = ad.dropout(_mlp(store, "biaffine.arc.enc", states), cfg.p_out, drop_rngs)
         label_enc = ad.dropout(_mlp(store, "biaffine.label.enc", states), cfg.p_out, drop_rngs)
@@ -143,6 +135,7 @@ class Parser:
         hidden = ad.lstm_sequence(tops, [(store["decoder.lstm.W_ih"], store["decoder.lstm.W_hh"],
                                           store["decoder.lstm.b"])], h_mask=hid_mask)
         arc_b, arc_t = np.nonzero(plan.arc_steps)   # B*n steps, tree by tree in path order
+        children = plan.targets[arc_b, arc_t]
         label_dec = _mlp(store, "biaffine.label.dec", ad.pick(hidden, (arc_b, arc_t)))
         arc_dec = _mlp(store, "biaffine.arc.dec", hidden)
         if rngs is not None and cfg.p_out > 0.0:
@@ -153,11 +146,11 @@ class Parser:
                                        cfg.p_out, drop_rngs)
             label_dec = ad.mul(label_dec, Tensor(factors[arc_b, arc_t, :cfg.label_mlp_dim]))
             arc_dec = ad.mul(arc_dec, Tensor(factors[:, :, cfg.label_mlp_dim:]))
-        label_scores = _label_scores(store, label_dec,
-                                     ad.pick(label_enc, (arc_b, plan.targets[arc_b, arc_t])))
-        label_ids = [[self.vocabs["label"].index(lbl) for lbl in t.labels] for t in trees]
+        label_scores = _label_scores(store, label_dec, ad.pick(label_enc, (arc_b, children)))
+        label_ids = np.array([[self.vocabs["label"].index(lbl) for lbl in t.labels]
+                              for t in trees], dtype=np.intp)
         ll = dec.path_log_likelihood(plan, _arc_scores(store, arc_dec, arc_enc),
-                                     label_scores, label_ids, self.label_count)
+                                     label_scores, label_ids[arc_b, children - 1])
         n = plan.tops.shape[1] // 2
         return ad.scale(ad.scale(ll, -1.0 / n), 1.0 / len(trees))
 

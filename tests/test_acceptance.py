@@ -127,8 +127,8 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
             worst_row = max(worst_row, float(abs(p.data.sum(axis=-1) - 1.0).max()))
         scorer = LockstepScorer(parser, [tree])
         batch = np.array([0])
-        plan = gold_plan(tree)
-        for top, target, mask in zip(plan.tops, plan.targets, plan.legal):
+        plan = gold_plan([tree])
+        for top, target, mask in zip(plan.tops[0], plan.targets[0], plan.legal[0]):
             scores = Tensor(scorer.arc_scores(batch, np.array([top]))[0])
             pointer = ad.softmax_rows(ad.mask_fill(scores, mask)).data
             worst_row = max(worst_row, abs(float(pointer.sum()) - 1.0))

@@ -72,19 +72,21 @@ def reachable_states(n):
     return sorted(seen, key=lambda s: (s.step_count, s.stack, s.heads))
 
 
-def assert_plan_replays(tree, child_order):
-    plan = gold_plan(tree, child_order=child_order)
-    n = len(tree)
-    assert plan.targets.tolist() == gold_path(tree, child_order)
-    assert plan.legal.shape == (2 * n + 1, n + 1)
-    state = initial_state(n)
-    for top, target, legal in zip(plan.tops, plan.targets, plan.legal):
-        assert top == state.top
-        want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
-        assert legal.tolist() == want
-        state = checked_step(state, int(target))
-    assert state.is_terminal()
-    assert int(plan.arc_steps.sum()) == n
+def assert_plan_replays(trees, child_order):
+    """Each row of the batch's plan replays its tree under the oracle machine."""
+    plan = gold_plan(trees, child_order=child_order)
+    n = len(trees[0])
+    assert plan.legal.shape == (len(trees), 2 * n + 1, n + 1)
+    for b, tree in enumerate(trees):
+        assert plan.targets[b].tolist() == gold_path(tree, child_order)
+        state = initial_state(n)
+        for top, target, legal in zip(plan.tops[b], plan.targets[b], plan.legal[b]):
+            assert top == state.top
+            want = [p == state.top or step_allows(state, p) for p in range(n + 1)]
+            assert legal.tolist() == want
+            state = checked_step(state, int(target))
+        assert state.is_terminal()
+        assert int(plan.arc_steps[b].sum()) == n
 
 
 def zero_scorer(n):
@@ -220,8 +222,8 @@ class TestGoldPath:
         n = 1500
         tree = _tree([-1, *range(n)])
         assert gold_path(tree) == [*range(1, n + 1), *range(n, -1, -1)]
-        plan = gold_plan(tree)
-        assert plan.tops.tolist() == [*range(n + 1), *range(n - 1, -1, -1)]
+        plan = gold_plan([tree])
+        assert plan.tops[0].tolist() == [*range(n + 1), *range(n - 1, -1, -1)]
         assert int(plan.arc_steps.sum()) == n
 
     def test_unknown_order(self):
@@ -230,22 +232,31 @@ class TestGoldPath:
 
     def test_gold_plan_replays_path(self):
         # Against the oracle's replay, one state at a time: the likelihood
-        # mask is what `step` accepts plus the self-point.
+        # mask is what `step` accepts plus the self-point. Every tree of a
+        # length is planned in one batch.
         for child_order in ("inside_out", "left2right", "right2left"):
             for n in range(1, 6):
-                for heads in all_head_vectors(n):
-                    assert_plan_replays(_tree(heads), child_order)
+                assert_plan_replays([_tree(heads) for heads in all_head_vectors(n)],
+                                    child_order)
 
-    @given(data=st.data(), n=st.integers(5, 12),
+    @given(data=st.data(), n=st.integers(5, 12), batch=st.integers(1, 4),
            child_order=st.sampled_from(["inside_out", "left2right", "right2left"]))
     @settings(max_examples=60, deadline=None)
-    def test_gold_plan_replays_random_trees(self, data, n, child_order):
-        # Each node, in a random order, hangs off ROOT or an earlier node.
-        order = data.draw(st.permutations(range(1, n + 1)))
-        heads = [-1] * (n + 1)
-        for k, node in enumerate(order):
-            heads[node] = data.draw(st.sampled_from([0, *order[:k]]))
-        assert_plan_replays(_tree(heads), child_order)
+    def test_gold_plan_replays_random_trees(self, data, n, batch, child_order):
+        # Each node, in a random order, hangs off ROOT or an earlier node:
+        # any tree, non-projective ones included.
+        trees = []
+        for _ in range(batch):
+            order = data.draw(st.permutations(range(1, n + 1)))
+            heads = [-1] * (n + 1)
+            for k, node in enumerate(order):
+                heads[node] = data.draw(st.sampled_from([0, *order[:k]]))
+            trees.append(_tree(heads))
+        assert_plan_replays(trees, child_order)
+
+    def test_gold_plan_refuses_mixed_lengths(self):
+        with pytest.raises(ValueError, match=r"one length, got \[1, 2\]"):
+            gold_plan([_tree([-1, 0, 1]), _tree([-1, 0])])
 
 
 class TestExhaustiveOracle:
@@ -399,10 +410,10 @@ class TestBiaffineScore:
 class TestPathLogLikelihood:
     def test_zero_weight_n1(self):
         tree = _tree([-1, 0])
-        plan = gold_plan(tree)
+        plan = gold_plan([tree])
         for label_count in (1, 2, 5):
-            ll = path_log_likelihood(plan, Tensor(np.zeros((3, 2))),
-                                     Tensor(np.zeros((1, label_count))), [0], label_count)
+            ll = path_log_likelihood(plan, Tensor(np.zeros((1, 3, 2))),
+                                     Tensor(np.zeros((1, label_count))), np.array([0]))
             # Arc side: first step has 2 legal targets, the rest 1 each.
             assert ll.data == pytest.approx(math.log(0.5) + math.log(1 / label_count))
 
@@ -411,26 +422,27 @@ class TestPathLogLikelihood:
         for heads in [(-1, 0, 1), (-1, 2, 0), (-1, 0, 0)]:
             tree = _tree(heads)
             n = len(heads) - 1
-            arcs = Tensor(rng.random((2 * n + 1, n + 1)) * 4 - 2)
+            arcs = Tensor(rng.random((1, 2 * n + 1, n + 1)) * 4 - 2)
             labels = Tensor(rng.random((n, 3)) * 4 - 2)
-            ll = path_log_likelihood(gold_plan(tree), arcs, labels, [0, 1], 3)
+            ll = path_log_likelihood(gold_plan([tree]), arcs, labels, np.array([0, 1]))
             assert ll.data <= 0.0
 
     def test_matches_independent_per_step_product(self):
         rng = Rng(37).split("product")
         tree = _tree([-1, 3, 3, 0, 3])
         label_ids = [1, 0, 2, 1]
-        plan = gold_plan(tree)
+        plan = gold_plan([tree])
         arc_scores = rng.random((9, 5)) * 3
         label_scores = rng.random((4, 3)) * 3
-        ll = path_log_likelihood(plan, Tensor(arc_scores), Tensor(label_scores),
-                                 label_ids, 3)
+        children = plan.targets[plan.arc_steps]
+        ll = path_log_likelihood(plan, Tensor(arc_scores[None]), Tensor(label_scores),
+                                 np.array(label_ids)[children - 1])
 
         # Recompute the same product step by step from the score rows.
         state = initial_state(4)
         prob = 1.0
         arcs = iter(arc_scores)
-        labels = iter(zip(plan.targets[plan.arc_steps], label_scores))
+        labels = iter(zip(children, label_scores))
         for target in gold_path(tree):
             mask = legal_mask(state, mode="likelihood")
             scores = np.where(mask, next(arcs), -np.inf)
@@ -447,8 +459,8 @@ class TestPathLogLikelihood:
     def test_label_scorer_shape_enforced(self):
         tree = _tree([-1, 0])
         with pytest.raises(ValueError, match="label scorer"):
-            path_log_likelihood(gold_plan(tree), Tensor(np.zeros((3, 2))),
-                                Tensor(np.zeros((1, 4))), [0], 3)
+            path_log_likelihood(gold_plan([tree]), Tensor(np.zeros((1, 3, 2))),
+                                Tensor(np.zeros((2, 3))), np.array([0]))
 
 
 class TestGreedyDecoding:
