@@ -493,14 +493,15 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
     tanh_c = np.empty((steps, dirs, batch, hidden))
     for t in range(steps):
         h_in = states[:, t] if h_mask is None else states[:, t] * h_mask
-        gates[:, t], cells[t + 1], tanh_c[t], states[:, t + 1] = lstm_gates(
-            gates[:, t] + [h @ w.data.T for h, (_, w, _) in zip(h_in, weights)], cells[t])
+        for z, h, (_, w_hh, _) in zip(gates[:, t], h_in, weights):
+            z += h @ w_hh.data.T
+        gates[:, t], cells[t + 1], tanh_c[t], states[:, t + 1] = lstm_gates(gates[:, t], cells[t])
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(batch, steps, dirs, hidden)[lanes, flip.transpose(1, 0, 2),
                                                   np.arange(dirs)[:, None]]
         dz = np.empty((dirs, steps, batch, 4 * hidden))
-        dh_next = dc_next = np.zeros((dirs, batch, hidden))
+        dh_next, dc_next = np.zeros((2, dirs, batch, hidden))
         for t in range(steps - 1, -1, -1):
             i, f, gg, o = (gates[:, t, ..., gate] for gate in (i_, f_, g_, o_))
             dh = g[t] + dh_next
@@ -511,9 +512,10 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
             dz[:, t, :, o_] = dh * tanh_c[t] * o * (1.0 - o)
             dc_next = dc * f
             if t:
-                dh_next = np.array([d @ w.data for d, (_, w, _) in zip(dz[:, t], weights)])
+                for d, out, (_, w_hh, _) in zip(dz[:, t], dh_next, weights):
+                    np.matmul(d, w_hh.data, out=out)
                 if h_mask is not None:
-                    dh_next = dh_next * h_mask
+                    dh_next *= h_mask
         for k, (w_ih, w_hh, bias) in enumerate(weights):
             dz_rows = dz[k].reshape(-1, 4 * hidden)
             if w_ih.requires_grad:

@@ -178,6 +178,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         key, sep, value = reader.line().partition("=")
         if not sep:
             raise CheckpointError(f"malformed config line {key!r}")
+        if key in flat:
+            raise CheckpointError(f"config key {key!r} repeated on manifest line {reader.lineno}")
         flat[key] = value
     try:
         config = TrainConfig.from_flat(flat)

@@ -153,6 +153,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if not (name and gold_path and pred_path):
             raise ValueError(f"bad --domain value {domain_arg!r}; "
                              "expected name=goldfile,predfile")
+        if name in pairs:
+            raise ValueError(f"domain {name!r} given twice")
         pairs[name] = (parse_conll(gold_path, allow_multiple_roots=True),
                        parse_conll(pred_path, allow_multiple_roots=True))
     if not pairs:

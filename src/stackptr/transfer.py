@@ -84,9 +84,6 @@ def transplant(source: Checkpoint, target_trees: Sequence[DependencyTree],
         raise SurgeryError("target corpus is empty")
     plan.validate(source.params.names())
     new_vocabs = extend_vocabs(source.vocabs, target_trees)
-    for key, vocab in new_vocabs.items():
-        if len(vocab) < len(source.vocabs[key]):
-            raise SurgeryError(f"{key} inventory shrank during surgery")
     # A fresh store gives correct shapes for the extended vocabularies and
     # seed-determined values everywhere; retained values then overwrite it.
     store = ParameterStore(seed)

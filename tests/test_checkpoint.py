@@ -255,6 +255,20 @@ class TestValidation:
         with pytest.raises(CheckpointError, match=r"\[config\]"):
             load_checkpoint(path)
 
+    def test_repeated_config_key_names_the_line(self, small_ckpt, tmp_path):
+        # The second line would overwrite the first, and the key it displaced
+        # would silently take its default.
+        path = tmp_path / "twice.ckpt"
+        save_checkpoint(small_ckpt, path)
+        lines = path.read_bytes().split(b"\n")
+        rate, seed = (next(k for k, line in enumerate(lines) if line.startswith(key))
+                      for key in (b"learning_rate=", b"seed="))
+        lines[rate] = b"seed=1"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CheckpointError,
+                           match=f"config key 'seed' repeated on manifest line {seed + 1}"):
+            load_checkpoint(path)
+
     def test_non_utf8_manifest_names_the_line(self, small_ckpt, tmp_path):
         path = _saved_with(small_ckpt, tmp_path / "latin1.ckpt", b"- unit fixture",
                            b"- unit \xe9 fixture")

@@ -165,6 +165,16 @@ class TestEvalVerb:
         assert "domain=news" in out and "domain=web" in out
         assert "average_las=100.0" in out
 
+    @pytest.mark.parametrize("first", [["--domain", "a={dev},{dev}"],
+                                       ["--gold", "{dev}", "--pred", "{dev}"]])
+    def test_repeated_domain_name_fails(self, work, capsys, first):
+        # A second pair under a taken name would replace the first one's
+        # scores in the report; `all` is the name of --gold/--pred.
+        name = "a" if first[0] == "--domain" else "all"
+        argv = [arg.format(dev=work.dev) for arg in first]
+        assert run(["eval", *argv, "--domain", f"{name}={work.train},{work.train}"]) == 1
+        assert f"domain {name!r} given twice" in capsys.readouterr().err
+
     def test_gold_without_pred_fails(self, work, capsys):
         assert run(["eval", "--gold", str(work.dev)]) == 1
         assert "error" in capsys.readouterr().err
