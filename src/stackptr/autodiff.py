@@ -16,6 +16,10 @@ does not depend on the batch size. :func:`matmul` runs a stack times a
 weight matrix on the stack flattened to (rows, d), so callers pass their
 (B, T, d) stacks as they are.
 
+A tape runs once (:meth:`Tensor.backward` frees each node once its closure
+has run), an array an op built for one parent becomes that parent's first
+gradient without a copy, and :func:`adam_step` works in two scratch arrays.
+
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
 depend only on the store seed and the parameter name, and all arithmetic is
@@ -89,7 +93,11 @@ class Tensor:
         return self.data.shape
 
     def backward(self) -> None:
-        """Run reverse-mode accumulation from this (seed gradient = ones)."""
+        """Run reverse-mode accumulation from this (seed gradient = ones), once:
+        each node drops its gradient (but the root), closure and parents when
+        its closure has run, and leaves (parameters) keep their gradients."""
+        if self._backward is None and self.grad is not None:
+            raise RuntimeError("backward() on a consumed tape: build the loss again")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -108,9 +116,13 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
+            node._backward, node._parents = None, ()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -126,12 +138,14 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
+    """Add ``g`` to ``t``'s gradient. A first gradient is a copy of ``g``:
+    one backward may hand the same array, or views of it, to several parents,
+    and a later ``+=`` would reach them all. ``fresh`` marks an array the op
+    built for ``t`` alone, which is handed over as it is."""
     if t.requires_grad:
         if t.grad is None:
-            # A copy, never ``g`` itself: one backward may hand the same
-            # array to several parents, and a later ``+=`` would reach them all.
-            t.grad = np.array(g, dtype=np.float64)
+            t.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             t.grad += g
 
@@ -199,15 +213,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
         def backward(g: np.ndarray) -> None:
             g_rows = g.reshape(-1, g.shape[-1])
-            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape))
-            _accum(b, rows.T @ g_rows)
+            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape), fresh=True)
+            _accum(b, rows.T @ g_rows, fresh=True)
 
         out_data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
         return _node(out_data, (a, b), backward)
 
     def backward(g: np.ndarray) -> None:
-        _accum(a, g @ _swap_last(b.data))
-        _accum(b, _swap_last(a.data) @ g)
+        _accum(a, g @ _swap_last(b.data), fresh=True)
+        _accum(b, _swap_last(a.data) @ g, fresh=True)
 
     return _node(a.data @ b.data, (a, b), backward)
 
@@ -255,7 +269,7 @@ def pick(v: Tensor, index) -> Tensor:
         if v.requires_grad:
             gv = np.zeros_like(v.data)
             np.add.at(gv, index, g)
-            _accum(v, gv)
+            _accum(v, gv, fresh=True)
 
     return _node(np.asarray(v.data[index]), (v,), backward)
 
@@ -519,15 +533,16 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
         for k, (w_ih, w_hh, bias) in enumerate(weights):
             dz_rows = dz[k].reshape(-1, 4 * hidden)
             if w_ih.requires_grad:
-                _accum(w_ih, dz_rows.T @ xs[k].reshape(-1, width))
+                _accum(w_ih, dz_rows.T @ xs[k].reshape(-1, width), fresh=True)
             if w_hh.requires_grad:
                 h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
-                _accum(w_hh, dz_rows.T @ h_in.reshape(-1, hidden))
+                _accum(w_hh, dz_rows.T @ h_in.reshape(-1, hidden), fresh=True)
             if bias.requires_grad:
                 _accum(bias, dz_rows.sum(axis=0))
             if x.requires_grad:
                 dx = (dz_rows @ w_ih.data).reshape(steps, batch, width)
-                _accum(x, (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]])
+                _accum(x, (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]],
+                       fresh=True)
 
     out = states[np.arange(dirs), flip.transpose(2, 1, 0) + 1, lanes[:, None, None]]
     return _node(out.reshape(batch, steps, -1), (x, *[w for ws in weights for w in ws]), backward)
@@ -698,7 +713,8 @@ class AdamState:
 def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
               state: AdamState, learning_rate: float) -> None:
     """Standard Adam update with bias correction, of every parameter in
-    place; ``grads`` holds one gradient per parameter."""
+    place; ``grads`` holds one gradient per parameter and is only read. Each
+    tensor is updated in two scratch arrays, freed before the next tensor."""
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive: {learning_rate}")
     state.step_count += 1
@@ -717,11 +733,16 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
             m = state.m[name] = np.zeros_like(param.data)
             state.v[name] = np.zeros_like(param.data)
         v = state.v[name]
+        a, b = np.empty_like(m), np.empty_like(m)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        param.data -= learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=a), g, out=a)
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), in the two scratch arrays
+        np.multiply(np.divide(m, bc1, out=a), learning_rate, out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.epsilon, out=b)
+        param.data -= np.divide(a, b, out=a)
+        del a, b
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -138,7 +138,6 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
         epoch_losses: list[float] = []
         for b, batch in enumerate(make_batches(train_trees, config.batch_size,
                                                epoch_rng.split("batches"))):
-            parser.store.zero_grads()
             try:
                 loss = compute_loss(parser, batch, epoch_rng.split(f"drop{b}"))
             except (ValueError, FloatingPointError) as exc:
@@ -155,6 +154,9 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
             grads = parser.store.gradients()
             clip_gradients(grads, config.clip_norm)
             adam_step(parser.store, grads, opt, lr)
+            # Free the step's gradients now: nothing after Adam reads them.
+            del grads
+            parser.store.zero_grads()
             epoch_losses.append(float(loss.data))
         history.append(sum(epoch_losses) / len(epoch_losses))
         _, dev_las = _checked_eval(parser, dev_trees, f"epoch {epoch} evaluation")

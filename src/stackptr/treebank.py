@@ -120,6 +120,14 @@ def make_tree(tokens: Sequence[Token], heads: Sequence[int], labels: Sequence[st
 _N_FIELDS = 10
 
 
+def _digits(lineno: int, text: str, field: str) -> int:
+    """An ID or HEAD field as an int: ASCII digits only, where ``int`` would
+    also take signs, spaces, underscores and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise TreebankError(f"line {lineno}: non-integer {field} {text!r} (digits 0-9 only)")
+    return int(text)
+
+
 def _parse_token_line(lineno: int, line: str, expected_id: int) -> tuple[Token, str, str]:
     """One CoNLL-X row -> (token, head text, label). Columns: ID FORM LEMMA
     CPOS POS FEATS HEAD DEPREL PHEAD PDEPREL; POS comes from CPOS with the
@@ -129,10 +137,7 @@ def _parse_token_line(lineno: int, line: str, expected_id: int) -> tuple[Token, 
         raise TreebankError(
             f"line {lineno}: expected {_N_FIELDS} tab-separated fields, got {len(fields)}"
         )
-    try:
-        token_id = int(fields[0])
-    except ValueError:
-        raise TreebankError(f"line {lineno}: non-integer token id {fields[0]!r}") from None
+    token_id = _digits(lineno, fields[0], "token id")
     if token_id != expected_id:
         raise TreebankError(
             f"line {lineno}: token id {token_id} out of order (expected {expected_id})"
@@ -150,10 +155,7 @@ def _parse_block(lines: list[tuple[int, str]], allow_multiple_roots: bool) -> De
     labels: list[str] = []
     for expected_id, (lineno, line) in enumerate(lines, start=1):
         token, head_text, label = _parse_token_line(lineno, line, expected_id)
-        try:
-            head = int(head_text)
-        except ValueError:
-            raise TreebankError(f"line {lineno}: non-integer head {head_text!r}") from None
+        head = _digits(lineno, head_text, "head")
         tokens.append(token)
         heads.append(head)
         labels.append(label)

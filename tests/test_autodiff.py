@@ -94,7 +94,62 @@ class TestSoftmax:
                                    ad.softmax_rows(v).data, atol=1e-12)
 
 
+class TestSingleUseTape:
+    def test_backward_frees_the_tape_and_runs_once(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        hidden = ad.tanh(x)
+        loss = ad.sum_all(hidden)
+        loss.backward()
+        assert hidden.grad is None and hidden._backward is None and hidden._parents == ()
+        assert loss._backward is None and loss._parents == ()
+        assert loss.grad == 1.0
+        np.testing.assert_array_equal(x.grad, 1.0 - np.tanh(np.arange(3.0)) ** 2)
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+    def test_one_tensor_as_both_operands(self, op):
+        values = Rng(4).random((3, 3)) - 0.5
+        upstream = Rng(5).random((3, 3))
+        x = Tensor(values, requires_grad=True)
+        out = getattr(ad, op)(x, x)
+        ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
+        want = {"add": 2.0 * upstream,
+                "mul": 2.0 * values * upstream,
+                "matmul": upstream @ values.T + values.T @ upstream}[op]
+        np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-15)
+
+    def test_pick_feeding_two_ops(self):
+        rng = Rng(6)
+        values, w = rng.random((4, 3)) - 0.5, rng.random((3, 2)) - 0.5
+        u1, u2 = rng.random((3, 2)), rng.random((3, 3))
+        index = [2, 0, 2]
+        x, wt = Tensor(values, requires_grad=True), Tensor(w, requires_grad=True)
+        rows = ad.pick(x, index)
+        left = ad.sum_all(ad.mul(ad.matmul(rows, wt), Tensor(u1)))
+        right = ad.sum_all(ad.mul(rows, Tensor(u2)))
+        ad.add(left, right).backward()
+        want = np.zeros((4, 3))
+        np.add.at(want, index, u1 @ w.T + u2)
+        np.testing.assert_allclose(x.grad, want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(wt.grad, values[index].T @ u1, rtol=1e-13, atol=1e-15)
+
+
 class TestAdam:
+    def test_leaves_the_gradients_as_they_were(self):
+        store = ParameterStore(0)
+        store.create("biaffine.w", (4, 3))
+        store.create("biaffine.b", (3,), init="embedding")
+        store.put("biaffine.s", np.array(0.5))
+        rng = Rng(7)
+        grads = {name: rng.split(name).random(t.data.shape) - 0.5 for name, t in store.items()}
+        before = {name: g.copy() for name, g in grads.items()}
+        state = AdamState()
+        for _ in range(3):
+            adam_step(store, grads, state, 0.01)
+        for name, g in grads.items():
+            assert g.tobytes() == before[name].tobytes(), name
+
     def test_zero_gradient_is_noop(self):
         store = ParameterStore(0)
         w = store.create("biaffine.w", (3, 2))

@@ -1,14 +1,18 @@
 """Training loop: loss bookkeeping, batching, determinism, abort paths."""
 
 import io
+import itertools
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from stackptr import trainer
 from stackptr.autodiff import Rng
 from stackptr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from stackptr.config import ArchitectureMismatch
+from stackptr.config import ArchitectureMismatch, TrainConfig
 from stackptr.model import Parser
 from stackptr.trainer import TrainAbort, compute_loss, evaluate, make_batches, train
 from stackptr.treebank import (
@@ -18,6 +22,13 @@ from stackptr.treebank import (
     build_vocabulary,
     parse_conll,
 )
+
+from synthetic import corpus
+
+# The release gate's transfer dims.
+GATE = TrainConfig(d_w=32, char_dim=16, pos_dim=16, num_filters=16, r=4, d_h=32,
+                   arc_mlp_dim=32, label_mlp_dim=16, p_in=0.2, p_rnn=0.2, p_out=0.2,
+                   min_word_count=1, seed=11)
 
 
 def _zero_biaffine_output(parser):
@@ -230,3 +241,57 @@ class TestEvaluate:
         predicted = parser.parse_corpus(toy_trees[:6])
         from stackptr.metrics import attachment_scores
         assert attachment_scores(predicted, predicted) == (100.0, 100.0)
+
+
+class TestStepMemory:
+    @pytest.fixture
+    def gate_parser(self):
+        trees = corpus(seed=101, size=40)
+        return Parser.build(GATE, build_vocabulary(trees, 1)), trees
+
+    def test_backward_keeps_only_parameter_gradients(self, gate_parser):
+        parser, trees = gate_parser
+        batch = [t for t in trees if len(t) == 2][:2]
+        assert len(batch) == 2
+        tracemalloc.start()
+        try:
+            loss = compute_loss(parser, batch, Rng(3))
+            before = tracemalloc.get_traced_memory()[0]
+            loss.backward()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(t.grad.nbytes for _, t in parser.store.items() if t.grad is not None)
+        assert grad_bytes > 0
+        assert grown <= grad_bytes + 64 * 1024, (grown, grad_bytes)
+
+    def test_no_two_parameters_share_a_gradient_array(self, gate_parser):
+        parser, trees = gate_parser
+        batch = [t for t in trees if len(t) == 3][:4]
+        compute_loss(parser, batch, Rng(4)).backward()
+        grads = [(name, t.grad) for name, t in parser.store.items() if t.grad is not None]
+        assert len(grads) == len(parser.store)
+        for (a, ga), (b, gb) in itertools.combinations(grads, 2):
+            assert not np.shares_memory(ga, gb), (a, b)
+
+    def test_a_steps_gradients_die_with_the_step(self, tiny_config, toy_trees, monkeypatch):
+        # At each step's loss, no parameter holds a gradient and every array
+        # the previous step handed to Adam is gone.
+        stepped, calls = [], []
+        trainer_adam = trainer.adam_step
+
+        def adam_step(params, grads, state, learning_rate):
+            stepped.extend(weakref.ref(g) for g in grads.values())
+            trainer_adam(params, grads, state, learning_rate)
+
+        def checked(parser, batch, rng=None):
+            held = [name for name, t in parser.store.items() if t.grad is not None]
+            assert not held, held
+            assert all(ref() is None for ref in stepped)
+            calls.append(len(batch))
+            return compute_loss(parser, batch, rng)
+
+        monkeypatch.setattr(trainer, "adam_step", adam_step)
+        monkeypatch.setattr(trainer, "compute_loss", checked)
+        train(tiny_config.replaced(max_epochs=2, batch_size=4), toy_trees[:10], toy_trees[:4])
+        assert len(calls) > 2

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,19 @@ class TestParseConll:
     def test_non_integer_head_names_line(self):
         bad = TWO_TOKEN.replace("\t0\troot", "\tx\troot")
         with pytest.raises(TreebankError, match="line 2"):
+            parse_conll(io.StringIO(bad))
+
+    @pytest.mark.parametrize("field, text", [
+        ("token id", "0_2"), ("token id", "+2"), ("token id", " 2"), ("token id", "2 "),
+        ("token id", "\u0662"), ("token id", "\uff12"),
+        ("head", "\u0661"), ("head", "+0"), ("head", " 0"), ("head", "-0"), ("head", "0_0"),
+    ])
+    def test_id_and_head_take_ascii_digits_only(self, field, text):
+        # ``int`` takes all of these; the second row is token 2 with head 0.
+        row = TWO_TOKEN.splitlines()[1].split("\t")
+        row[0 if field == "token id" else 6] = text
+        bad = TWO_TOKEN.splitlines()[0] + "\n" + "\t".join(row) + "\n"
+        with pytest.raises(TreebankError, match=re.escape(f"line 2: non-integer {field} {text!r}")):
             parse_conll(io.StringIO(bad))
 
     def test_wrong_column_count_names_line(self):
