@@ -54,10 +54,11 @@ class Checkpoint:
     history: list[float] = field(default_factory=list)
 
 
-def as_stored(values: np.ndarray) -> np.ndarray:
+def as_stored(values: np.ndarray, dtype=np.float64) -> np.ndarray:
     """``values`` as a checkpoint file holds them: rounded to float32 and
-    widened back to float64, exactly what loading the saved file gives."""
-    return np.asarray(values, dtype=STORED_DTYPE).astype(np.float64)
+    widened back to float64, exactly what loading the saved file gives.
+    With ``dtype=STORED_DTYPE`` the rounded values stay float32."""
+    return np.asarray(values, dtype=STORED_DTYPE).astype(dtype, copy=False)
 
 
 def _check_tensor_set(found: dict[str, tuple[int, ...]],
@@ -215,13 +216,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name, shape_text, offset_text = parts
         if name in shapes:
             raise CheckpointError(f"duplicate tensor {name!r}")
-        try:
-            shape = tuple(int(d) for d in shape_text.split(",")) if shape_text else ()
-            offset = int(offset_text)
-        except ValueError:
-            raise CheckpointError(f"malformed shape or offset for tensor {name!r}") from None
-        if any(d < 0 for d in shape):
-            raise CheckpointError(f"negative shape for tensor {name!r}")
+        dims = shape_text.split(",") if shape_text else []
+        if not all(f.isascii() and f.isdigit() for f in dims + [offset_text]):
+            raise CheckpointError(f"malformed shape or offset for tensor {name!r} "
+                                  "(digits 0-9 only)")
+        shape, offset = tuple(map(int, dims)), int(offset_text)
         if offset != blob_end:
             raise CheckpointError(f"tensor {name!r} starts at blob byte {offset}, "
                                   f"expected {blob_end}: tensors lie back to back")

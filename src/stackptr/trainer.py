@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import AdamState, ParameterStore, Rng, Tensor, adam_step, clip_gradients
-from .checkpoint import Checkpoint, as_stored
+from .checkpoint import STORED_DTYPE, Checkpoint, as_stored
 from .config import TrainConfig
 from .metrics import attachment_scores
 from .model import Parser
@@ -16,7 +16,7 @@ from .treebank import (DependencyTree, TreebankError, build_vocabulary,
 
 
 class TrainAbort(RuntimeError):
-    """Raised when optimization produces a non-finite loss."""
+    """Raised when optimization produces a non-finite loss or gradient norm."""
 
 
 def compute_loss(parser: Parser, batch: Sequence[DependencyTree],
@@ -74,6 +74,11 @@ def _diagnostics(store: ParameterStore) -> str:
     return "param norms: " + ", ".join(parts)
 
 
+def _stored_values(store: ParameterStore) -> dict[str, np.ndarray]:
+    """A snapshot of the store's values at checkpoint precision (float32)."""
+    return {name: as_stored(t.data, STORED_DTYPE) for name, t in store.items()}
+
+
 def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
           dev_trees: Sequence[DependencyTree],
           initial: Checkpoint | None = None,
@@ -92,6 +97,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     Identical seeds, config, and corpora reproduce the returned checkpoint
     bitwise. Its parameters are rounded the way a checkpoint file stores
     them, so saving and loading it changes nothing.
+    A run holds one float64 model, its Adam moments and one step's gradients;
+    the best values so far are float32, or ``initial``'s arrays (never written).
     """
     if not train_trees or not dev_trees:
         raise ValueError("training and dev corpora must be nonempty")
@@ -109,6 +116,7 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
                                                config.d_w, Rng(config.seed))
             parser.store["embeddings.word"].data = table
         origin = f"trained from scratch: {len(train_trees)} train / {len(dev_trees)} dev"
+        best_values = _stored_values(parser.store)
     else:
         config.check_architecture(initial.config)
         vocabs = initial.vocabs
@@ -117,16 +125,15 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
                 if label not in vocabs["label"]:
                     raise TreebankError(f"training tree {index} has label {label!r}, which "
                                         "the initial checkpoint's label vocabulary lacks")
-        store = ParameterStore(initial.params.rng_seed)
+        parser = Parser(config, vocabs, ParameterStore(initial.params.rng_seed))
         for name, tensor in initial.params.items():
-            store.put(name, tensor.data)
-        parser = Parser(config, vocabs, store)
+            parser.store.put(name, tensor.data)
         origin = f"fine-tuned: {len(train_trees)} train / {len(dev_trees)} dev"
+        best_values = {name: tensor.data for name, tensor in initial.params.items()}
 
     rng = Rng(config.seed)
     opt = AdamState(beta1=config.beta1, beta2=config.beta2, epsilon=config.adam_epsilon)
     lr = config.learning_rate
-    best_values = parser.store.copy_values()
     _, best_las = _checked_eval(parser, dev_trees, "initial evaluation")
     best_epoch = 0
     epochs_since_best = 0
@@ -152,7 +159,9 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
                 )
             loss.backward()
             grads = parser.store.gradients()
-            clip_gradients(grads, config.clip_norm)
+            if not np.isfinite(clip_gradients(grads, config.clip_norm)):
+                raise TrainAbort(f"non-finite gradient norm at epoch {epoch}, batch {b}; "
+                                 + _diagnostics(parser.store))
             adam_step(parser.store, grads, opt, lr)
             # Free the step's gradients now: nothing after Adam reads them.
             del grads
@@ -164,7 +173,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
         if improved:
             best_las = dev_las
             best_epoch = epoch
-            best_values = parser.store.copy_values()
+            best_values = None          # drop the old snapshot before taking the new one
+            best_values = _stored_values(parser.store)
             epochs_since_best = 0
             epochs_since_decay = 0
         else:
@@ -181,8 +191,9 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
             break
 
     final = ParameterStore(parser.store.rng_seed)
+    del parser, opt     # release the trained model and the optimizer before filling the result
     for name, values in best_values.items():
-        final.put(name, as_stored(values))
+        final.put(name, as_stored(values, STORED_DTYPE))
     provenance = (initial.provenance if initial is not None else []) + [
         f"{origin}, seed {config.seed}",
         f"best epoch {best_epoch}, dev LAS {best_las:.4f}",

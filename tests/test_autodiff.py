@@ -213,6 +213,66 @@ class TestAdam:
             np.testing.assert_array_equal(w.data, want)
 
 
+def _whole_tensor_adam(p, g, m, v, state, learning_rate):
+    """The per-tensor update as it ran before row blocks: each tensor in
+    one piece, through two scratch arrays of its own shape."""
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    a, b = np.empty_like(m), np.empty_like(m)
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=a)
+    v *= state.beta2
+    v += np.multiply(np.multiply(g, 1.0 - state.beta2, out=a), g, out=a)
+    np.multiply(np.divide(m, bc1, out=a), learning_rate, out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.epsilon, out=b)
+    p -= np.divide(a, b, out=a)
+
+
+class TestAdamRowBlocks:
+    # (shape, gradient order). At the module's block size: one piece;
+    # several blocks with a ragged last one (2340 rows of 7 per block, 27 rows
+    # of 600); a row longer than a block. A block of 4 splits nearly all.
+    CASES = [((), "C"), ((7,), "C"), ((5, 3), "C"), ((5, 3), "F"),
+             ((3000, 7), "C"), ((3000, 7), "F"), ((40, 30, 20), "C"),
+             ((40, 30, 20), "F"), ((2, 20000), "C"), ((2, 20000), "F")]
+
+    @pytest.mark.parametrize("block", [ad.ADAM_BLOCK, 4])
+    @pytest.mark.parametrize("shape, order", CASES)
+    def test_bits_equal_the_whole_tensor_update(self, shape, order, block, monkeypatch):
+        monkeypatch.setattr(ad, "ADAM_BLOCK", block)
+        store = ParameterStore(3)
+        w = store.create("w", shape, init="embedding")
+        want = w.data.copy()
+        state, oracle = AdamState(), AdamState()
+        m, v = np.zeros(shape), np.zeros(shape)
+        rng = Rng(4)
+        for step in range(1, 4):
+            g = np.asarray(rng.split(f"g{step}").random(shape) - 0.5, order=order)
+            adam_step(store, {"w": g}, state, 0.003)
+            oracle.step_count += 1
+            _whole_tensor_adam(want, g, m, v, oracle, 0.003)
+            assert w.data.tobytes() == want.tobytes(), step
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+
+    def test_a_transposed_parameter_is_updated_in_place(self):
+        store = ParameterStore(3)
+        base = Rng(5).random((3, 7000))
+        w = store.put("w", np.zeros((7000, 3)))
+        w.data = base.T                       # Fortran-ordered view, 6 row blocks
+        assert not w.data.flags.c_contiguous and w.data.size > ad.ADAM_BLOCK
+        want = base.T.copy()
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        state, oracle = AdamState(), AdamState()
+        g = Rng(6).random((7000, 3)) - 0.5
+        adam_step(store, {"w": g}, state, 0.01)
+        oracle.step_count += 1
+        _whole_tensor_adam(want, g, m, v, oracle, 0.01)
+        assert w.data.base is base
+        np.testing.assert_array_equal(base.T, want)
+
+
 class TestDropout:
     def test_inference_mode_is_identity(self):
         t = Tensor(np.arange(6.0).reshape(2, 3))

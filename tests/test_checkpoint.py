@@ -297,6 +297,19 @@ class TestValidation:
                                                   "expected 16"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("spelling", [
+        "+4,1\t0", "4, 1\t0", "4,1\t٠", "4,1\t0_0", "4,+1\t0", "４,1\t0",
+        "4,1\t-0", "4,1\t 0", "-4,1\t0", "4,1,\t0", "4_0,1\t0", "4,١\t0",
+    ])
+    def test_non_canonical_shape_or_offset_rejected(self, small_ckpt, tmp_path, spelling):
+        # int() takes signs, spaces, underscores and non-ASCII digits; the
+        # manifest takes only ASCII [0-9]+, like section counts and rng_seed.
+        path = _saved_with(small_ckpt, tmp_path / "spelled.ckpt", b"embeddings.word\t4,1\t0\n",
+                           f"embeddings.word\t{spelling}\n".encode())
+        with pytest.raises(CheckpointError, match="malformed shape or offset for tensor "
+                                                  r"'embeddings.word' \(digits 0-9 only\)"):
+            load_checkpoint(path)
+
     def test_vocab_symbol_resembling_header_is_fine(self, small_ckpt, tmp_path):
         # Counts drive the parse, so a symbol like "[tensors 3]" is data.
         small_ckpt.vocabs["word"] = Vocabulary(RESERVED + ("[tensors 3]",))

@@ -1,5 +1,6 @@
 """Training loop: loss bookkeeping, batching, determinism, abort paths."""
 
+import contextlib
 import io
 import itertools
 import math
@@ -11,7 +12,7 @@ import pytest
 
 from stackptr import trainer
 from stackptr.autodiff import Rng
-from stackptr.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from stackptr.checkpoint import Checkpoint, as_stored, load_checkpoint, save_checkpoint
 from stackptr.config import ArchitectureMismatch, TrainConfig
 from stackptr.model import Parser
 from stackptr.trainer import TrainAbort, compute_loss, evaluate, make_batches, train
@@ -170,6 +171,33 @@ class TestTrain:
             train(quick.replaced(max_epochs=1), toy_trees[:6], toy_trees[:4],
                   initial=base)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_aborts_before_adam(self, bad, monkeypatch):
+        # One poisoned entry in the first batch's gradients: the run stops at
+        # that batch, and Adam never writes it into the parameters.
+        parsers, clip = [], trainer.clip_gradients
+
+        def loss_of(parser, batch, rng=None):
+            parsers.append(parser)
+            return compute_loss(parser, batch, rng)
+
+        def poisoned_clip(grads, max_norm):
+            grads["encoder.attn.Wm"].flat[0] = bad
+            return clip(grads, max_norm)
+
+        monkeypatch.setattr(trainer, "compute_loss", loss_of)
+        monkeypatch.setattr(trainer, "clip_gradients", poisoned_clip)
+        trees = corpus(seed=7, size=16)
+        # An infinite norm clips by max_norm / inf = 0, and inf * 0 warns.
+        warned = (pytest.warns(RuntimeWarning, match="invalid value") if np.isinf(bad)
+                  else contextlib.nullcontext())
+        with warned, pytest.raises(TrainAbort, match=r"non-finite gradient norm at epoch 1, "
+                                                    r"batch 0; param norms: "):
+            train(GATE.replaced(max_epochs=1, batch_size=4), trees, trees[:4])
+        assert len(parsers) == 1
+        for name, tensor in parsers[0].store.items():
+            assert np.isfinite(tensor.data).all(), name
+
     def test_nan_decoder_weight_aborts(self, quick, toy_trees):
         base = train(quick.replaced(max_epochs=0), toy_trees[:6], toy_trees[:4])
         base.params["decoder.lstm.W_hh"].data[3, 1] = np.nan
@@ -295,3 +323,38 @@ class TestStepMemory:
         monkeypatch.setattr(trainer, "compute_loss", checked)
         train(tiny_config.replaced(max_epochs=2, batch_size=4), toy_trees[:10], toy_trees[:4])
         assert len(calls) > 2
+
+    def test_a_finetune_reads_its_start_and_never_writes_it(self, gate_parser):
+        parser, trees = gate_parser
+        start = Checkpoint(params=parser.store, vocabs=parser.vocabs, config=GATE)
+        before = {name: t.data.copy() for name, t in start.params.items()}
+        for epochs in (0, 2):
+            tuned = train(GATE.replaced(max_epochs=epochs, batch_size=8), trees[:16],
+                          trees[16:24], initial=start)
+            for name, tensor in start.params.items():
+                assert tensor.data.tobytes() == before[name].tobytes(), name
+                assert not np.shares_memory(tuned.params[name].data, tensor.data), name
+                if epochs == 0:
+                    assert tuned.params[name].data.tobytes() == \
+                        as_stored(tensor.data).tobytes(), name
+
+    def test_a_finetune_holds_one_float64_model(self):
+        # A several-thousand-word table makes the model large next to the
+        # 4-token batches' activations: the traced peak is then the store,
+        # Adam's two moments, one step's gradients and clipping's square of
+        # the table's, and no second float64 copy of the model (about 4.6x
+        # here, 6.2x with one). The caller's start checkpoint predates
+        # tracing; a later epoch would add a float32 best snapshot (0.5x).
+        trees = [t for t in corpus(seed=31, size=200) if len(t) == 4]
+        vocabs = build_vocabulary(trees, 1)
+        vocabs["word"] = vocabs["word"].extended_with([f"w{i}" for i in range(4000)])
+        start = Checkpoint(params=Parser.build(GATE, vocabs).store, vocabs=vocabs, config=GATE)
+        model_bytes = sum(t.data.nbytes for _, t in start.params.items())
+        tracemalloc.start()
+        try:
+            train(GATE.replaced(max_epochs=1, batch_size=8), trees[:24], trees[24:30],
+                  initial=start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * model_bytes, peak / model_bytes
