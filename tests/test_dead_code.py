@@ -4,7 +4,10 @@ A definition counts as used when some ``src/`` code names it as an
 identifier or as an attribute, anywhere but in its own ``def`` or ``class``
 line. Imports and strings (``__all__``) do not count, so a name that only the
 package's re-exports, the tests or the benchmark use is reported. Python's
-own hooks (dunder methods) are out of scope.
+own hooks (dunder methods) are out of scope. Names are matched bare, so a
+definition that shares its name with an attribute src/ does use counts as
+used: ``Rng.integers``, which only the test corpora call, passes because
+its body calls numpy's ``Generator.integers``.
 """
 
 import ast

@@ -328,15 +328,19 @@ class TestStepMemory:
         parser, trees = gate_parser
         start = Checkpoint(params=parser.store, vocabs=parser.vocabs, config=GATE)
         before = {name: t.data.copy() for name, t in start.params.items()}
-        for epochs in (0, 2):
-            tuned = train(GATE.replaced(max_epochs=epochs, batch_size=8), trees[:16],
-                          trees[16:24], initial=start)
+        # No epoch (the start's own arrays are the best), then two epochs of
+        # which the second improves (a float32 snapshot is the best).
+        for epochs, best in ((0, "best epoch 0"), (2, "best epoch 2")):
+            tuned = train(GATE.replaced(max_epochs=epochs, batch_size=8, learning_rate=0.01),
+                          trees[:16], trees[16:24], initial=start)
+            assert tuned.provenance[-1].startswith(best)
             for name, tensor in start.params.items():
                 assert tensor.data.tobytes() == before[name].tobytes(), name
-                assert not np.shares_memory(tuned.params[name].data, tensor.data), name
+                result = tuned.params[name].data
+                assert not np.shares_memory(result, tensor.data), name
+                assert result.tobytes() == as_stored(result).tobytes(), name
                 if epochs == 0:
-                    assert tuned.params[name].data.tobytes() == \
-                        as_stored(tensor.data).tobytes(), name
+                    assert result.tobytes() == as_stored(tensor.data).tobytes(), name
 
     def test_a_finetune_holds_one_float64_model(self):
         # A several-thousand-word table makes the model large next to the
