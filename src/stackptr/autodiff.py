@@ -759,14 +759,15 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so that their global norm is at most
-    ``max_norm``; return the norm before clipping."""
+    ``max_norm``; return the norm before clipping. A norm that is not finite
+    leaves the gradients as they are: it is the caller's to refuse."""
     # A plain loop: from Python 3.12, sum() compensates float sums, which
     # would change the bits.
     total = 0.0
     for g in grads.values():
         total += float((g * g).sum())
     norm = math.sqrt(total)
-    if norm > max_norm > 0:
+    if math.isfinite(norm) and norm > max_norm > 0:
         factor = max_norm / norm
         for g in grads.values():
             g *= factor

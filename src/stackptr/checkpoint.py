@@ -175,17 +175,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")
     flat: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for _ in range(reader.section("config")):
         key, sep, value = reader.line().partition("=")
         if not sep:
             raise CheckpointError(f"malformed config line {key!r}")
         if key in flat:
             raise CheckpointError(f"config key {key!r} repeated on manifest line {reader.lineno}")
-        flat[key] = value
+        flat[key], lines[key] = value, reader.lineno
     try:
         config = TrainConfig.from_flat(flat)
     except ValueError as exc:
         raise CheckpointError(f"bad [config] section: {exc}") from None
+    # Saving writes each value in its one canonical spelling, so only that
+    # spelling loads back to the same bytes.
+    canonical = config.to_flat()
+    for key, value in flat.items():
+        if value != canonical[key]:
+            raise CheckpointError(f"config key {key!r} on manifest line {lines[key]} reads "
+                                  f"{value!r}; its canonical spelling is {canonical[key]!r}")
     reader.section("store")
     seed_line = reader.line()
     seed_text = seed_line.removeprefix("rng_seed=")

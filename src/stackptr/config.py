@@ -160,18 +160,23 @@ class TrainConfig:
 
 
 def read_flat(path: str | Path) -> dict[str, str]:
-    """The key=value pairs of a config file, unchecked ('#' starts a comment line)."""
+    """The key=value pairs of a config file, unchecked ('#' starts a comment
+    line); a key may appear once."""
     try:
         text = _open_text(path).read()
     except TreebankError as exc:
         raise ConfigError(f"config {exc}") from None
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in seen:
+            raise ConfigError(f"config key {key!r} repeated: lines {seen[key]} and {lineno}")
+        seen[key] = lineno
+        raw[key] = value
     return raw

@@ -37,16 +37,17 @@ stacks (:func:`path_log_likelihood`): :func:`biaffine_score` turns the
 (B, T, d) decoder rows of T steps into their (B, T, n+1) score rows, and
 greedy decoding scores its one step per sentence as T = 1.
 
-Greedy search (:func:`decode_greedy`) runs a batch of sentences of any
-lengths in lockstep: each step asks one batched scorer for the scores of
-every unfinished sentence, given their tops, and computes all their masks
-with one :func:`legal_masks` call; the heads and label ids of all the
-machines are two (B, N+1) matrices, and the parses are read off them. The
-moves still go through :func:`step`, once per sentence per step, where
-two array assignments over the batch would do: the traced runs of
-``benchmark/run.py`` check that a parse makes exactly 2n+1 ``step`` calls
-per sentence, and the loop stays until that count comes from a counter in
-the package (ROADMAP item 2).
+Greedy search (:func:`decode_greedy`) runs a batch of sentences in
+lockstep, longest first, so the unfinished ones are a leading block: each
+step asks one batched scorer for the block's scores, given its tops, and
+computes all its masks with one :func:`legal_masks` call; the heads and
+label ids of all the machines are two (B, N+1) matrices, and the parses
+are read off them. The moves still go through
+:func:`step`, once per sentence per step, where two array assignments
+over the block would do: the traced runs of ``benchmark/run.py`` check
+that a parse makes exactly 2n+1 ``step`` calls per sentence, and the loop
+stays until that count comes from a counter in the package (ROADMAP
+item 2).
 """
 
 from __future__ import annotations
@@ -261,48 +262,51 @@ def path_log_likelihood(plan: GoldPlan, arc_scores: Tensor, label_scores: Tensor
     )
 
 
-ArcScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ArcScorer = Callable[[np.ndarray], np.ndarray]
 LabelScorer = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def decode_greedy(lengths: Sequence[int], arc_scorer: ArcScorer,
                   label_scorer: LabelScorer) -> list[tuple[list[int], list[int]]]:
-    """Greedy argmax decoding of a batch of sentences, in lockstep.
+    """Greedy argmax decoding of a batch of sentences in lockstep.
 
     Returns (heads, label id per real token) for each of ``lengths``, in
-    order. Each step makes one ``arc_scorer(rows, tops)`` call for the
-    unfinished sentences, given their batch indices (ascending) and stack
-    tops; it returns their raw scores over positions 0..N, an array
-    (len(rows), N+1) with N = max(lengths), whose entries past a sentence's
-    own n are never chosen. Then one ``label_scorer(rows, children)`` call
-    for the sentences whose move attaches a token returns their (k, labels)
-    label scores from the same step's decoder output.
+    order. The sentences come longest first (increasing lengths are
+    refused), so the unfinished ones are always the first k. Each step makes
+    one ``arc_scorer(tops)`` call with their k stack tops; it returns their
+    raw scores over positions 0..N, an array (k, N+1) with N = max(lengths),
+    whose entries past a sentence's own n are never chosen. Then one
+    ``label_scorer(rows, children)`` call for the sentences whose move
+    attaches a token, given their batch indices (ascending), returns their
+    (len(rows), labels) label scores from the same step's decoder output.
 
     Ties break toward the lowest position index. The transition system
     guarantees that a sentence of n tokens ends in exactly 2n+1 steps.
     """
+    sizes = np.array(lengths)
+    if (np.diff(sizes) > 0).any():
+        raise ValueError(f"decoding needs sentences longest first, got lengths {list(lengths)}")
     # The heads past a sentence's own n are filled with 0 so that they are
     # never legal.
-    sizes = np.array(lengths)
     heads = np.where(np.arange(sizes.max() + 1) <= sizes[:, None], -1, 0)
     label_ids = np.full_like(heads, -1)
     tops = np.zeros(len(lengths), dtype=np.intp)
-    rows = np.arange(len(lengths))
-    while len(rows):
-        active = tops[rows]
-        raw = arc_scorer(rows, active)
-        legal = legal_masks(heads[rows], active, mode="decode")
+    k = len(lengths)
+    while k:
+        active = tops[:k]
+        raw = arc_scorer(active)
+        legal = legal_masks(heads[:k], active, mode="decode")
         if not np.isfinite(raw[legal]).all():
             raise ValueError("non-finite arc scores during decoding")
         targets = np.where(legal, raw, -np.inf).argmax(axis=1)
         attach = np.flatnonzero(targets != active)
         if len(attach):
-            label_ids[rows[attach], targets[attach]] = label_scorer(
-                rows[attach], targets[attach]).argmax(axis=1)
+            label_ids[attach, targets[attach]] = label_scorer(
+                attach, targets[attach]).argmax(axis=1)
         # One `step` per sentence per move (see the module docstring).
-        for b, top, target in zip(rows.tolist(), active.tolist(), targets.tolist()):
+        for b, (top, target) in enumerate(zip(active.tolist(), targets.tolist())):
             tops[b] = step(heads[b], top, target)
-        rows = rows[tops[rows] != -1]                    # popping ROOT ends a run
+        k = np.count_nonzero(tops[:k] != -1)             # popping ROOT ends a run
     assert (heads[:, 1:] != -1).all(), "a run ended with a token unattached"
     return [(heads[b, :n + 1].tolist(), label_ids[b, 1:n + 1].tolist())
             for b, n in enumerate(lengths)]

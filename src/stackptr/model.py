@@ -15,11 +15,11 @@ in lockstep, through one batched :class:`LockstepScorer`, which encodes
 the whole chunk, padded to its longest sentence, with one call of the same
 `encode_batch`; it reads parameters as constants, so parsing records no
 tape. The pointer machines themselves (a heads matrix and a vector of
-stack tops) live in `decoder.decode_greedy`; the scorer sees only the
-unfinished sentences' rows and their tops, and for labels the attached
-children. Both paths advance the decoder LSTM with the same gate
-arithmetic (`autodiff.lstm_gates`) and score arcs with the same biaffine
-(`_arc_scores`).
+stack tops) live in `decoder.decode_greedy`; a chunk runs longest first,
+so the scorer sees the tops of its unfinished leading block, and for labels
+the attached children. Both paths advance the decoder LSTM with the same
+gate arithmetic (`autodiff.lstm_gates`) and score arcs with the same
+biaffine (`_arc_scores`).
 """
 
 from __future__ import annotations
@@ -175,22 +175,16 @@ class Parser:
         return trees
 
 
-def _leading(rows: np.ndarray) -> np.ndarray | slice:
-    """Ascending batch indices as a slice when they are 0..k-1, so that
-    selecting them makes views rather than copies."""
-    return slice(0, len(rows)) if rows[-1] == len(rows) - 1 else rows
-
-
 class LockstepScorer:
     """Arc and label scores for a batch of sentences greedy-decoded in
-    lockstep (the scorers of :func:`decoder.decode_greedy`).
+    lockstep, longest first (the scorers of :func:`decoder.decode_greedy`).
 
-    The whole batch, in any order, is encoded by one
-    :func:`encoder.encode_batch` call, padded to (B, N+1, .), and so are
-    the arc and label encoder-MLP rows. Every real encoder state goes
-    through the decoder LSTM's input weights up front (unpadded: sentence
-    b's position p is row starts[b] + p), so a step gathers one projected row per sentence and
-    adds only the recurrent product of the (B, d) batch. Parameters are
+    The whole batch is encoded by one :func:`encoder.encode_batch` call,
+    padded to (B, N+1, .), and so are the arc and label encoder-MLP rows.
+    Every real encoder state goes through the decoder LSTM's input weights
+    up front (unpadded: sentence b's position p is row starts[b] + p), so a
+    step gathers one projected row per unfinished sentence and adds only the
+    recurrent product of their leading (k, d) block, a view. Parameters are
     read as constants: nothing is recorded for differentiation.
     """
 
@@ -208,17 +202,17 @@ class LockstepScorer:
         self.hidden = np.zeros((len(sents), cfg.decoder_dim))
         self.cell = np.zeros_like(self.hidden)
 
-    def arc_scores(self, rows: np.ndarray, tops: np.ndarray) -> np.ndarray:
-        """Advance the given sentences' decoders by one step, fed the encoder
-        states of their stack tops; return their raw (rows, N+1) arc scores."""
-        store = self.store
-        sel = _leading(rows)
-        z = (self.x_proj[self.starts[rows] + tops]
-             + self.hidden[sel] @ store["decoder.lstm.W_hh"].data.T)
-        _, self.cell[sel], _, self.hidden[sel] = ad.lstm_gates(z, self.cell[sel])
+    def arc_scores(self, tops: np.ndarray) -> np.ndarray:
+        """Advance the decoders of the first k = len(tops) sentences by one
+        step, fed the encoder states of their stack tops; return their raw
+        (k, N+1) arc scores."""
+        store, k = self.store, len(tops)
+        z = (self.x_proj[self.starts[:k] + tops]
+             + self.hidden[:k] @ store["decoder.lstm.W_hh"].data.T)
+        _, self.cell[:k], _, self.hidden[:k] = ad.lstm_gates(z, self.cell[:k])
         # The training scorer, with each sentence's decoder row as a path of one step.
-        arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[sel][:, None]))
-        return _arc_scores(store, arc_dec, Tensor(self.arc_enc[sel])).data[:, 0]
+        arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[:k, None]))
+        return _arc_scores(store, arc_dec, Tensor(self.arc_enc[:k])).data[:, 0]
 
     def label_scores(self, rows: np.ndarray, children: np.ndarray) -> np.ndarray:
         """(k, labels) scores of attaching ``children`` in the given

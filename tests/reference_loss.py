@@ -415,12 +415,13 @@ def sentence_loss(parser: Parser, tree, training: bool = False,
 def lockstep_scorers(score_fns, label_score_fns, width):
     """The batched scorers of ``decode_greedy`` from per-sentence closures:
     ``score_fns[b](top)`` gives sentence b's (n+1,) arc scores, padded here
-    to ``width``; ``label_score_fns[b](child)`` its label scores."""
-    def arc_scorer(rows, tops):
-        out = np.zeros((len(rows), width))
-        for k, (b, top) in enumerate(zip(rows, tops)):
+    to ``width``, for each of the first ``len(tops)`` sentences;
+    ``label_score_fns[b](child)`` its label scores."""
+    def arc_scorer(tops):
+        out = np.zeros((len(tops), width))
+        for b, top in enumerate(tops):
             scores = score_fns[b](int(top)).data
-            out[k, :len(scores)] = scores
+            out[b, :len(scores)] = scores
         return out
 
     def label_scorer(rows, children):

@@ -129,7 +129,7 @@ def test_4_normalization_invariants(capsys, tiny_config, toy_trees):
         batch = np.array([0])
         plan = gold_plan([tree])
         for top, target, mask in zip(plan.tops[0], plan.targets[0], plan.legal[0]):
-            scores = Tensor(scorer.arc_scores(batch, np.array([top]))[0])
+            scores = Tensor(scorer.arc_scores(np.array([top]))[0])
             pointer = ad.softmax_rows(ad.mask_fill(scores, mask)).data
             worst_row = max(worst_row, abs(float(pointer.sum()) - 1.0))
             if target != top:

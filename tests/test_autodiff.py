@@ -756,6 +756,17 @@ class TestClipping:
         np.testing.assert_array_equal(a, [3.0 * 0.2, 0.0])
         np.testing.assert_array_equal(b, [[4.0 * 0.2]])
 
+    def test_infinite_norm_leaves_gradients_unscaled(self):
+        # Scaling by max_norm / inf = 0 would turn the infinite entry into
+        # NaN (with numpy's "invalid value" warning, an error under Tier-1)
+        # and zero every finite gradient.
+        a, b = np.array([3.0, np.inf]), np.array([[4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ad.clip_gradients({"a": a, "b": b}, 1.0) == math.inf
+        np.testing.assert_array_equal(a, [3.0, np.inf])
+        np.testing.assert_array_equal(b, [[4.0]])
+
     def test_norm_under_limit_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
         assert ad.clip_gradients(grads, 5.0) == pytest.approx(0.5, abs=1e-15)

@@ -269,6 +269,29 @@ class TestValidation:
                            match=f"config key 'seed' repeated on manifest line {seed + 1}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("key, canonical, spelling", [
+        ("d_w", "1", "+1"), ("d_w", "1", "01"), ("d_w", "1", "1 "),
+        ("learning_rate", "0.001", "1e-3"), ("learning_rate", "0.001", "0.0010"),
+        ("seed", "1", "\u0661"), ("seed", "1", "\uff11"),
+    ])
+    def test_non_canonical_config_value_names_key_line_and_spelling(
+            self, small_ckpt, tmp_path, key, canonical, spelling):
+        # from_flat parses each spelling, but saving would write the canonical
+        # one, so the file would not load and save back to the same bytes.
+        path = _saved_with(small_ckpt, tmp_path / "spelled.ckpt",
+                           f"\n{key}={canonical}\n".encode(),
+                           f"\n{key}={spelling}\n".encode())
+        line = path.read_bytes().split(b"\n").index(f"{key}={spelling}".encode()) + 1
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"config key {key!r} on manifest line {line} reads "
+                                   f"{spelling!r}; its canonical spelling is {canonical!r}")
+
+    def test_missing_config_key_keeps_its_default(self, small_ckpt, tmp_path):
+        path = _saved_with(small_ckpt, tmp_path / "short.ckpt", b"[config 27]\n", b"[config 26]\n")
+        path.write_bytes(path.read_bytes().replace(b"\nseed=1\n", b"\n", 1))
+        assert load_checkpoint(path).config == small_ckpt.config
+
     def test_non_utf8_manifest_names_the_line(self, small_ckpt, tmp_path):
         path = _saved_with(small_ckpt, tmp_path / "latin1.ckpt", b"- unit fixture",
                            b"- unit \xe9 fixture")

@@ -302,6 +302,17 @@ class TestExitCodes:
         assert "config line 2: invalid UTF-8 byte 0xff" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("d_w=32\n# wider\nd_w=64\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        code = run(["train", "--train", str(tmp_path / "t.conllx"),
+                    "--dev", str(tmp_path / "d.conllx"), "--out", str(out),
+                    "--config", str(config)])
+        assert code == 2
+        assert "config key 'd_w' repeated: lines 1 and 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()

@@ -191,6 +191,15 @@ class TestConfigErrors:
         with pytest.raises(ConfigError, match="config line 2: invalid UTF-8 byte 0xff"):
             TrainConfig.from_flat(read_flat(path))
 
+    @pytest.mark.parametrize("text, lines", [("d_w=32\nd_w=64\n", "1 and 2"),
+                                             ("d_w = 32\n\n# again\n d_w=32\n", "1 and 4")])
+    def test_repeated_key_names_both_lines(self, tmp_path, text, lines):
+        # The later value would silently win over the earlier one.
+        path = tmp_path / "c.cfg"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"config key 'd_w' repeated: lines {lines}$"):
+            read_flat(path)
+
     def test_bad_file_line_is_a_config_error(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("not a setting\n")

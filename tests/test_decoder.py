@@ -295,7 +295,7 @@ class TestExhaustiveOracle:
     def test_oracle_scorers_recover_every_tree_in_one_lockstep_batch(self):
         trees = [_tree(heads) for n in range(1, 5) for heads in all_head_vectors(n)]
         order = Rng(5).split("order").permutation(len(trees))
-        trees = [trees[int(k)] for k in order]          # lengths mixed
+        trees = sorted((trees[int(k)] for k in order), key=len, reverse=True)  # longest first
         paths = [iter(gold_path(tree)) for tree in trees]
 
         def oracle(path, n):
@@ -506,6 +506,13 @@ class TestGreedyDecoding:
         with pytest.raises(ValueError, match="non-finite arc scores"):
             decode_greedy([3, 2, 1], arcs, labels)
 
+    def test_increasing_lengths_refused_before_any_scoring(self):
+        def never(*args):
+            raise AssertionError("scorer called")
+
+        with pytest.raises(ValueError, match=r"longest first, got lengths \[2, 3\]"):
+            decode_greedy([2, 3], never, never)
+
     def test_root_greedy_scorer_makes_two_root_children(self):
         # A scorer trying to hang everything off ROOT: for n=2 it points
         # 0->1, pops 1 (preferred to pointing 1->2) and then attaches the
@@ -524,6 +531,7 @@ class TestGreedyDecoding:
        seed=st.integers(0, 2**32 - 1), levels=st.sampled_from([2, 3, 1000]))
 @settings(max_examples=60, deadline=None)
 def test_lockstep_batch_equals_one_sentence_at_a_time(lengths, seed, levels):
+    lengths = sorted(lengths, reverse=True)
     # Scores are a function of the sentence, its step count and its stack
     # top; few levels make many ties, which both paths break toward the
     # lowest index.

@@ -280,20 +280,6 @@ def test_parse_corpus_encodes_each_chunk_in_one_call(tiny_config, monkeypatch):
     assert calls == [[5, 7, 12], [2, 3, 3], [1]]
 
 
-def test_scorer_serves_sentences_in_any_order(tiny_config, toy_vocabs, toy_trees):
-    # parse_corpus decodes longest first, so its unfinished sentences are
-    # always a leading slice of the batch; in input order they are not.
-    parser = Parser.build(tiny_config, toy_vocabs)
-    sents = toy_trees[:8]
-    assert sorted(map(len, sents), reverse=True) != list(map(len, sents))
-    scorer = LockstepScorer(parser, sents)
-    decoded = dec.decode_greedy([len(t) for t in sents], scorer.arc_scores,
-                                scorer.label_scores)
-    for tree, (heads, label_ids) in zip(parser.parse_corpus(sents), decoded):
-        assert list(tree.heads) == heads
-        assert list(tree.labels) == [toy_vocabs["label"].symbol(i) for i in label_ids]
-
-
 def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vocabs,
                                                              toy_trees):
     # Along the gold tops, the decoding step's hidden state and arc scores
@@ -310,7 +296,7 @@ def test_decoding_cell_matches_lstm_sequence_along_gold_tops(tiny_config, toy_vo
                                  model._mlp(store, "biaffine.arc.enc", states)).data[0]
         scorer = LockstepScorer(parser, [tree])
         for k in range(plan.tops.shape[1]):
-            scores = scorer.arc_scores(np.array([0]), plan.tops[0, k:k + 1])
+            scores = scorer.arc_scores(plan.tops[0, k:k + 1])
             assert np.abs(scorer.hidden[0] - hidden.data[0, k]).max() <= 1e-12
             assert scores.shape == (1, len(tree) + 1)
             assert np.abs(scores[0] - arcs[k]).max() <= 1e-12
