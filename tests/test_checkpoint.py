@@ -288,7 +288,9 @@ class TestValidation:
                                    f"{spelling!r}; its canonical spelling is {canonical!r}")
 
     def test_missing_config_key_keeps_its_default(self, small_ckpt, tmp_path):
-        path = _saved_with(small_ckpt, tmp_path / "short.ckpt", b"[config 27]\n", b"[config 26]\n")
+        keys = len(SMALL.to_flat())
+        path = _saved_with(small_ckpt, tmp_path / "short.ckpt", f"[config {keys}]\n".encode(),
+                           f"[config {keys - 1}]\n".encode())
         path.write_bytes(path.read_bytes().replace(b"\nseed=1\n", b"\n", 1))
         assert load_checkpoint(path).config == small_ckpt.config
 
