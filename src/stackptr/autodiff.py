@@ -761,17 +761,44 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so that their global norm is at most
     ``max_norm``; return the norm before clipping. A norm that is not finite
     leaves the gradients as they are: it is the caller's to refuse."""
-    # A plain loop: from Python 3.12, sum() compensates float sums, which
-    # would change the bits.
+    # Each tensor is squared into one scratch array, reused across tensors,
+    # in the gradient's own memory order, so each sum keeps the bits of
+    # (g * g).sum(). A plain loop: from Python 3.12, sum() compensates float
+    # sums, which would change the bits.
+    scratch = np.empty(max((g.size for g in grads.values()), default=0))
     total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    norm = math.sqrt(total)
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            flat = g.ravel(order="K")
+            total += float(np.square(flat, out=scratch[:flat.size]).sum())
+    norm = math.sqrt(total) if total != math.inf else _scaled_norm(grads, scratch)
     if math.isfinite(norm) and norm > max_norm > 0:
         factor = max_norm / norm
         for g in grads.values():
             g *= factor
     return norm
+
+
+def _scaled_norm(grads: dict[str, np.ndarray], scratch: np.ndarray) -> float:
+    """The global norm of gradients whose sum of squares overflows: each
+    tensor is scaled by its largest magnitude before it is squared, and the
+    partial sums are combined as LAPACK's dnrm2 combines them. It is infinite
+    only when some entry is, or when the norm itself exceeds the float range."""
+    scale, ssq = 0.0, 1.0
+    for g in grads.values():
+        flat, part = g.ravel(order="K"), scratch[:g.size]
+        peak = float(np.abs(flat, out=part).max(initial=0.0))
+        if not math.isfinite(peak):
+            return peak
+        if peak == 0.0:
+            continue
+        np.divide(flat, peak, out=part)
+        squares = float(np.square(part, out=part).sum())
+        if peak > scale:
+            scale, ssq = peak, squares + ssq * (scale / peak) ** 2
+        else:
+            ssq += squares * (peak / scale) ** 2
+    return scale * math.sqrt(ssq)
 
 
 # ---------------------------------------------------------------------------

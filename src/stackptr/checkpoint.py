@@ -3,7 +3,8 @@
 Layout (UTF-8 until the blob marker, then raw bytes):
 
     stackptr-ckpt/1
-    [config N]      N key=value lines, dataclass field order
+    [config N]      N key=value lines, in dataclass field order (a key left
+                    out loads with its default)
     [store]         one rng_seed=... line
     [provenance N]  N lines, each prefixed "- "
     [vocab.word N]  N symbol lines   (same for char / pos / label)
@@ -187,13 +188,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         config = TrainConfig.from_flat(flat)
     except ValueError as exc:
         raise CheckpointError(f"bad [config] section: {exc}") from None
-    # Saving writes each value in its one canonical spelling, so only that
-    # spelling loads back to the same bytes.
+    # Saving writes each value in its one canonical spelling, and the keys in
+    # field order, so only that spelling and order load back to the same bytes.
     canonical = config.to_flat()
+    position = {key: k for k, key in enumerate(canonical)}
+    previous = None
     for key, value in flat.items():
         if value != canonical[key]:
             raise CheckpointError(f"config key {key!r} on manifest line {lines[key]} reads "
                                   f"{value!r}; its canonical spelling is {canonical[key]!r}")
+        if previous is not None and position[key] < position[previous]:
+            raise CheckpointError(f"config key {key!r} on manifest line {lines[key]} comes "
+                                  f"after {previous!r}; the keys must be in field order")
+        previous = key
     reader.section("store")
     seed_line = reader.line()
     seed_text = seed_line.removeprefix("rng_seed=")

@@ -5,8 +5,9 @@ the requested artifact was fully written; 1 is a runtime failure (partial
 outputs are removed); 2 is a usage error: a config key or value that does
 not parse or is out of range, or a fine-tune config that changes the
 checkpoint's architecture. Every artifact-producing run writes a
-`<out>.repro` record (config snapshot, seed, input digests, and for
-`finetune` the surgery's retain/reinit prefixes and seed) beside its output.
+`<out>.repro` record (config snapshot, seed, input digests, for `finetune`
+the surgery's retain/reinit prefixes and seed, and the numeric environment:
+numpy and BLAS versions, BLAS thread variables, CPU count) beside its output.
 A failed run removes only the outputs it created or rewrote; files already
 at those paths that it did not touch stay.
 """
@@ -48,6 +49,20 @@ def _identity(path: str) -> tuple[int, int, int] | None:
     return st.st_ino, st.st_mtime_ns, st.st_size
 
 
+def _numeric_environment() -> list[str]:
+    """What fixes the bits of a full-size run besides its inputs: the numpy
+    and BLAS builds and the BLAS thread count (README, "Reproducibility")."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_text = f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+    except (TypeError, KeyError):       # numpy < 1.25 only prints its config
+        blas_text = "unknown"
+    lines = [f"numeric.numpy={np.__version__}", f"numeric.blas={blas_text}"]
+    lines += [f"numeric.{var}={os.environ.get(var, '(unset)')}"
+              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
+    return lines + [f"numeric.cpu_count={os.cpu_count()}"]
+
+
 def _write_repro(out: str, verb: str, config: TrainConfig | None,
                  inputs: dict[str, str], surgery: dict[str, object] | None = None) -> None:
     lines = [f"verb={verb}"]
@@ -55,6 +70,7 @@ def _write_repro(out: str, verb: str, config: TrainConfig | None,
         lines += [f"config.{k}={v}" for k, v in config.to_flat().items()]
     lines += [f"surgery.{k}={v}" for k, v in (surgery or {}).items()]
     lines += [f"input.{name}={_digest(path)}" for name, path in sorted(inputs.items())]
+    lines += _numeric_environment()
     Path(out + ".repro").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

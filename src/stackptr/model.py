@@ -19,12 +19,19 @@ stack tops) live in `decoder.decode_greedy`; a chunk runs longest first,
 so the scorer sees the tops of its unfinished leading block, and for labels
 the attached children. Both paths advance the decoder LSTM with the same
 gate arithmetic (`autodiff.lstm_gates`) and score arcs with the same
-biaffine (`_arc_scores`).
+biaffine (`_arc_scores`). Where the decoder's W_hh has at least
+OVERLAP_MIN_WHH elements and the process may run on two CPUs,
+`parse_corpus` gives its scorers one worker thread, which computes each
+next step's recurrent product while the main thread scores the current
+step; the product and its addition are those of the inline path, so the
+bits do not change.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import contextlib
+import os
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -35,11 +42,25 @@ from .autodiff import ParameterStore, Rng, Tensor
 from .config import TrainConfig
 from .treebank import DependencyTree, Sentence, Vocabulary, make_tree
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
+
 # Most sentences decoded in lockstep at once. It bounds the memory of the
 # chunk's decoder input projection, (sum of n+1, 4 * decoder_dim) float64,
 # and of its padded (B, r, N+1, N+1) attention tensor: 64 MB and 7.6 MB at
 # full size for 64 sentences of 60 tokens.
 DECODE_CHUNK = 64
+
+# Smallest decoder W_hh, in elements, whose recurrent products greedy
+# decoding hands to a worker thread. Each handoff costs tens of
+# microseconds, and the worker can start only when the main thread releases
+# the interpreter lock, so a small product gains nothing. Parsing the
+# 12-sentence, 5-60-token parse-long benchmark input (2 CPUs, BLAS on one
+# thread) took 2-6% longer with the worker at 16K-37K elements (d_h = 32,
+# 48), as long at 64K-100K (d_h = 64, 80), and 14-23% less from 147K
+# (d_h = 96) up to the full-size 1M; the gate's TRANSFER dims (16K) parsed
+# their 40 short dev sentences 16% slower.
+OVERLAP_MIN_WHH = 1 << 17
 
 
 def create_parameters(store: ParameterStore, config: TrainConfig,
@@ -163,16 +184,27 @@ class Parser:
         """
         order = sorted(range(len(sents)), key=lambda k: -len(sents[k].tokens))
         trees: list[DependencyTree] = [None] * len(sents)
-        for start in range(0, len(order), DECODE_CHUNK):
-            chunk = order[start:start + DECODE_CHUNK]
-            batch = [sents[k] for k in chunk]
-            scorer = LockstepScorer(self, batch)
-            decoded = dec.decode_greedy([len(s.tokens) for s in batch], scorer.arc_scores,
-                                        scorer.label_scores)
-            for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
-                labels = [self.vocabs["label"].symbol(i) for i in label_ids]
-                trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
+        with _recurrent_worker(self.store["decoder.lstm.W_hh"].data.size) as worker:
+            for start in range(0, len(order), DECODE_CHUNK):
+                chunk = order[start:start + DECODE_CHUNK]
+                batch = [sents[k] for k in chunk]
+                scorer = LockstepScorer(self, batch, worker)
+                decoded = dec.decode_greedy([len(s.tokens) for s in batch],
+                                            scorer.arc_scores, scorer.label_scores)
+                for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
+                    labels = [self.vocabs["label"].symbol(i) for i in label_ids]
+                    trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
         return trees
+
+
+def _recurrent_worker(w_hh_size: int) -> contextlib.AbstractContextManager[Executor | None]:
+    """One worker thread for :class:`LockstepScorer`'s recurrent products,
+    or None where it would not pay: on one CPU, or below OVERLAP_MIN_WHH."""
+    if (w_hh_size < OVERLAP_MIN_WHH or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="stackptr-decode")
 
 
 class LockstepScorer:
@@ -186,9 +218,20 @@ class LockstepScorer:
     step gathers one projected row per unfinished sentence and adds only the
     recurrent product of their leading (k, d) block, a view. Parameters are
     read as constants: nothing is recorded for differentiation.
+
+    A sentence of n tokens ends after exactly 2n+1 steps, so the scorer
+    knows every step's k in advance and refuses a call with another count.
+    Step t+1's recurrent product reads only step t's hidden state, not its
+    argmax. So with a ``worker`` (an executor), each :meth:`arc_scores` call
+    hands the next step's product to it as soon as the new hidden state
+    exists, and the caller's scoring of the current step (arc scores,
+    legality, argmax, labels) runs meanwhile. The product is plain numpy,
+    with the same operands, shapes and addition order as without a worker,
+    so every score keeps its bits.
     """
 
-    def __init__(self, parser: Parser, sents: Sequence[Sentence | DependencyTree]):
+    def __init__(self, parser: Parser, sents: Sequence[Sentence | DependencyTree],
+                 worker: Executor | None = None):
         cfg = parser.config
         self.store = store = parser.store.constants()
         padded = enc.encode_batch(sents, parser.vocabs, store, cfg)
@@ -196,20 +239,37 @@ class LockstepScorer:
         self.label_enc = _mlp(store, "biaffine.label.enc", padded).data
         sizes = np.array([len(sent.tokens) + 1 for sent in sents])
         self.starts = np.cumsum(sizes) - sizes
+        self.ends = 2 * sizes - 1                       # each sentence's 2n+1 steps
         real = np.arange(padded.shape[1]) < sizes[:, None]
         self.x_proj = padded.data[real] @ store["decoder.lstm.W_ih"].data.T
         self.x_proj += store["decoder.lstm.b"].data
+        self.w_hh_t = store["decoder.lstm.W_hh"].data.T
         self.hidden = np.zeros((len(sents), cfg.decoder_dim))
         self.cell = np.zeros_like(self.hidden)
+        self.worker = worker
+        self.steps = 0
+        self.unfinished = len(sents)
+        self.recurrent: Future | None = None    # the worker's product for the next step
 
     def arc_scores(self, tops: np.ndarray) -> np.ndarray:
         """Advance the decoders of the first k = len(tops) sentences by one
         step, fed the encoder states of their stack tops; return their raw
-        (k, N+1) arc scores."""
+        (k, N+1) arc scores. k must be the count of unfinished sentences."""
         store, k = self.store, len(tops)
-        z = (self.x_proj[self.starts[:k] + tops]
-             + self.hidden[:k] @ store["decoder.lstm.W_hh"].data.T)
+        if k != self.unfinished:
+            raise ValueError(f"arc_scores got {k} stack tops at step {self.steps}, "
+                             f"but {self.unfinished} sentences are unfinished")
+        if self.recurrent is None:
+            recurrent = self.hidden[:k] @ self.w_hh_t
+        else:
+            recurrent, self.recurrent = self.recurrent.result(), None
+        z = self.x_proj[self.starts[:k] + tops] + recurrent
         _, self.cell[:k], _, self.hidden[:k] = ad.lstm_gates(z, self.cell[:k])
+        self.steps += 1
+        self.unfinished = np.count_nonzero(self.ends > self.steps)
+        if self.worker is not None and self.unfinished:
+            self.recurrent = self.worker.submit(np.matmul, self.hidden[:self.unfinished],
+                                                self.w_hh_t)
         # The training scorer, with each sentence's decoder row as a path of one step.
         arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[:k, None]))
         return _arc_scores(store, arc_dec, Tensor(self.arc_enc[:k])).data[:, 0]

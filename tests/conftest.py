@@ -1,9 +1,23 @@
+import warnings
 from pathlib import Path
 
 import pytest
 
 from stackptr.config import TrainConfig
 from stackptr.treebank import build_vocabulary, parse_conll
+
+# When a @given test fails, Hypothesis's pytest plugin imports this module to
+# write a patch. It imports libcst, which raises a DeprecationWarning that
+# pyproject.toml makes an error, and the plugin catches only ImportError, so
+# the session would stop with INTERNALERROR before printing the falsifying
+# example. Importing it here, with that warning ignored, makes the plugin's
+# later import a lookup.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:     # without libcst the plugin skips its patch itself
+        pass
 
 DATA = Path(__file__).parent / "data"
 

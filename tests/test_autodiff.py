@@ -772,6 +772,35 @@ class TestClipping:
         assert ad.clip_gradients(grads, 5.0) == pytest.approx(0.5, abs=1e-15)
         np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 9), min_size=1, max_size=3),
+                              st.sampled_from("CF"), st.integers(0, 2**32 - 1),
+                              st.integers(-60, 60)),
+                    min_size=1, max_size=4))
+    def test_norm_keeps_the_bits_of_summing_each_square(self, specs):
+        # The old expression, (g * g).sum() per tensor, on C- and
+        # Fortran-ordered gradients of mixed magnitudes: the scratch sums
+        # must follow each gradient's own memory order to keep its bits.
+        grads = {}
+        for k, (shape, order, seed, exponent) in enumerate(specs):
+            values = np.random.default_rng(seed).standard_normal(shape) * 2.0 ** exponent
+            grads[f"g{k}"] = np.asarray(values, order=order)
+        total = 0.0
+        for g in grads.values():
+            total += float((g * g).sum())
+        assert ad.clip_gradients(grads, math.inf) == math.sqrt(total)
+
+    def test_a_sum_of_squares_that_overflows_gives_a_finite_norm(self):
+        # 1e200 squared overflows; every entry is finite, and so is the norm.
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([[3e199], [-4e199]])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ad.clip_gradients({"a": np.array([1e200, 1.0])}, 5.0) == 1e200
+            norm = ad.clip_gradients(grads, 5.0)
+        assert norm == pytest.approx(math.hypot(1e200, 1.0, 3e199, 4e199), rel=1e-15)
+        assert math.sqrt(sum(float((g * g).sum()) for g in grads.values())) \
+            == pytest.approx(5.0, rel=1e-15)
+
 
 @pytest.mark.parametrize("module", [stackptr, ad], ids=["stackptr", "autodiff"])
 def test_every_exported_name_resolves(module):

@@ -287,6 +287,17 @@ class TestValidation:
         assert str(info.value) == (f"config key {key!r} on manifest line {line} reads "
                                    f"{spelling!r}; its canonical spelling is {canonical!r}")
 
+    def test_config_key_out_of_field_order_names_key_and_line(self, small_ckpt, tmp_path):
+        # from_flat takes the keys in any order, but saving writes them in
+        # field order, so the file would not load and save back to the same bytes.
+        path = _saved_with(small_ckpt, tmp_path / "swapped.ckpt", b"\nd_w=1\nchar_dim=1\n",
+                           b"\nchar_dim=1\nd_w=1\n")
+        line = path.read_bytes().split(b"\n").index(b"d_w=1") + 1
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (f"config key 'd_w' on manifest line {line} comes after "
+                                   "'char_dim'; the keys must be in field order")
+
     def test_missing_config_key_keeps_its_default(self, small_ckpt, tmp_path):
         keys = len(SMALL.to_flat())
         path = _saved_with(small_ckpt, tmp_path / "short.ckpt", f"[config {keys}]\n".encode(),

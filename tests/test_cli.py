@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: pipelines, exit codes, repro records."""
 
+import os
 import re
 import subprocess
 import sys
@@ -96,6 +97,23 @@ class TestParseVerb:
         assert fields[2] == "LEMMA1" and fields[5] == "f=1"
         assert fields[6] == "0"  # only possible head for a 1-token sentence
         assert fields[7] in load_checkpoint(work.model).vocabs["label"].symbols
+
+    def test_repro_names_the_numeric_environment(self, work, tmp_path):
+        # Two runs on one machine write the same record, numeric lines included.
+        records = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            pred = tmp_path / name / "pred.conllx"
+            assert run(["parse", "--model", str(work.model),
+                        "--input", str(work.dev), "--output", str(pred)]) == 0
+            records.append(Path(f"{pred}.repro").read_bytes())
+        assert records[0] == records[1]
+        keys = [line.partition("=")[0] for line in records[0].decode().splitlines()]
+        assert keys[-5:] == ["numeric.numpy", "numeric.blas", "numeric.OPENBLAS_NUM_THREADS",
+                             "numeric.OMP_NUM_THREADS", "numeric.cpu_count"]
+        text = records[0].decode()
+        assert f"numeric.numpy={np.__version__}\n" in text
+        assert f"numeric.cpu_count={os.cpu_count()}\n" in text
 
     def test_failure_removes_partial_output(self, work, tmp_path):
         # A NaN weight makes decoding fail; no file can hold one, so it is

@@ -1,6 +1,12 @@
 """The whole-batch training loss and lockstep greedy parsing against the
 per-step, per-sentence reference in ``reference_loss.py``."""
 
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -311,3 +317,111 @@ def test_parsing_reads_parameters_as_constants(tiny_config, toy_vocabs, toy_tree
     assert scorer.store["biaffine.arc.U"].data is parser.store["biaffine.arc.U"].data
     assert not encode_batch([toy_trees[0]], toy_vocabs, scorer.store,
                             tiny_config).requires_grad
+
+
+# -- the next step's recurrent product on a worker thread ---------------------
+
+
+@pytest.fixture
+def forced_worker(monkeypatch):
+    """Make parse_corpus hand its recurrent products to a worker at any size
+    and CPU count; returns the row counts of the products handed over."""
+    handed = []
+    real_submit = ThreadPoolExecutor.submit
+
+    def submit(self, fn, *args, **kwargs):
+        handed.append(len(args[0]))
+        return real_submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(model, "OVERLAP_MIN_WHH", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+    return handed
+
+
+def test_worker_keeps_every_steps_bits_along_gold_tops(tiny_config, toy_vocabs, toy_trees):
+    parser = Parser.build(tiny_config, toy_vocabs)
+    batch = sorted(toy_trees[:8], key=len, reverse=True)       # lengths 6 down to 2
+    paths = [dec.gold_plan([tree]).tops[0] for tree in batch]
+    inline = LockstepScorer(parser, batch)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        threaded = LockstepScorer(parser, batch, worker)
+        for t in range(len(paths[0])):
+            tops = np.array([path[t] for path in paths if len(path) > t])
+            expected = inline.arc_scores(tops)
+            assert threaded.arc_scores(tops).tobytes() == expected.tobytes()
+            assert threaded.hidden.tobytes() == inline.hidden.tobytes()
+            assert threaded.cell.tobytes() == inline.cell.tobytes()
+            # The next step's product is on its way, except after the last step.
+            assert (threaded.recurrent is None) == (t == len(paths[0]) - 1)
+
+
+def test_parse_corpus_is_the_same_with_the_worker(tiny_config, forced_worker, monkeypatch):
+    rng = Rng(12).split("sentences")
+    lengths = [1, 7, 3, 3, 12, 2, 5, 9]
+    sents = [_sentence(rng, n) for n in lengths]
+    parser = Parser.build(tiny_config, VOCABS)
+    monkeypatch.setattr(model, "DECODE_CHUNK", 3)
+    threaded = parser.parse_corpus(sents)
+    # Chunks [12, 9, 7], [5, 3, 3], [2, 1]: every step but a chunk's last
+    # hands over the product of the sentences unfinished after it.
+    assert len(forced_worker) == 24 + 10 + 4
+    assert forced_worker[:3] == [3, 3, 3] and forced_worker[24:34].count(3) == 6
+    monkeypatch.setattr(model, "OVERLAP_MIN_WHH", 1 << 62)
+    forced_worker.clear()
+    assert parser.parse_corpus(sents) == threaded
+    assert forced_worker == []
+
+
+@pytest.mark.parametrize("use_worker", [False, True], ids=["inline", "worker"])
+@pytest.mark.parametrize("steps, tops", [(0, 1), (5, 2)], ids=["too-few", "too-many"])
+def test_wrong_step_count_is_the_scorers_own_error(tiny_config, toy_vocabs, toy_trees,
+                                                   use_worker, steps, tops):
+    # Sentences of 2 and 5 tokens: both run for 5 steps, then only the first.
+    batch = [next(t for t in toy_trees if len(t) == n) for n in (5, 2)]
+    parser = Parser.build(tiny_config, toy_vocabs)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        scorer = LockstepScorer(parser, batch, worker if use_worker else None)
+        for _ in range(steps):
+            scorer.arc_scores(np.zeros(2, dtype=np.intp))
+        unfinished = 2 if steps < 5 else 1
+        with pytest.raises(ValueError, match=f"^arc_scores got {tops} stack tops at step "
+                                             f"{steps}, but {unfinished} sentences are "
+                                             "unfinished$"):
+            scorer.arc_scores(np.zeros(tops, dtype=np.intp))
+
+
+def test_no_tensor_is_built_off_the_main_thread(tiny_config, forced_worker, monkeypatch):
+    # The benchmark's tracer is single-threaded: the worker runs plain numpy.
+    threads = set()
+    real_init = ad.Tensor.__init__
+
+    def init(self, *args, **kwargs):
+        threads.add(threading.get_ident())
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", init)
+    rng = Rng(13).split("sentences")
+    Parser.build(tiny_config, VOCABS).parse_corpus([_sentence(rng, n) for n in (6, 4, 1)])
+    assert forced_worker
+    assert threads == {threading.get_ident()}
+
+
+def test_worker_is_made_only_where_it_pays(tiny_config):
+    # At tiny dims the product is below OVERLAP_MIN_WHH: a parse starts no
+    # thread and does not import concurrent.futures.
+    script = f"""
+import sys, threading
+from stackptr.config import TrainConfig
+from stackptr.model import Parser
+from stackptr.treebank import parse_conll, build_vocabulary
+trees = parse_conll({str(Path(__file__).parent / "data" / "toy_train.conllx")!r})
+config = TrainConfig.from_flat({tiny_config.to_flat()!r})
+Parser.build(config, build_vocabulary(trees, 1)).parse_corpus(trees[:5])
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
