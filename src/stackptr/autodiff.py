@@ -21,6 +21,19 @@ has run), an array an op built for one parent becomes that parent's first
 gradient without a copy, and :func:`adam_step` streams each tensor through
 two scratch arrays in cache-sized blocks of rows.
 
+Full-size work also uses a second CPU. :func:`worker` is the package's one
+gate for it: the process must be allowed two CPUs and the job must reach
+a measured size (:data:`WORKER_MIN_WHH` recurrent weights,
+:data:`WORKER_MIN_ADAM` parameters), or no thread starts (and
+``concurrent.futures`` is not imported). Past the gate, :func:`adam_step`
+updates half of the parameters (whole tensors, balanced by element count)
+on the worker thread, and a two-direction :func:`lstm_sequence` runs its
+second direction there: input product and step loop forward, BPTT loop and
+weight-gradient products backward, while every gradient is still added on
+the calling thread in the inline order. A job on the worker is plain numpy
+with the operations, operands and shapes the inline path gives it, so no
+bit depends on which thread ran it or on the gate.
+
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
 depend only on the store seed and the parameter name, and all arithmetic is
@@ -30,12 +43,17 @@ bitwise identical.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, Future
 
 __all__ = [
     "Tensor",
@@ -67,10 +85,28 @@ __all__ = [
     "dropout_masks",
     "split_each",
     "clip_gradients",
+    "worker",
+    "submit",
 ]
 
 NEG_INF = float("-inf")
 ADAM_BLOCK = 1 << 14    # elements per adam_step block: 16K-64K ran fastest, 4K and 256K slower
+# Smallest jobs that :func:`worker` hands to a second thread. A handoff costs
+# tens of microseconds, and a thread's Python runs only while the other's
+# numpy has released the interpreter lock (numpy keeps it through an op on a
+# few hundred elements), so small jobs run slower threaded. Measured on 2 CPUs
+# with BLAS on one thread:
+# - recurrent products, by W_hh elements. The BiLSTM with its second
+#   direction threaded (forward plus backward, B = 2, T = 41) took 1.24x as
+#   long at 64K (d_h = 128), 0.67x at 131K (d_h = 181) and 0.64x at the
+#   full-size 262K; 2.1x at the gate's 4K (B = 6, T = 5). Decoding's
+#   next-step product took 2-6% longer at 16K-37K, as long at 64K-100K, and
+#   14-23% less from 147K up to the full-size 1M.
+# - Adam, by parameter elements (43 tensors): 1.7x as long threaded at the
+#   gate's 86K, 1.01-1.07x at 338K, 0.99x at 526K, 0.88-0.90x at 756K and
+#   0.74-0.77x at the full-size 5.4M-6.3M.
+WORKER_MIN_WHH = 1 << 17
+WORKER_MIN_ADAM = 1 << 19
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +198,54 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
+
+
+# ---------------------------------------------------------------------------
+# Worker thread
+# ---------------------------------------------------------------------------
+
+
+_pool: tuple[int, Executor] | None = None     # (pid of its process, the executor)
+
+
+def worker(size: int, minimum: int) -> Executor | None:
+    """The package's one worker thread, for a job of ``size`` against its
+    kind's measured ``minimum`` (:data:`WORKER_MIN_WHH`,
+    :data:`WORKER_MIN_ADAM`); None where it would not pay: below that
+    minimum, or where the process may run on one CPU only.
+
+    The thread starts at the first call past the gate and is shared from
+    then on. A forked child gets one of its own: the parent's thread does not
+    exist there, and work queued to its executor would never run. Jobs on it
+    run plain numpy only, never a :class:`Tensor`: the benchmark's tracer
+    and the tape are single-threaded.
+    """
+    global _pool
+    if (size < minimum or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2):
+        return None
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="stackptr"))
+    return _pool[1]
+
+
+def submit(pool: Executor, fn: Callable, *args) -> Future:
+    """``fn(*args)`` on ``pool``, run in a copy of the caller's context, so
+    that the caller's ``np.errstate`` (a context variable) holds there too."""
+    return pool.submit(contextvars.copy_context().run, fn, *args)
+
+
+def _in_parallel(pool: Executor, here: Callable[[], None], there: Callable[[], None]) -> None:
+    """Run ``there`` on ``pool`` while ``here`` runs on this thread. An error
+    in either is raised here, and only once both have stopped, so neither
+    half still writes to arrays the caller shares with it."""
+    future = submit(pool, there)
+    try:
+        here()
+    finally:
+        future.exception()          # waits for the worker's half; raises nothing
+    future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +570,18 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
     (T*B, d) @ (d, 4h) input and (B, h) @ (h, 4h) step products. The op is one
     tape node, its backward hand-written BPTT in one loop with (4h, T*B) @ (T*B, .)
     weight gradients (the fused recurrent layer of Appleyard et al. 2016).
+
+    Where :func:`worker` allows it for a W_hh of that size, the second half
+    of the directions runs on the worker thread, forward and backward, with
+    the first half's products, step loop and gate arithmetic as they are; the
+    gates are elementwise, so each direction keeps its bits. Gradients are
+    added on the calling thread, direction by direction as inline.
     """
     batch, steps, width = x.data.shape
     if steps == 0:
         raise ValueError("LSTM over an empty sequence")
     dirs, hidden = len(weights), weights[0][1].data.shape[1]
+    w_ih, w_hh, bias = ([triple[j].data for triple in weights] for j in range(3))
     i_, f_, g_, o_ = (slice(k * hidden, (k + 1) * hidden) for k in range(4))
     # Step t of direction k reads row flip[k, t, b] of sequence b. A mirror
     # map is its own inverse, so flip also maps states and gradients back.
@@ -502,49 +593,80 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
         xs *= in_mask[:, None]
     # Each step's activations i, f, g, o overwrite its input pre-activations.
     gates = np.empty((dirs, steps, batch, 4 * hidden))
-    for rows, z, (w_ih, _, bias) in zip(xs, gates, weights):
-        np.add(rows.reshape(-1, width) @ w_ih.data.T, bias.data, out=z.reshape(-1, 4 * hidden))
     states = np.zeros((dirs, steps + 1, batch, hidden))  # states[:, t] is step t's incoming h
     cells = np.zeros((steps + 1, dirs, batch, hidden))   # cells[t] is step t's incoming c
     tanh_c = np.empty((steps, dirs, batch, hidden))
-    for t in range(steps):
-        h_in = states[:, t] if h_mask is None else states[:, t] * h_mask
-        for z, h, (_, w_hh, _) in zip(gates[:, t], h_in, weights):
-            z += h @ w_hh.data.T
-        gates[:, t], cells[t + 1], tanh_c[t], states[:, t + 1] = lstm_gates(gates[:, t], cells[t])
+    pool = worker(w_hh[0].size, WORKER_MIN_WHH) if dirs > 1 else None
+
+    def by_direction(job: Callable[[slice], None]) -> None:
+        """``job`` over every direction: in one call, or in two halves, the
+        second on the worker."""
+        if pool is None:
+            job(slice(None))
+        else:
+            _in_parallel(pool, lambda: job(slice(dirs // 2)),
+                         lambda: job(slice(dirs // 2, None)))
+
+    def forward(ks: slice) -> None:
+        for k in range(dirs)[ks]:
+            np.add(xs[k].reshape(-1, width) @ w_ih[k].T, bias[k],
+                   out=gates[k].reshape(-1, 4 * hidden))
+        z_, h_, c_, tanh_c_ = gates[ks], states[ks], cells[:, ks], tanh_c[:, ks]
+        mask = None if h_mask is None else h_mask[ks]
+        for t in range(steps):
+            h_in = h_[:, t] if mask is None else h_[:, t] * mask
+            for z, h, w in zip(z_[:, t], h_in, w_hh[ks]):
+                z += h @ w.T
+            z_[:, t], c_[t + 1], tanh_c_[t], h_[:, t + 1] = lstm_gates(z_[:, t], c_[t])
+
+    by_direction(forward)
 
     def backward(g: np.ndarray) -> None:
         g = g.reshape(batch, steps, dirs, hidden)[lanes, flip.transpose(1, 0, 2),
                                                   np.arange(dirs)[:, None]]
         dz = np.empty((dirs, steps, batch, 4 * hidden))
-        dh_next, dc_next = np.zeros((2, dirs, batch, hidden))
-        for t in range(steps - 1, -1, -1):
-            i, f, gg, o = (gates[:, t, ..., gate] for gate in (i_, f_, g_, o_))
-            dh = g[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tanh_c[t] * tanh_c[t])
-            dz[:, t, :, i_] = dc * gg * i * (1.0 - i)
-            dz[:, t, :, f_] = dc * cells[t] * f * (1.0 - f)
-            dz[:, t, :, g_] = dc * i * (1.0 - gg * gg)
-            dz[:, t, :, o_] = dh * tanh_c[t] * o * (1.0 - o)
-            dc_next = dc * f
-            if t:
-                for d, out, (_, w_hh, _) in zip(dz[:, t], dh_next, weights):
-                    np.matmul(d, w_hh.data, out=out)
-                if h_mask is not None:
-                    dh_next *= h_mask
-        for k, (w_ih, w_hh, bias) in enumerate(weights):
-            dz_rows = dz[k].reshape(-1, 4 * hidden)
-            if w_ih.requires_grad:
-                _accum(w_ih, dz_rows.T @ xs[k].reshape(-1, width), fresh=True)
-            if w_hh.requires_grad:
-                h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
-                _accum(w_hh, dz_rows.T @ h_in.reshape(-1, hidden), fresh=True)
-            if bias.requires_grad:
-                _accum(bias, dz_rows.sum(axis=0))
-            if x.requires_grad:
-                dx = (dz_rows @ w_ih.data).reshape(steps, batch, width)
-                _accum(x, (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]],
-                       fresh=True)
+        wanted = [[t.requires_grad for t in triple] for triple in weights]
+        x_wanted = x.requires_grad
+        grads: list[tuple[np.ndarray | None, ...]] = [()] * dirs   # W_ih, W_hh, b, x
+
+        def bptt(ks: slice) -> None:
+            dz_, dy, z_, c_, tanh_c_ = dz[ks], g[:, ks], gates[ks], cells[:, ks], tanh_c[:, ks]
+            mask = None if h_mask is None else h_mask[ks]
+            dh_next, dc_next = np.zeros((2, len(dz_), batch, hidden))
+            for t in range(steps - 1, -1, -1):
+                i, f, gg, o = (z_[:, t, ..., gate] for gate in (i_, f_, g_, o_))
+                dh = dy[t] + dh_next
+                dc = dc_next + dh * o * (1.0 - tanh_c_[t] * tanh_c_[t])
+                dz_[:, t, :, i_] = dc * gg * i * (1.0 - i)
+                dz_[:, t, :, f_] = dc * c_[t] * f * (1.0 - f)
+                dz_[:, t, :, g_] = dc * i * (1.0 - gg * gg)
+                dz_[:, t, :, o_] = dh * tanh_c_[t] * o * (1.0 - o)
+                dc_next = dc * f
+                if t:
+                    for d, out, w in zip(dz_[:, t], dh_next, w_hh[ks]):
+                        np.matmul(d, w, out=out)
+                    if mask is not None:
+                        dh_next *= mask
+            for k in range(dirs)[ks]:
+                dz_rows = dz[k].reshape(-1, 4 * hidden)
+                d_ih = d_hh = d_b = dx = None
+                if wanted[k][0]:
+                    d_ih = dz_rows.T @ xs[k].reshape(-1, width)
+                if wanted[k][1]:
+                    h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
+                    d_hh = dz_rows.T @ h_in.reshape(-1, hidden)
+                if wanted[k][2]:
+                    d_b = dz_rows.sum(axis=0)
+                if x_wanted:
+                    dx = (dz_rows @ w_ih[k]).reshape(steps, batch, width)
+                    dx = (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]]
+                grads[k] = d_ih, d_hh, d_b, dx
+
+        by_direction(bptt)
+        for triple, parts in zip(weights, grads):
+            for param, grad in zip((*triple, x), parts):
+                if grad is not None:
+                    _accum(param, grad, fresh=True)
 
     out = states[np.arange(dirs), flip.transpose(2, 1, 0) + 1, lanes[:, None, None]]
     return _node(out.reshape(batch, steps, -1), (x, *[w for ws in weights for w in ws]), backward)
@@ -715,26 +837,53 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
     place; ``grads`` holds one gradient per parameter and is only read. A
     tensor over :data:`ADAM_BLOCK` elements runs in cache-sized blocks of
     whole leading-axis rows (views in any layout, so the update writes
-    through), all through two scratch arrays allocated once per call; each
-    element sees the same operations in the same order whatever the blocks."""
+    through); each element sees the same operations in the same order
+    whatever the blocks. Every gradient is checked before anything is
+    written, so a refused step leaves parameters and state as they were.
+
+    Where :func:`worker` allows it for the parameter count, the tensors are
+    split into two halves of about equal element count, largest first to the
+    smaller half, and the worker updates one half while this thread updates
+    the other, each through its own two scratch arrays."""
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive: {learning_rate}")
+    for name, param in params.items():
+        if name not in grads:
+            raise ValueError(f"no gradient for {name}")
+        if grads[name].shape != param.data.shape:
+            raise ValueError(f"gradient shape mismatch for {name}: "
+                             f"{grads[name].shape} vs {param.data.shape}")
     state.step_count += 1
     t = state.step_count
-    beta1, beta2, eps = state.beta1, state.beta2, state.epsilon
-    c1, c2 = 1.0 - beta1, 1.0 - beta2
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
-    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    constants = (state.beta1, state.beta2, state.epsilon, 1.0 - state.beta1 ** t,
+                 1.0 - state.beta2 ** t, learning_rate)
+    jobs = []
     for name, param in params.items():
-        p, g = param.data, grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: {g.shape} vs {p.shape}")
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            state.v[name] = np.zeros_like(p)
-        v = state.v[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(param.data)
+            state.v[name] = np.zeros_like(param.data)
+        jobs.append((param.data, grads[name], state.m[name], state.v[name]))
+    pool = worker(sum(p.size for p, *_ in jobs), WORKER_MIN_ADAM)
+    if pool is None:
+        _adam_update(jobs, *constants)
+        return
+    halves: tuple[list, list] = ([], [])
+    sizes = [0, 0]
+    for job in sorted(jobs, key=lambda job: -job[0].size):
+        side = 0 if sizes[0] <= sizes[1] else 1
+        halves[side].append(job)
+        sizes[side] += job[0].size
+    _in_parallel(pool, lambda: _adam_update(halves[0], *constants),
+                 lambda: _adam_update(halves[1], *constants))
+
+
+def _adam_update(jobs: Sequence[tuple[np.ndarray, ...]], beta1: float, beta2: float,
+                 eps: float, bc1: float, bc2: float, learning_rate: float) -> None:
+    """Adam on each (parameter, gradient, m, v) of ``jobs``, in place, in
+    plain numpy (it may run on the worker), through two scratch arrays."""
+    c1, c2 = 1.0 - beta1, 1.0 - beta2
+    scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
+    for p, g, m, v in jobs:
         if p.size <= ADAM_BLOCK:
             blocks = ((p, g, m, v),)
         else:

@@ -19,18 +19,17 @@ stack tops) live in `decoder.decode_greedy`; a chunk runs longest first,
 so the scorer sees the tops of its unfinished leading block, and for labels
 the attached children. Both paths advance the decoder LSTM with the same
 gate arithmetic (`autodiff.lstm_gates`) and score arcs with the same
-biaffine (`_arc_scores`). Where the decoder's W_hh has at least
-OVERLAP_MIN_WHH elements and the process may run on two CPUs,
-`parse_corpus` gives its scorers one worker thread, which computes each
-next step's recurrent product while the main thread scores the current
-step; the product and its addition are those of the inline path, so the
-bits do not change.
+biaffine (`_arc_scores`). Where `autodiff.worker` allows it for the
+decoder's W_hh (at least `autodiff.WORKER_MIN_WHH` elements, and two CPUs),
+`parse_corpus` gives its scorers the package's worker thread, which
+computes each next step's recurrent product while the main thread scores
+the current step; the product and its addition are those of the inline
+path, so the bits do not change. The same gate lets training run Adam's
+second half and the encoder BiLSTM's second direction on that thread.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,17 +49,6 @@ if TYPE_CHECKING:
 # and of its padded (B, r, N+1, N+1) attention tensor: 64 MB and 7.6 MB at
 # full size for 64 sentences of 60 tokens.
 DECODE_CHUNK = 64
-
-# Smallest decoder W_hh, in elements, whose recurrent products greedy
-# decoding hands to a worker thread. Each handoff costs tens of
-# microseconds, and the worker can start only when the main thread releases
-# the interpreter lock, so a small product gains nothing. Parsing the
-# 12-sentence, 5-60-token parse-long benchmark input (2 CPUs, BLAS on one
-# thread) took 2-6% longer with the worker at 16K-37K elements (d_h = 32,
-# 48), as long at 64K-100K (d_h = 64, 80), and 14-23% less from 147K
-# (d_h = 96) up to the full-size 1M; the gate's TRANSFER dims (16K) parsed
-# their 40 short dev sentences 16% slower.
-OVERLAP_MIN_WHH = 1 << 17
 
 
 def create_parameters(store: ParameterStore, config: TrainConfig,
@@ -184,27 +172,17 @@ class Parser:
         """
         order = sorted(range(len(sents)), key=lambda k: -len(sents[k].tokens))
         trees: list[DependencyTree] = [None] * len(sents)
-        with _recurrent_worker(self.store["decoder.lstm.W_hh"].data.size) as worker:
-            for start in range(0, len(order), DECODE_CHUNK):
-                chunk = order[start:start + DECODE_CHUNK]
-                batch = [sents[k] for k in chunk]
-                scorer = LockstepScorer(self, batch, worker)
-                decoded = dec.decode_greedy([len(s.tokens) for s in batch],
-                                            scorer.arc_scores, scorer.label_scores)
-                for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
-                    labels = [self.vocabs["label"].symbol(i) for i in label_ids]
-                    trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
+        worker = ad.worker(self.store["decoder.lstm.W_hh"].data.size, ad.WORKER_MIN_WHH)
+        for start in range(0, len(order), DECODE_CHUNK):
+            chunk = order[start:start + DECODE_CHUNK]
+            batch = [sents[k] for k in chunk]
+            scorer = LockstepScorer(self, batch, worker)
+            decoded = dec.decode_greedy([len(s.tokens) for s in batch],
+                                        scorer.arc_scores, scorer.label_scores)
+            for k, sent, (heads, label_ids) in zip(chunk, batch, decoded):
+                labels = [self.vocabs["label"].symbol(i) for i in label_ids]
+                trees[k] = make_tree(sent.tokens, heads, labels, allow_multiple_roots=True)
         return trees
-
-
-def _recurrent_worker(w_hh_size: int) -> contextlib.AbstractContextManager[Executor | None]:
-    """One worker thread for :class:`LockstepScorer`'s recurrent products,
-    or None where it would not pay: on one CPU, or below OVERLAP_MIN_WHH."""
-    if (w_hh_size < OVERLAP_MIN_WHH or not hasattr(os, "sched_getaffinity")
-            or len(os.sched_getaffinity(0)) < 2):
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="stackptr-decode")
 
 
 class LockstepScorer:
@@ -268,8 +246,8 @@ class LockstepScorer:
         self.steps += 1
         self.unfinished = np.count_nonzero(self.ends > self.steps)
         if self.worker is not None and self.unfinished:
-            self.recurrent = self.worker.submit(np.matmul, self.hidden[:self.unfinished],
-                                                self.w_hh_t)
+            self.recurrent = ad.submit(self.worker, np.matmul, self.hidden[:self.unfinished],
+                                       self.w_hh_t)
         # The training scorer, with each sentence's decoder row as a path of one step.
         arc_dec = _mlp(store, "biaffine.arc.dec", Tensor(self.hidden[:k, None]))
         return _arc_scores(store, arc_dec, Tensor(self.arc_enc[:k])).data[:, 0]

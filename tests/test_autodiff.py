@@ -4,6 +4,9 @@ determinism."""
 import hashlib
 import inspect
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -170,6 +173,32 @@ class TestAdam:
         store.create("biaffine.w", (3, 2))
         with pytest.raises(ValueError, match="gradient shape mismatch"):
             adam_step(store, {"biaffine.w": np.zeros((2, 3))}, AdamState(), 0.01)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["first-step", "later-step"])
+    @pytest.mark.parametrize("bad, message", [
+        ({"biaffine.b": np.zeros((2, 3))},
+         r"^gradient shape mismatch for biaffine\.b: \(2, 3\) vs \(3, 2\)$"),
+        ({}, r"^no gradient for biaffine\.b$"),
+    ], ids=["shape", "missing"])
+    def test_a_refused_step_writes_nothing(self, bad, message, warm):
+        store = ParameterStore(0)
+        store.create("biaffine.a", (4,), init="embedding")
+        store.create("biaffine.b", (3, 2))
+        state = AdamState()
+        if warm:
+            adam_step(store, {"biaffine.a": np.ones(4), "biaffine.b": np.ones((3, 2))},
+                      state, 0.01)
+        before = {name: t.data.copy() for name, t in store.items()}
+        moments = [{name: a.copy() for name, a in d.items()} for d in (state.m, state.v)]
+        count = state.step_count
+        with pytest.raises(ValueError, match=message):
+            adam_step(store, {"biaffine.a": np.ones(4), **bad}, state, 0.01)
+        assert state.step_count == count
+        for name, t in store.items():
+            assert t.data.tobytes() == before[name].tobytes(), name
+        for now, then in zip((state.m, state.v), moments):
+            assert now.keys() == then.keys()
+            assert all(now[name].tobytes() == then[name].tobytes() for name in now)
 
     def test_step_count_increments(self):
         store = ParameterStore(0)
@@ -361,6 +390,44 @@ def _op_gradients(build, shapes, seed=0, tol=1e-4):
     assert worst < tol, f"max rel err {worst}"
 
 
+LSTM_CASES = ["plain", "h_mask", "in_mask", "reverse", "reverse_one",
+              "bi_masks", "bi_reverse", "bi_one"]
+
+
+def _lstm_case(case, steps):
+    """(directions, batch, in_mask, h_mask, reverse) of a named lstm_sequence
+    case, over (B, T, 3) input and h = 4. A batch of three sequences with one
+    mask row each, or of one. "reverse" runs the three backward over mixed
+    lengths, one of them 1, with both masks; "reverse_one" runs one sequence
+    backward. The "bi" cases run two directions in one call, with both
+    masks: forward and fully backward, both backward over mixed lengths, and
+    forward and backward over one sequence."""
+    dirs, batch, use_in, use_h, reverse = {
+        "plain": (1, 3, False, False, None),
+        "h_mask": (1, 3, False, True, None),
+        "in_mask": (1, 3, True, False, None),
+        "reverse": (1, 3, True, True, [[steps, 1, min(3, steps)]]),
+        "reverse_one": (1, 1, False, False, [[steps]]),
+        "bi_masks": (2, 3, True, True, [[0] * 3, [steps] * 3]),
+        "bi_reverse": (2, 3, True, True, [[1, steps, min(2, steps)],
+                                          [steps, 1, min(3, steps)]]),
+        "bi_one": (2, 1, True, True, [[0], [steps]]),
+    }[case]
+    in_mask = ad.dropout_mask((dirs, batch, 3), 0.5, Rng(3).split("in")) if use_in else None
+    h_mask = ad.dropout_mask((dirs, batch, 4), 0.5, Rng(3).split("h")) if use_h else None
+    return dirs, batch, in_mask, h_mask, reverse
+
+
+def _lstm_gradients(case, steps):
+    dirs, batch, in_mask, h_mask, reverse = _lstm_case(case, steps)
+
+    def build(x, *w):
+        triples = [w[3 * k:3 * k + 3] for k in range(dirs)]
+        return ad.lstm_sequence(x, triples, in_mask, h_mask, reverse)
+
+    _op_gradients(build, [(batch, steps, 3)] + [(16, 3), (16, 4), (16,)] * dirs)
+
+
 class TestOpGradients:
     """Every composite op the model touches, checked at eps=1e-5 / 1e-4."""
 
@@ -523,31 +590,7 @@ class TestOpGradients:
                                       "in_mask", "reverse", "reverse_one",
                                       "bi_masks", "bi_reverse", "bi_one"])
     def test_lstm_sequence(self, steps, case):
-        # A (B, T, d) batch of three sequences with one mask row each, or of
-        # one. "reverse" runs the three backward over mixed lengths, one of
-        # them 1, with both masks; "reverse_one" runs one sequence backward.
-        # The "bi" cases run two directions in one call, with both masks:
-        # forward and fully backward, both backward over mixed lengths, and
-        # forward and backward over one sequence.
-        dirs, batch, use_in, use_h, reverse = {
-            "plain": (1, 3, False, False, None),
-            "h_mask": (1, 3, False, True, None),
-            "in_mask": (1, 3, True, False, None),
-            "reverse": (1, 3, True, True, [[steps, 1, min(3, steps)]]),
-            "reverse_one": (1, 1, False, False, [[steps]]),
-            "bi_masks": (2, 3, True, True, [[0] * 3, [steps] * 3]),
-            "bi_reverse": (2, 3, True, True, [[1, steps, min(2, steps)],
-                                              [steps, 1, min(3, steps)]]),
-            "bi_one": (2, 1, True, True, [[0], [steps]]),
-        }[case]
-        in_mask = ad.dropout_mask((dirs, batch, 3), 0.5, Rng(3).split("in")) if use_in else None
-        h_mask = ad.dropout_mask((dirs, batch, 4), 0.5, Rng(3).split("h")) if use_h else None
-
-        def build(x, *w):
-            triples = [w[3 * k:3 * k + 3] for k in range(dirs)]
-            return ad.lstm_sequence(x, triples, in_mask, h_mask, reverse)
-
-        _op_gradients(build, [(batch, steps, 3)] + [(16, 3), (16, 4), (16,)] * dirs)
+        _lstm_gradients(case, steps)
 
     def test_dropout_gradient_with_fixed_mask(self):
         # Same rng seeds per evaluation -> the mask is constant, so central
@@ -649,6 +692,163 @@ class TestLstmSequence:
                                             [1, 1, 1, 1, 1, 1, 1, 1]])
         z = np.concatenate([np.linspace(-709.0, 709.0, 20_001), [np.inf, np.nan]])
         np.testing.assert_array_equal(ad._sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
+
+
+def _force_gate(monkeypatch, open_):
+    """Open the worker gate at any size and CPU count, or shut it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for name in ("WORKER_MIN_WHH", "WORKER_MIN_ADAM"):
+        monkeypatch.setattr(ad, name, 0 if open_ else 1 << 62)
+
+
+def _threads_running(monkeypatch, name):
+    """Record the thread of every call of the module function ``name``."""
+    seen = set()
+    real = getattr(ad, name)
+
+    def recorded(*args):
+        seen.add(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(ad, name, recorded)
+    return seen
+
+
+class TestWorker:
+    """The worker thread's halves, with the gate forced open at tiny dims,
+    give the inline path's bits."""
+
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("case", LSTM_CASES)
+    def test_lstm_sequence_keeps_its_bits(self, case, steps, monkeypatch):
+        dirs, batch, in_mask, h_mask, reverse = _lstm_case(case, steps)
+        rng = Rng(21).split(case)
+        x = rng.random((batch, steps, 3)) - 0.5
+        triples = [[rng.random(shape) - 0.5 for shape in [(16, 3), (16, 4), (16,)]]
+                   for _ in range(dirs)]
+        upstream = Tensor(rng.random((batch, steps, 4 * dirs)))
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            ws = [tuple(Tensor(a, requires_grad=True) for a in triple) for triple in triples]
+            out = ad.lstm_sequence(xt, ws, in_mask, h_mask, reverse)
+            ad.sum_all(ad.mul(out, upstream)).backward()
+            return [out.data, xt.grad] + [w.grad for triple in ws for w in triple]
+
+        _force_gate(monkeypatch, False)
+        inline = run()
+        _force_gate(monkeypatch, True)
+        threads = _threads_running(monkeypatch, "lstm_gates")
+        for threaded, want in zip(run(), inline):
+            assert threaded.tobytes() == want.tobytes()
+        assert len(threads) == dirs     # a second direction ran on the worker
+
+    @pytest.mark.parametrize("case", ["bi_masks", "bi_reverse", "bi_one"])
+    def test_lstm_sequence_passes_grad_check(self, case, monkeypatch):
+        _force_gate(monkeypatch, True)
+        threads = _threads_running(monkeypatch, "lstm_gates")
+        _lstm_gradients(case, 4)
+        assert len(threads) == 2
+
+    def test_adam_step_keeps_its_bits(self, monkeypatch):
+        # Tensors in one piece, in row blocks, with a row longer than a block,
+        # C- and Fortran-ordered gradients, and a scalar.
+        shapes = [((3000, 7), "C"), ((40, 30, 20), "F"), ((2, 20000), "C"), ((5, 3), "F"),
+                  ((7,), "C"), ((), "C")]
+
+        def run():
+            store = ParameterStore(3)
+            for k, (shape, _) in enumerate(shapes):
+                store.create(f"w{k}", shape, init="embedding")
+            state, rng = AdamState(), Rng(4)
+            for step in range(3):
+                grads = {f"w{k}": np.asarray(rng.split(f"g{step}.{k}").random(shape) - 0.5,
+                                             order=order)
+                         for k, (shape, order) in enumerate(shapes)}
+                adam_step(store, grads, state, 0.003)
+            return [a for d in ({n: t.data for n, t in store.items()}, state.m, state.v)
+                    for a in d.values()]
+
+        _force_gate(monkeypatch, False)
+        inline = run()
+        _force_gate(monkeypatch, True)
+        threads = _threads_running(monkeypatch, "_adam_update")
+        for threaded, want in zip(run(), inline, strict=True):
+            assert threaded.tobytes() == want.tobytes()
+        assert len(threads) == 2
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_an_error_in_either_half_is_raised_here_once_both_stopped(self, failing,
+                                                                      monkeypatch):
+        class Failure(Exception):
+            pass
+
+        main, steps_run = threading.get_ident(), []
+        real = ad.lstm_gates
+
+        def gates(z, c):
+            here = threading.get_ident() == main
+            if here == (failing == "caller"):
+                raise Failure(f"in the {failing}'s direction")
+            time.sleep(0.01)            # the other half is still running at the failure
+            steps_run.append(here)
+            return real(z, c)
+
+        _force_gate(monkeypatch, True)
+        monkeypatch.setattr(ad, "lstm_gates", gates)
+        dirs, batch, in_mask, h_mask, reverse = _lstm_case("bi_reverse", 4)
+        rng = Rng(22)
+        weights = [tuple(Tensor(rng.split(f"{k}{shape}").random(shape) - 0.5)
+                         for shape in [(16, 3), (16, 4), (16,)]) for k in range(dirs)]
+        with pytest.raises(Failure, match=f"in the {failing}'s direction"):
+            ad.lstm_sequence(Tensor(rng.random((batch, 4, 3))), weights, in_mask, h_mask,
+                             reverse)
+        # The other half ran its direction's four steps before the raise.
+        assert steps_run == [failing == "worker"] * 4
+
+    def test_the_callers_errstate_holds_in_the_workers_half(self, monkeypatch):
+        # Largest first to the emptier half: "big" stays here, "small" goes to
+        # the worker, and its squared gradient overflows there.
+        _force_gate(monkeypatch, True)
+        halves = {}
+        real = ad._adam_update
+
+        def update(jobs, *constants):
+            halves[threading.get_ident()] = [p.size for p, *_ in jobs]
+            real(jobs, *constants)
+
+        monkeypatch.setattr(ad, "_adam_update", update)
+        store = ParameterStore(0)
+        store.create("big", (100,), init="embedding")
+        store.create("small", (50,), init="embedding")
+        grads = {"big": np.ones(100), "small": np.full(50, 1e200)}
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                adam_step(store, grads, AdamState(), 0.01)
+        assert halves.pop(threading.get_ident()) == [100]
+        assert list(halves.values()) == [[50]]
+        with np.errstate(over="ignore"):
+            adam_step(store, grads, AdamState(), 0.01)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_a_worker_of_its_own(self, monkeypatch):
+        # The parent's thread does not exist in the child: work queued to its
+        # executor there would never run.
+        _force_gate(monkeypatch, True)
+        pool = ad.worker(1, 1)
+        assert pool.submit(int, "7").result(timeout=10) == 7
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                child = ad.worker(1, 1)
+                code = 0 if child is not pool and child.submit(int, "7").result(10) == 7 else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert ad.worker(1, 1) is pool
 
 
 class TestRng:

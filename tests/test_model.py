@@ -324,16 +324,20 @@ def test_parsing_reads_parameters_as_constants(tiny_config, toy_vocabs, toy_tree
 
 @pytest.fixture
 def forced_worker(monkeypatch):
-    """Make parse_corpus hand its recurrent products to a worker at any size
-    and CPU count; returns the row counts of the products handed over."""
+    """Open the package's worker gate at any size and CPU count; returns the
+    row counts of the decoder's recurrent products handed over (the encoder
+    BiLSTM's second direction and Adam's second half go to the worker too,
+    uncounted)."""
     handed = []
     real_submit = ThreadPoolExecutor.submit
 
     def submit(self, fn, *args, **kwargs):
-        handed.append(len(args[0]))
+        if args[0] is np.matmul:
+            handed.append(len(args[1]))
         return real_submit(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(model, "OVERLAP_MIN_WHH", 0)
+    monkeypatch.setattr(ad, "WORKER_MIN_WHH", 0)
+    monkeypatch.setattr(ad, "WORKER_MIN_ADAM", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
     return handed
@@ -367,7 +371,7 @@ def test_parse_corpus_is_the_same_with_the_worker(tiny_config, forced_worker, mo
     # hands over the product of the sentences unfinished after it.
     assert len(forced_worker) == 24 + 10 + 4
     assert forced_worker[:3] == [3, 3, 3] and forced_worker[24:34].count(3) == 6
-    monkeypatch.setattr(model, "OVERLAP_MIN_WHH", 1 << 62)
+    monkeypatch.setattr(ad, "WORKER_MIN_WHH", 1 << 62)
     forced_worker.clear()
     assert parser.parse_corpus(sents) == threaded
     assert forced_worker == []
@@ -392,32 +396,50 @@ def test_wrong_step_count_is_the_scorers_own_error(tiny_config, toy_vocabs, toy_
 
 
 def test_no_tensor_is_built_off_the_main_thread(tiny_config, forced_worker, monkeypatch):
-    # The benchmark's tracer is single-threaded: the worker runs plain numpy.
-    threads = set()
-    real_init = ad.Tensor.__init__
+    # The benchmark's tracer is single-threaded: the worker runs plain numpy,
+    # in a training step (BiLSTM direction, Adam half) and in a parse.
+    threads, working = set(), set()
+    real_init, real_gates = ad.Tensor.__init__, ad.lstm_gates
 
     def init(self, *args, **kwargs):
         threads.add(threading.get_ident())
         real_init(self, *args, **kwargs)
 
+    def gates(*args):
+        working.add(threading.get_ident())
+        return real_gates(*args)
+
     monkeypatch.setattr(ad.Tensor, "__init__", init)
+    monkeypatch.setattr(ad, "lstm_gates", gates)
     rng = Rng(13).split("sentences")
-    Parser.build(tiny_config, VOCABS).parse_corpus([_sentence(rng, n) for n in (6, 4, 1)])
+    parser = Parser.build(tiny_config, VOCABS)
+    batch = [random_tree(rng) for _ in range(4)]
+    batch = [tree for tree in batch if len(tree) == len(batch[0])]
+    loss = parser.batch_loss(batch, [rng.split(f"s{i}") for i in range(len(batch))])
+    loss.backward()
+    grads = parser.store.gradients()
+    ad.clip_gradients(grads, 5.0)
+    ad.adam_step(parser.store, grads, ad.AdamState(), 0.01)
+    parser.parse_corpus([_sentence(rng, n) for n in (6, 4, 1)])
     assert forced_worker
+    assert len(working) == 2
     assert threads == {threading.get_ident()}
 
 
 def test_worker_is_made_only_where_it_pays(tiny_config):
-    # At tiny dims the product is below OVERLAP_MIN_WHH: a parse starts no
-    # thread and does not import concurrent.futures.
+    # At tiny dims every job is below its autodiff.WORKER_MIN_*: training
+    # (BiLSTM, Adam) and a parse start no thread and do not import
+    # concurrent.futures.
     script = f"""
 import sys, threading
 from stackptr.config import TrainConfig
 from stackptr.model import Parser
+from stackptr.trainer import train
 from stackptr.treebank import parse_conll, build_vocabulary
 trees = parse_conll({str(Path(__file__).parent / "data" / "toy_train.conllx")!r})
-config = TrainConfig.from_flat({tiny_config.to_flat()!r})
-Parser.build(config, build_vocabulary(trees, 1)).parse_corpus(trees[:5])
+config = TrainConfig.from_flat({tiny_config.to_flat()!r}).replaced(max_epochs=1)
+trained = train(config, trees[:8], trees[8:12])
+Parser(config, trained.vocabs, trained.params).parse_corpus(trees[:5])
 assert "concurrent.futures" not in sys.modules
 assert threading.active_count() == 1
 """

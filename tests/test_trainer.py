@@ -2,9 +2,14 @@
 
 import io
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +363,58 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * model_bytes, peak / model_bytes
+
+
+# One full-size training step (TrainConfig() dims, two 40-token trees): loss,
+# backward, clipping and Adam. Prints the digests of the loss, of the
+# gradients and of the parameters after Adam, and whether the worker ran.
+FULL_SIZE_STEP = """
+import hashlib, json, sys
+from stackptr import autodiff as ad
+from stackptr.config import TrainConfig
+from stackptr.model import Parser
+from stackptr.trainer import compute_loss
+from stackptr.treebank import DependencyTree, Token, build_vocabulary
+if sys.argv[1] == "shut":
+    ad.WORKER_MIN_WHH = ad.WORKER_MIN_ADAM = 1 << 62
+rng = ad.Rng(3)
+trees = []
+for b in range(2):
+    tokens = tuple(Token(f"w{rng.integers(0, 60)}", f"P{rng.integers(0, 8)}") for _ in range(40))
+    heads = (-1,) + tuple(rng.integers(0, i) for i in range(1, 41))
+    trees.append(DependencyTree(tokens, heads, tuple(f"l{rng.integers(0, 5)}" for _ in range(40))))
+config = TrainConfig(batch_size=2, min_word_count=1)
+parser = Parser.build(config, build_vocabulary(trees, 1))
+loss = compute_loss(parser, trees, ad.Rng(4))
+loss.backward()
+grads = parser.store.gradients()
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+record = {"loss": digest([loss.data]), "grads": digest(grads.values())}
+ad.clip_gradients(grads, config.clip_norm)
+ad.adam_step(parser.store, grads, ad.AdamState(), config.learning_rate)
+record["params"] = digest(t.data for _, t in parser.store.items())
+record["worker"] = ad._pool is not None
+print(json.dumps(record))
+"""
+
+
+def test_a_full_size_step_repeats_its_bits_in_new_processes():
+    # The release gate trains at tiny dims, where neither BLAS threading nor
+    # the worker thread takes part. Two processes at one pinned BLAS thread
+    # count repeat a full-size step's bits, and so does one with the worker
+    # gate shut: the worker changes no bit where it runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    records = []
+    for gate in ("as-measured", "as-measured", "shut"):
+        run = subprocess.run([sys.executable, "-c", FULL_SIZE_STEP, gate], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        records.append(json.loads(run.stdout))
+    two_cpus = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) >= 2
+    assert [r.pop("worker") for r in records] == [two_cpus, two_cpus, False]
+    assert records[0] == records[1] == records[2]
