@@ -24,11 +24,12 @@ two scratch arrays in cache-sized blocks of rows.
 Full-size work also uses a second CPU. :func:`worker` is the package's one
 gate for it: the process must be allowed two CPUs and the job must reach
 a measured size (:data:`WORKER_MIN_WHH` recurrent weights,
-:data:`WORKER_MIN_ADAM` parameters), or no thread starts (and
+:data:`WORKER_MIN_PARAMS` parameters), or no thread starts (and
 ``concurrent.futures`` is not imported). Past the gate, :func:`adam_step`
 updates half of the parameters (whole tensors, balanced by element count)
-on the worker thread, and a two-direction :func:`lstm_sequence` runs its
-second direction there: input product and step loop forward, BPTT loop and
+on the worker thread, :func:`clip_gradients` squares and scales half of
+them there, and a two-direction :func:`lstm_sequence` runs its second
+direction there: input product and step loop forward, BPTT loop and
 weight-gradient products backward, while every gradient is still added on
 the calling thread in the inline order. A job on the worker is plain numpy
 with the operations, operands and shapes the inline path gives it, so no
@@ -102,11 +103,14 @@ ADAM_BLOCK = 1 << 14    # elements per adam_step block: 16K-64K ran fastest, 4K 
 #   full-size 262K; 2.1x at the gate's 4K (B = 6, T = 5). Decoding's
 #   next-step product took 2-6% longer at 16K-37K, as long at 64K-100K, and
 #   14-23% less from 147K up to the full-size 1M.
-# - Adam, by parameter elements (43 tensors): 1.7x as long threaded at the
-#   gate's 86K, 1.01-1.07x at 338K, 0.99x at 526K, 0.88-0.90x at 756K and
-#   0.74-0.77x at the full-size 5.4M-6.3M.
+# - per-tensor work over all parameters, by parameter elements (43 tensors).
+#   Adam took 1.7x as long threaded at the gate's 86K, 1.01-1.07x at 338K,
+#   0.99x at 526K, 0.88-0.90x at 756K, 0.76x at 1.3M and 0.74-0.77x at the
+#   full-size 5.4M-6.3M. Clipping's sums of squares, lighter per element,
+#   took 2.7x as long at 86K, 1.07-1.15x at 526K-756K, 0.89x at 1.3M and
+#   0.67x at 5.3M.
 WORKER_MIN_WHH = 1 << 17
-WORKER_MIN_ADAM = 1 << 19
+WORKER_MIN_PARAMS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +215,7 @@ _pool: tuple[int, Executor] | None = None     # (pid of its process, the executo
 def worker(size: int, minimum: int) -> Executor | None:
     """The package's one worker thread, for a job of ``size`` against its
     kind's measured ``minimum`` (:data:`WORKER_MIN_WHH`,
-    :data:`WORKER_MIN_ADAM`); None where it would not pay: below that
+    :data:`WORKER_MIN_PARAMS`); None where it would not pay: below that
     minimum, or where the process may run on one CPU only.
 
     The thread starts at the first call past the gate and is shared from
@@ -246,6 +250,24 @@ def _in_parallel(pool: Executor, here: Callable[[], None], there: Callable[[], N
     finally:
         future.exception()          # waits for the worker's half; raises nothing
     future.result()
+
+
+def _by_halves(sizes: Sequence[int], job: Callable[[list[int]], None]) -> None:
+    """``job`` over the tensor indices of ``sizes`` (their element counts):
+    in one call, in index order, or where :func:`worker` allows it for their
+    sum, in two halves of about equal count, whole tensors, largest first to
+    the smaller half, the second half on the worker."""
+    pool = worker(sum(sizes), WORKER_MIN_PARAMS)
+    if pool is None:
+        job(list(range(len(sizes))))
+        return
+    halves: tuple[list[int], list[int]] = ([], [])
+    load = [0, 0]
+    for k in sorted(range(len(sizes)), key=lambda k: -sizes[k]):
+        side = 0 if load[0] <= load[1] else 1
+        halves[side].append(k)
+        load[side] += sizes[k]
+    _in_parallel(pool, lambda: job(halves[0]), lambda: job(halves[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -841,10 +863,11 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
     whatever the blocks. Every gradient is checked before anything is
     written, so a refused step leaves parameters and state as they were.
 
-    Where :func:`worker` allows it for the parameter count, the tensors are
-    split into two halves of about equal element count, largest first to the
-    smaller half, and the worker updates one half while this thread updates
-    the other, each through its own two scratch arrays."""
+    Where :func:`worker` allows it for the parameter count, the worker
+    updates half of the tensors (about half the elements) while this thread
+    updates the others, each half through its own two scratch arrays. New
+    moments are zeroed block by block as the update reaches them, by the
+    thread that updates them."""
     if learning_rate <= 0:
         raise ValueError(f"learning rate must be positive: {learning_rate}")
     for name, param in params.items():
@@ -857,33 +880,28 @@ def adam_step(params: ParameterStore, grads: dict[str, np.ndarray],
     t = state.step_count
     constants = (state.beta1, state.beta2, state.epsilon, 1.0 - state.beta1 ** t,
                  1.0 - state.beta2 ** t, learning_rate)
-    jobs = []
+    jobs, fresh = [], {}
     for name, param in params.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(param.data)
-            state.v[name] = np.zeros_like(param.data)
-        jobs.append((param.data, grads[name], state.m[name], state.v[name]))
-    pool = worker(sum(p.size for p, *_ in jobs), WORKER_MIN_ADAM)
-    if pool is None:
-        _adam_update(jobs, *constants)
-        return
-    halves: tuple[list, list] = ([], [])
-    sizes = [0, 0]
-    for job in sorted(jobs, key=lambda job: -job[0].size):
-        side = 0 if sizes[0] <= sizes[1] else 1
-        halves[side].append(job)
-        sizes[side] += job[0].size
-    _in_parallel(pool, lambda: _adam_update(halves[0], *constants),
-                 lambda: _adam_update(halves[1], *constants))
+        if name in state.m:
+            jobs.append((param.data, grads[name], state.m[name], state.v[name], False))
+        else:
+            fresh[name] = m, v = np.empty_like(param.data), np.empty_like(param.data)
+            jobs.append((param.data, grads[name], m, v, True))
+    _by_halves([job[0].size for job in jobs],
+               lambda part: _adam_update([jobs[k] for k in part], *constants))
+    # New moments join the state once the update has written all of them.
+    for name, (m, v) in fresh.items():
+        state.m[name], state.v[name] = m, v
 
 
-def _adam_update(jobs: Sequence[tuple[np.ndarray, ...]], beta1: float, beta2: float,
-                 eps: float, bc1: float, bc2: float, learning_rate: float) -> None:
-    """Adam on each (parameter, gradient, m, v) of ``jobs``, in place, in
-    plain numpy (it may run on the worker), through two scratch arrays."""
+def _adam_update(jobs: Sequence[tuple], beta1: float, beta2: float, eps: float,
+                 bc1: float, bc2: float, learning_rate: float) -> None:
+    """Adam on each (parameter, gradient, m, v, fresh moments) of ``jobs``,
+    in place, in plain numpy (it may run on the worker), through two scratch
+    arrays."""
     c1, c2 = 1.0 - beta1, 1.0 - beta2
     scratch_a, scratch_b = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
-    for p, g, m, v in jobs:
+    for p, g, m, v, fresh in jobs:
         if p.size <= ADAM_BLOCK:
             blocks = ((p, g, m, v),)
         else:
@@ -896,6 +914,9 @@ def _adam_update(jobs: Sequence[tuple[np.ndarray, ...]], beta1: float, beta2: fl
         for pb, gb, mb, vb in blocks:
             a = scratch_a[:pb.size].reshape(pb.shape)
             b = scratch_b[:pb.size].reshape(pb.shape)
+            if fresh:
+                mb[...] = 0.0
+                vb[...] = 0.0
             mb *= beta1
             mb += np.multiply(gb, c1, out=a)
             vb *= beta2
@@ -909,32 +930,49 @@ def _adam_update(jobs: Sequence[tuple[np.ndarray, ...]], beta1: float, beta2: fl
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so that their global norm is at most
     ``max_norm``; return the norm before clipping. A norm that is not finite
-    leaves the gradients as they are: it is the caller's to refuse."""
-    # Each tensor is squared into one scratch array, reused across tensors,
-    # in the gradient's own memory order, so each sum keeps the bits of
-    # (g * g).sum(). A plain loop: from Python 3.12, sum() compensates float
-    # sums, which would change the bits.
-    scratch = np.empty(max((g.size for g in grads.values()), default=0))
+    leaves the gradients as they are: it is the caller's to refuse. Where
+    :func:`worker` allows it, as for :func:`adam_step`, the worker squares
+    and scales half of the tensors."""
+    arrays = list(grads.values())
+    sizes = [g.size for g in arrays]
+    sums = [0.0] * len(arrays)
+
+    def square_sums(part: list[int]) -> None:
+        # Each tensor is squared into one scratch array, reused across the
+        # part's tensors, in the gradient's own memory order, so each sum
+        # keeps the bits of (g * g).sum().
+        scratch = np.empty(max((sizes[k] for k in part), default=0))
+        with np.errstate(over="ignore"):
+            for k in part:
+                flat = arrays[k].ravel(order="K")
+                sums[k] = float(np.square(flat, out=scratch[:flat.size]).sum())
+
+    _by_halves(sizes, square_sums)
+    # Added in tensor order, in a plain loop: from Python 3.12, sum()
+    # compensates float sums, which would change the bits.
     total = 0.0
-    with np.errstate(over="ignore"):
-        for g in grads.values():
-            flat = g.ravel(order="K")
-            total += float(np.square(flat, out=scratch[:flat.size]).sum())
-    norm = math.sqrt(total) if total != math.inf else _scaled_norm(grads, scratch)
+    for part in sums:
+        total += part
+    norm = math.sqrt(total) if total != math.inf else _scaled_norm(arrays)
     if math.isfinite(norm) and norm > max_norm > 0:
         factor = max_norm / norm
-        for g in grads.values():
-            g *= factor
+
+        def scale(part: list[int]) -> None:
+            for k in part:
+                arrays[k] *= factor
+
+        _by_halves(sizes, scale)
     return norm
 
 
-def _scaled_norm(grads: dict[str, np.ndarray], scratch: np.ndarray) -> float:
+def _scaled_norm(arrays: Sequence[np.ndarray]) -> float:
     """The global norm of gradients whose sum of squares overflows: each
     tensor is scaled by its largest magnitude before it is squared, and the
     partial sums are combined as LAPACK's dnrm2 combines them. It is infinite
     only when some entry is, or when the norm itself exceeds the float range."""
     scale, ssq = 0.0, 1.0
-    for g in grads.values():
+    scratch = np.empty(max(g.size for g in arrays))
+    for g in arrays:
         flat, part = g.ravel(order="K"), scratch[:g.size]
         peak = float(np.abs(flat, out=part).max(initial=0.0))
         if not math.isfinite(peak):

@@ -697,7 +697,7 @@ class TestLstmSequence:
 def _force_gate(monkeypatch, open_):
     """Open the worker gate at any size and CPU count, or shut it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for name in ("WORKER_MIN_WHH", "WORKER_MIN_ADAM"):
+    for name in ("WORKER_MIN_WHH", "WORKER_MIN_PARAMS"):
         monkeypatch.setattr(ad, name, 0 if open_ else 1 << 62)
 
 
@@ -777,6 +777,31 @@ class TestWorker:
             assert threaded.tobytes() == want.tobytes()
         assert len(threads) == 2
 
+    @pytest.mark.parametrize("peak", [1.0, 1e200], ids=["squares", "overflowing-squares"])
+    def test_clip_gradients_keeps_its_bits(self, peak, monkeypatch):
+        # Over the limit, so the gradients are scaled too; at 1e200 the sum of
+        # squares overflows and the norm is computed again, scaled.
+        shapes = [((3000, 7), "C"), ((40, 30, 20), "F"), ((5, 3), "F"), ((7,), "C"), ((), "C")]
+
+        def run():
+            rng = Rng(8)
+            grads = {f"g{k}": np.asarray(peak * (rng.split(str(k)).random(shape) - 0.5),
+                                         order=order)
+                     for k, (shape, order) in enumerate(shapes)}
+            return ad.clip_gradients(grads, 0.5), list(grads.values())
+
+        _force_gate(monkeypatch, False)
+        norm, inline = run()
+        _force_gate(monkeypatch, True)
+        calls = []
+        real = ad._in_parallel
+        monkeypatch.setattr(ad, "_in_parallel", lambda *args: calls.append(1) or real(*args))
+        threaded_norm, threaded = run()
+        assert threaded_norm == norm > 0.5 and math.isfinite(norm)
+        for got, want in zip(threaded, inline, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert len(calls) == 2          # the sums of squares and the scaling
+
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_an_error_in_either_half_is_raised_here_once_both_stopped(self, failing,
                                                                       monkeypatch):
@@ -822,9 +847,11 @@ class TestWorker:
         store.create("big", (100,), init="embedding")
         store.create("small", (50,), init="embedding")
         grads = {"big": np.ones(100), "small": np.full(50, 1e200)}
+        state = AdamState()
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
-                adam_step(store, grads, AdamState(), 0.01)
+                adam_step(store, grads, state, 0.01)
+        assert state.m == state.v == {}     # no moments half written
         assert halves.pop(threading.get_ident()) == [100]
         assert list(halves.values()) == [[50]]
         with np.errstate(over="ignore"):

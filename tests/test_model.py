@@ -337,7 +337,7 @@ def forced_worker(monkeypatch):
         return real_submit(self, fn, *args, **kwargs)
 
     monkeypatch.setattr(ad, "WORKER_MIN_WHH", 0)
-    monkeypatch.setattr(ad, "WORKER_MIN_ADAM", 0)
+    monkeypatch.setattr(ad, "WORKER_MIN_PARAMS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
     return handed

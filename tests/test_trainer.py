@@ -376,7 +376,7 @@ from stackptr.model import Parser
 from stackptr.trainer import compute_loss
 from stackptr.treebank import DependencyTree, Token, build_vocabulary
 if sys.argv[1] == "shut":
-    ad.WORKER_MIN_WHH = ad.WORKER_MIN_ADAM = 1 << 62
+    ad.WORKER_MIN_WHH = ad.WORKER_MIN_PARAMS = 1 << 62
 rng = ad.Rng(3)
 trees = []
 for b in range(2):
