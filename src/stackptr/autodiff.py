@@ -35,6 +35,16 @@ the calling thread in the inline order. A job on the worker is plain numpy
 with the operations, operands and shapes the inline path gives it, so no
 bit depends on which thread ran it or on the gate.
 
+A one-direction :func:`lstm_sequence` (the decoder) has no second
+direction to give away. From :data:`WORKER_MIN_SPLIT` recurrent weights up
+it runs every product in two halves of its output columns, and the second
+half goes to the worker where the gate allows; a process on one CPU runs
+both halves in turn. The halves are the op's shape at that size whatever
+the CPU count, so the gate moves no bit. That the two halves give the
+columns of the one product bit for bit is a property of the BLAS build,
+which holds for this package's OpenBLAS at the decoder's sizes and not at
+every size (tests/test_autodiff.py checks it).
+
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values
 depend only on the store seed and the parameter name, and all arithmetic is
@@ -103,6 +113,13 @@ ADAM_BLOCK = 1 << 14    # elements per adam_step block: 16K-64K ran fastest, 4K 
 #   full-size 262K; 2.1x at the gate's 4K (B = 6, T = 5). Decoding's
 #   next-step product took 2-6% longer at 16K-37K, as long at 64K-100K, and
 #   14-23% less from 147K up to the full-size 1M.
+# - one-direction LSTMs, by W_hh elements, split by output columns with the
+#   second half threaded (:func:`lstm_sequence`; forward plus backward, two
+#   handoffs a step). At B = 2, T = 41 they took 2.6x as long at 16K (h = 64),
+#   1.9x at 64K, 1.15x at 131K, 0.98x at 262K, 0.79x at 524K and 0.64x at
+#   the full-size decoder's 1M; at B = 6, T = 9, 0.94x at 131K and 0.80x at
+#   262K. Both halves inline, one CPU, took 1.03x (B = 2) to 1.08x (B = 32)
+#   as long as the one product at 1M.
 # - per-tensor work over all parameters, by parameter elements (43 tensors).
 #   Adam took 1.7x as long threaded at the gate's 86K, 1.01-1.07x at 338K,
 #   0.99x at 526K, 0.88-0.90x at 756K, 0.76x at 1.3M and 0.74-0.77x at the
@@ -110,6 +127,7 @@ ADAM_BLOCK = 1 << 14    # elements per adam_step block: 16K-64K ran fastest, 4K 
 #   took 2.7x as long at 86K, 1.07-1.15x at 526K-756K, 0.89x at 1.3M and
 #   0.67x at 5.3M.
 WORKER_MIN_WHH = 1 << 17
+WORKER_MIN_SPLIT = 1 << 18
 WORKER_MIN_PARAMS = 1 << 20
 
 
@@ -598,6 +616,16 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
     the first half's products, step loop and gate arithmetic as they are; the
     gates are elementwise, so each direction keeps its bits. Gradients are
     added on the calling thread, direction by direction as inline.
+
+    One direction with at least :data:`WORKER_MIN_SPLIT` W_hh elements runs
+    each product in two halves instead: the input product plus bias and each
+    step's recurrent product in gate columns [0, 2h) and [2h, 4h), each BPTT
+    step's (B, 4h) @ W_hh in columns [0, h/2) and [h/2, h), the weight
+    gradients in gate rows and ``dx`` in input columns. The second half runs
+    on the worker where there is one, else after the first. The split
+    follows W_hh's size alone (cutting products finer, or at tiny sizes,
+    changed bits), and :func:`lstm_gates`, the BPTT elementwise work, the
+    bias gradient and every gradient's addition stay on the calling thread.
     """
     batch, steps, width = x.data.shape
     if steps == 0:
@@ -618,27 +646,47 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
     states = np.zeros((dirs, steps + 1, batch, hidden))  # states[:, t] is step t's incoming h
     cells = np.zeros((steps + 1, dirs, batch, hidden))   # cells[t] is step t's incoming c
     tanh_c = np.empty((steps, dirs, batch, hidden))
-    pool = worker(w_hh[0].size, WORKER_MIN_WHH) if dirs > 1 else None
+    # One direction at full size splits its products by output columns
+    # instead: the split follows W_hh's size alone, so the CPU count only
+    # decides whether the second half runs on the worker or after the first.
+    halves = dirs == 1 and w_hh[0].size >= WORKER_MIN_SPLIT
+    pool = worker(w_hh[0].size, WORKER_MIN_SPLIT if dirs == 1 else WORKER_MIN_WHH)
 
     def by_direction(job: Callable[[slice], None]) -> None:
         """``job`` over every direction: in one call, or in two halves, the
         second on the worker."""
-        if pool is None:
+        if pool is None or halves:
             job(slice(None))
         else:
             _in_parallel(pool, lambda: job(slice(dirs // 2)),
                          lambda: job(slice(dirs // 2, None)))
 
+    def by_columns(job: Callable[..., None], *widths: int) -> None:
+        """``job`` with one slice of output columns per width: all of them,
+        or where the call splits, the first and then the second halves, the
+        second on the worker where there is one."""
+        if not halves:
+            job(*[slice(None)] * len(widths))
+            return
+        first = [slice(n // 2) for n in widths]
+        second = [slice(n // 2, n) for n in widths]
+        if pool is None:
+            job(*first)
+            job(*second)
+        else:
+            _in_parallel(pool, lambda: job(*first), lambda: job(*second))
+
     def forward(ks: slice) -> None:
         for k in range(dirs)[ks]:
-            np.add(xs[k].reshape(-1, width) @ w_ih[k].T, bias[k],
-                   out=gates[k].reshape(-1, 4 * hidden))
+            rows, z_rows = xs[k].reshape(-1, width), gates[k].reshape(-1, 4 * hidden)
+            by_columns(lambda c: np.add(rows @ w_ih[k][c].T, bias[k][c], out=z_rows[:, c]),
+                       4 * hidden)
         z_, h_, c_, tanh_c_ = gates[ks], states[ks], cells[:, ks], tanh_c[:, ks]
         mask = None if h_mask is None else h_mask[ks]
         for t in range(steps):
             h_in = h_[:, t] if mask is None else h_[:, t] * mask
             for z, h, w in zip(z_[:, t], h_in, w_hh[ks]):
-                z += h @ w.T
+                by_columns(lambda c: np.add(z[:, c], h @ w[c].T, out=z[:, c]), 4 * hidden)
             z_[:, t], c_[t + 1], tanh_c_[t], h_[:, t + 1] = lstm_gates(z_[:, t], c_[t])
 
     by_direction(forward)
@@ -666,21 +714,32 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
                 dc_next = dc * f
                 if t:
                     for d, out, w in zip(dz_[:, t], dh_next, w_hh[ks]):
-                        np.matmul(d, w, out=out)
+                        by_columns(lambda c: np.matmul(d, w[:, c], out=out[:, c]), hidden)
                     if mask is not None:
                         dh_next *= mask
             for k in range(dirs)[ks]:
                 dz_rows = dz[k].reshape(-1, 4 * hidden)
-                d_ih = d_hh = d_b = dx = None
-                if wanted[k][0]:
-                    d_ih = dz_rows.T @ xs[k].reshape(-1, width)
-                if wanted[k][1]:
-                    h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
-                    d_hh = dz_rows.T @ h_in.reshape(-1, hidden)
-                if wanted[k][2]:
-                    d_b = dz_rows.sum(axis=0)
-                if x_wanted:
-                    dx = (dz_rows @ w_ih[k]).reshape(steps, batch, width)
+                rows = xs[k].reshape(-1, width)
+                h_in = states[k, :-1] if h_mask is None or not wanted[k][1] else \
+                    states[k, :-1] * h_mask[k]
+                h_rows = h_in.reshape(-1, hidden)
+                d_ih, d_hh, dx = (np.empty(shape) if want else None for shape, want in (
+                    ((4 * hidden, width), wanted[k][0]), ((4 * hidden, hidden), wanted[k][1]),
+                    ((steps * batch, width), x_wanted)))
+
+                def products(c: slice, cx: slice) -> None:
+                    # Gate rows c of the weight gradients, input columns cx of dx.
+                    if d_ih is not None:
+                        np.matmul(dz_rows[:, c].T, rows, out=d_ih[c])
+                    if d_hh is not None:
+                        np.matmul(dz_rows[:, c].T, h_rows, out=d_hh[c])
+                    if dx is not None:
+                        np.matmul(dz_rows, w_ih[k][:, cx], out=dx[:, cx])
+
+                by_columns(products, 4 * hidden, width)
+                d_b = dz_rows.sum(axis=0) if wanted[k][2] else None
+                if dx is not None:
+                    dx = dx.reshape(steps, batch, width)
                     dx = (dx if in_mask is None else dx * in_mask[k])[flip[k].T, lanes[:, None]]
                 grads[k] = d_ih, d_hh, d_b, dx
 

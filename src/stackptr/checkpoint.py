@@ -170,8 +170,9 @@ class _Reader:
         return int(count)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    reader = _Reader(Path(path).read_bytes())
+def load_checkpoint(source: str | Path | bytes) -> Checkpoint:
+    """The checkpoint in a file, given by its path or as its bytes."""
+    reader = _Reader(source if isinstance(source, bytes) else Path(source).read_bytes())
     version = reader.line()
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version!r}")

@@ -36,8 +36,13 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(path: str, name: str, digests: dict[str, str]) -> bytes:
+    """The bytes of the input file at ``path``, their sha256 recorded in
+    ``digests`` under ``name``: a run parses the very bytes its record names,
+    read once."""
+    data = Path(path).read_bytes()
+    digests[name] = hashlib.sha256(data).hexdigest()
+    return data
 
 
 def _identity(path: str) -> tuple[int, int, int] | None:
@@ -64,12 +69,12 @@ def _numeric_environment() -> list[str]:
 
 
 def _write_repro(out: str, verb: str, config: TrainConfig | None,
-                 inputs: dict[str, str], surgery: dict[str, object] | None = None) -> None:
+                 digests: dict[str, str], surgery: dict[str, object] | None = None) -> None:
     lines = [f"verb={verb}"]
     if config is not None:
         lines += [f"config.{k}={v}" for k, v in config.to_flat().items()]
     lines += [f"surgery.{k}={v}" for k, v in (surgery or {}).items()]
-    lines += [f"input.{name}={_digest(path)}" for name, path in sorted(inputs.items())]
+    lines += [f"input.{name}={digest}" for name, digest in sorted(digests.items())]
     lines += _numeric_environment()
     Path(out + ".repro").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -98,24 +103,23 @@ def _seed(text: str) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    train_trees = parse_conll(args.train)
-    dev_trees = parse_conll(args.dev)
-    ckpt = train(config, train_trees, dev_trees,
-                 word_embedding_path=args.emb, log=_log)
+    digests: dict[str, str] = {}
+    train_trees = parse_conll(_read(args.train, "train", digests))
+    dev_trees = parse_conll(_read(args.dev, "dev", digests))
+    emb = _read(args.emb, "emb", digests) if args.emb else None
+    ckpt = train(config, train_trees, dev_trees, word_embeddings=emb, log=_log)
     save_checkpoint(ckpt, args.out)
-    inputs = {"train": args.train, "dev": args.dev}
-    if args.emb:
-        inputs["emb"] = args.emb
-    _write_repro(args.out, "train", config, inputs)
+    _write_repro(args.out, "train", config, digests)
     _log(f"wrote {args.out}")
     return 0
 
 
 def _cmd_finetune(args: argparse.Namespace) -> int:
-    source = load_checkpoint(args.source)
+    digests: dict[str, str] = {}
+    source = load_checkpoint(_read(args.source, "source", digests))
     config = _load_config(args, base=source.config)
-    train_trees = parse_conll(args.train)
-    dev_trees = parse_conll(args.dev)
+    train_trees = parse_conll(_read(args.train, "train", digests))
+    dev_trees = parse_conll(_read(args.dev, "dev", digests))
     plan = SurgeryPlan(
         retain_prefixes=frozenset(p for p in args.retain.split(",") if p),
         reinit_prefixes=frozenset(p for p in args.reinit.split(",") if p),
@@ -124,17 +128,17 @@ def _cmd_finetune(args: argparse.Namespace) -> int:
     grafted = transplant(source, train_trees, plan, seed)
     ckpt = finetune(grafted, train_trees, dev_trees, config, log=_log)
     save_checkpoint(ckpt, args.out)
-    _write_repro(args.out, "finetune", config,
-                 {"source": args.source, "train": args.train, "dev": args.dev},
+    _write_repro(args.out, "finetune", config, digests,
                  {"retain": args.retain, "reinit": args.reinit, "seed": seed})
     _log(f"wrote {args.out}")
     return 0
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
-    ckpt = load_checkpoint(args.model)
+    digests: dict[str, str] = {}
+    ckpt = load_checkpoint(_read(args.model, "model", digests))
     parser = Parser(ckpt.config, ckpt.vocabs, ckpt.params)
-    blocks = parse_conll_blocks(args.input)
+    blocks = parse_conll_blocks(_read(args.input, "input", digests))
     began = time.perf_counter()
     trees = parser.parse_corpus([sent for sent, _ in blocks])
     elapsed = time.perf_counter() - began
@@ -146,8 +150,7 @@ def _cmd_parse(args: argparse.Namespace) -> int:
                 row[7] = tree.labels[i - 1]
                 fh.write("\t".join(row) + "\n")
             fh.write("\n")
-    _write_repro(args.output, "parse", ckpt.config,
-                 {"model": args.model, "input": args.input})
+    _write_repro(args.output, "parse", ckpt.config, digests)
     tokens = sum(len(tree) for tree in trees)
     rate = tokens / elapsed if elapsed > 0 else 0.0
     _log(f"parsed {len(blocks)} sentences, {tokens} tokens, "
@@ -249,9 +252,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return top
 
 
+_arg_parser: argparse.ArgumentParser | None = None     # built by the first run()
+
+
 def run(argv: list[str]) -> int:
+    global _arg_parser
+    if _arg_parser is None:
+        _arg_parser = build_arg_parser()
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _arg_parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles --help and usage errors
         return int(exc.code or 0)
     before = {path: _identity(path) for path in args.outputs(args)}

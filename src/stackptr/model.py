@@ -25,7 +25,9 @@ decoder's W_hh (at least `autodiff.WORKER_MIN_WHH` elements, and two CPUs),
 computes each next step's recurrent product while the main thread scores
 the current step; the product and its addition are those of the inline
 path, so the bits do not change. The same gate lets training run Adam's
-second half and the encoder BiLSTM's second direction on that thread.
+second half, the encoder BiLSTM's second direction and, at full size, the
+second half of the decoder LSTM's products (`autodiff.WORKER_MIN_SPLIT`)
+on that thread.
 """
 
 from __future__ import annotations

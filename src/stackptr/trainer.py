@@ -82,7 +82,7 @@ def _stored_values(store: ParameterStore) -> dict[str, np.ndarray]:
 def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
           dev_trees: Sequence[DependencyTree],
           initial: Checkpoint | None = None,
-          word_embedding_path: str | None = None,
+          word_embeddings: str | bytes | None = None,
           log=None) -> Checkpoint:
     """Optimize on ``train_trees``, keep the best dev-LAS parameters.
 
@@ -94,6 +94,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     root child (``TreebankError`` otherwise); greedy decoding may still
     attach several tokens to ROOT. With ``initial``, every training label
     must be in its label vocabulary (``TreebankError`` otherwise).
+    ``word_embeddings``, a pretrained vector file's path or its bytes, seeds
+    a fresh run's word table.
     Identical seeds, config, and corpora reproduce the returned checkpoint
     bitwise. Its parameters are rounded the way a checkpoint file stores
     them, so saving and loading it changes nothing.
@@ -111,8 +113,8 @@ def train(config: TrainConfig, train_trees: Sequence[DependencyTree],
     if initial is None:
         vocabs = build_vocabulary(train_trees, config.min_word_count)
         parser = Parser.build(config, vocabs)
-        if word_embedding_path is not None:
-            table = load_pretrained_embeddings(word_embedding_path, vocabs["word"],
+        if word_embeddings is not None:
+            table = load_pretrained_embeddings(word_embeddings, vocabs["word"],
                                                config.d_w, Rng(config.seed))
             parser.store["embeddings.word"].data = table
         origin = f"trained from scratch: {len(train_trees)} train / {len(dev_trees)} dev"

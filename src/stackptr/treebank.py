@@ -146,6 +146,9 @@ def _parse_token_line(lineno: int, line: str, expected_id: int) -> tuple[Token, 
     if not form:
         raise TreebankError(f"line {lineno}: empty FORM field")
     pos = fields[3] if fields[3] != "_" else fields[4]
+    if not pos:
+        raise TreebankError(f"line {lineno}: empty " + (
+            "CPOSTAG field" if fields[3] != "_" else "POSTAG field (CPOSTAG is '_')"))
     return Token(form=form, pos=pos), fields[6], fields[7]
 
 
@@ -156,6 +159,8 @@ def _parse_block(lines: list[tuple[int, str]], allow_multiple_roots: bool) -> De
     for expected_id, (lineno, line) in enumerate(lines, start=1):
         token, head_text, label = _parse_token_line(lineno, line, expected_id)
         head = _digits(lineno, head_text, "head")
+        if not label:
+            raise TreebankError(f"line {lineno}: empty DEPREL field")
         tokens.append(token)
         heads.append(head)
         labels.append(label)
@@ -168,10 +173,11 @@ def _parse_block(lines: list[tuple[int, str]], allow_multiple_roots: bool) -> De
     return DependencyTree(tuple(tokens), tuple(heads), tuple(labels))
 
 
-def _open_text(path: str | Path) -> TextIO:
-    """A file's UTF-8 text, with the universal newlines ``open`` gives; a
-    byte sequence that is not UTF-8 is a TreebankError naming its line."""
-    data = Path(path).read_bytes()
+def _open_text(source: str | Path | bytes) -> TextIO:
+    """A file's UTF-8 text (``source`` is its path or its bytes), with the
+    universal newlines ``open`` gives; a byte sequence that is not UTF-8 is a
+    TreebankError naming its line."""
+    data = source if isinstance(source, bytes) else Path(source).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -196,25 +202,26 @@ def _blocks(source: TextIO) -> Iterator[list[tuple[int, str]]]:
         yield block
 
 
-def parse_conll(source: str | Path | TextIO, allow_multiple_roots: bool = False
+def parse_conll(source: str | Path | bytes | TextIO, allow_multiple_roots: bool = False
                 ) -> list[DependencyTree]:
-    """Read CoNLL-X sentences (10 tab-separated columns, blank-line separated).
+    """Read CoNLL-X sentences (10 tab-separated columns, blank-line separated)
+    from a path, a file's bytes or a text stream.
 
-    Columns used: ID, FORM, CPOS (POS as fallback), HEAD, DEPREL; the rest
-    pass through unvalidated. Comment lines start with '#'. Errors carry
-    line numbers.
+    Columns used: ID, FORM, CPOS (POS as fallback), HEAD, DEPREL, none of
+    them empty; the rest pass through unvalidated. Comment lines start with
+    '#'. Errors carry line numbers.
     """
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, Path, bytes)):
         return parse_conll(_open_text(source), allow_multiple_roots=allow_multiple_roots)
     return [_parse_block(b, allow_multiple_roots) for b in _blocks(source)]
 
 
-def parse_conll_blocks(source: str | Path | TextIO
+def parse_conll_blocks(source: str | Path | bytes | TextIO
                        ) -> list[tuple[Sentence, list[list[str]]]]:
     """Sentences plus their raw field rows, tolerating unannotated HEAD and
     DEPREL columns — the rewrite path for parsing fresh text keeps every
-    other column untouched."""
-    if isinstance(source, (str, Path)):
+    other column untouched. FORM and POS are read, so neither may be empty."""
+    if isinstance(source, (str, Path, bytes)):
         return parse_conll_blocks(_open_text(source))
     out: list[tuple[Sentence, list[list[str]]]] = []
     for block in _blocks(source):
@@ -331,11 +338,12 @@ def build_vocabulary(trees: Sequence[DependencyTree], min_word_count: int = 2
     }
 
 
-def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
+def load_pretrained_embeddings(source: str | Path | bytes, vocab: Vocabulary, dim: int,
                                rng: Rng) -> np.ndarray:
-    """Read word vectors, one word and ``dim`` values per line separated by
-    whitespace, after an optional "count dim" header (a first line of two
-    integers); OOV rows get uniform +-0.05.
+    """Read word vectors from a file (its path or its bytes), one word and
+    ``dim`` values per line separated by whitespace, after an optional
+    "count dim" header (a first line of two integers); OOV rows get uniform
+    +-0.05.
 
     Every in-vocabulary row, including PAD/UNK/ROOT, starts random and is
     overwritten where the file provides a vector. Blank lines are skipped.
@@ -344,7 +352,7 @@ def load_pretrained_embeddings(path: str | Path, vocab: Vocabulary, dim: int,
     are each a TreebankError naming the line.
     """
     table = rng.split("pretrained-fill").uniform(-0.05, 0.05, (len(vocab), dim))
-    for lineno, line in enumerate(_open_text(path), start=1):
+    for lineno, line in enumerate(_open_text(source), start=1):
         parts = line.split()
         if not parts or (lineno == 1 and len(parts) == 2 and "".join(parts).isdecimal()):
             continue  # blank line, or the optional "count dim" header

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import stackptr
 from stackptr import autodiff as ad
+from stackptr.config import TrainConfig
 from stackptr.autodiff import (
     AdamState,
     ParameterStore,
@@ -694,11 +695,28 @@ class TestLstmSequence:
         np.testing.assert_array_equal(ad._sigmoid(z), 1.0 / (1.0 + np.exp(-z)))
 
 
-def _force_gate(monkeypatch, open_):
-    """Open the worker gate at any size and CPU count, or shut it."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    for name in ("WORKER_MIN_WHH", "WORKER_MIN_PARAMS"):
-        monkeypatch.setattr(ad, name, 0 if open_ else 1 << 62)
+def _force_gate(monkeypatch, open_, shut_by="size"):
+    """Open the worker gate at any size and CPU count, or shut it: by size
+    (every job below its minimum), or by CPU count (one CPU, every size
+    past its minimum, so a one-direction LSTM still runs its halves)."""
+    one_cpu = not open_ and shut_by == "cpus"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if one_cpu else {0, 1},
+                        raising=False)
+    for name in ("WORKER_MIN_WHH", "WORKER_MIN_PARAMS", "WORKER_MIN_SPLIT"):
+        monkeypatch.setattr(ad, name, 0 if open_ or one_cpu else 1 << 62)
+
+
+def _handed_to_worker(monkeypatch):
+    """Record the thread that ran each job :func:`autodiff._in_parallel`
+    handed over."""
+    seen = set()
+    real = ad._in_parallel
+
+    def in_parallel(pool, here, there):
+        real(pool, here, lambda: seen.add(threading.get_ident()) or there())
+
+    monkeypatch.setattr(ad, "_in_parallel", in_parallel)
+    return seen
 
 
 def _threads_running(monkeypatch, name):
@@ -714,6 +732,60 @@ def _threads_running(monkeypatch, name):
     return seen
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3, 8, 64], ids=lambda rows: f"B={rows}")
+def test_halves_of_a_decoder_product_are_its_columns_bit_for_bit(rows):
+    # A full-size one-direction lstm_sequence runs each product in two halves
+    # of its output. It keeps the one product's bits only because this BLAS
+    # build computes a block of output columns (or gate rows) as it does
+    # inside the whole product; at the (16, 4) test dims, or cut in quarters
+    # at B = 2, it did not. A failure names the product and shape that broke.
+    h, d = TrainConfig().decoder_dim, 2 * TrainConfig().d_h
+    rng = Rng(31).split(str(rows))
+    w_ih, w_hh = rng.split("ih").random((4 * h, d)) - 0.5, rng.split("hh").random((4 * h, h)) - 0.5
+    x, hs, dz = (rng.split(name).random(shape) - 0.5
+                 for name, shape in [("x", (rows, d)), ("h", (rows, h)), ("dz", (rows, 4 * h))])
+    products = {     # name: (product of an output slice, output width, output axis)
+        f"input ({rows}, {d}) @ W_ih.T ({d}, {4 * h})": (lambda c: x @ w_ih[c].T, 4 * h, 1),
+        f"recurrent ({rows}, {h}) @ W_hh.T ({h}, {4 * h})": (lambda c: hs @ w_hh[c].T, 4 * h, 1),
+        f"BPTT dh ({rows}, {4 * h}) @ W_hh ({4 * h}, {h})": (lambda c: dz @ w_hh[:, c], h, 1),
+        f"d_ih ({4 * h}, {rows}) @ ({rows}, {d})": (lambda c: dz[:, c].T @ x, 4 * h, 0),
+        f"d_hh ({4 * h}, {rows}) @ ({rows}, {h})": (lambda c: dz[:, c].T @ hs, 4 * h, 0),
+        f"dx ({rows}, {4 * h}) @ W_ih ({4 * h}, {d})": (lambda c: dz @ w_ih[:, c], d, 1),
+    }
+    for name, (product, n, axis) in products.items():
+        halves = np.concatenate([product(slice(n // 2)), product(slice(n // 2, n))], axis=axis)
+        assert halves.tobytes() == product(slice(None)).tobytes(), \
+            f"{name}: its two halves differ from the one product in this BLAS build"
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_a_full_size_decoder_call_keeps_the_one_products_bits(batch, monkeypatch):
+    # The whole op at decoder dims, three steps: its halves (on the worker
+    # where there are two CPUs) against one product each, outputs and every
+    # gradient. Gate dims stay below the split's minimum.
+    h, d = TrainConfig().decoder_dim, 2 * TrainConfig().d_h
+    gate_decoder = TrainConfig(d_h=32).decoder_dim      # the release gate's TRANSFER dims
+    assert 4 * gate_decoder ** 2 < ad.WORKER_MIN_SPLIT <= 4 * h * h
+    rng = Rng(32).split(str(batch))
+    x = rng.random((batch, 3, d)) - 0.5
+    triple = [rng.split(str(shape)).random(shape) * 0.1 - 0.05
+              for shape in [(4 * h, d), (4 * h, h), (4 * h,)]]
+    h_mask = ad.dropout_mask((1, batch, h), 0.3, rng.split("mask"))
+    upstream = Tensor(rng.random((batch, 3, h)) - 0.5)
+
+    def run():
+        xt = Tensor(x, requires_grad=True)
+        ws = tuple(Tensor(a, requires_grad=True) for a in triple)
+        out = ad.lstm_sequence(xt, [ws], h_mask=h_mask)
+        ad.sum_all(ad.mul(out, upstream)).backward()
+        return [out.data, xt.grad] + [w.grad for w in ws]
+
+    split = run()
+    monkeypatch.setattr(ad, "WORKER_MIN_SPLIT", 1 << 62)
+    for got, want in zip(split, run(), strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 class TestWorker:
     """The worker thread's halves, with the gate forced open at tiny dims,
     give the inline path's bits."""
@@ -721,6 +793,8 @@ class TestWorker:
     @pytest.mark.parametrize("steps", [1, 4])
     @pytest.mark.parametrize("case", LSTM_CASES)
     def test_lstm_sequence_keeps_its_bits(self, case, steps, monkeypatch):
+        # Shut by CPU count, a one-direction call still runs its products in
+        # halves, one after the other: the worker must give their bits.
         dirs, batch, in_mask, h_mask, reverse = _lstm_case(case, steps)
         rng = Rng(21).split(case)
         x = rng.random((batch, steps, 3)) - 0.5
@@ -735,13 +809,16 @@ class TestWorker:
             ad.sum_all(ad.mul(out, upstream)).backward()
             return [out.data, xt.grad] + [w.grad for triple in ws for w in triple]
 
-        _force_gate(monkeypatch, False)
+        _force_gate(monkeypatch, False, shut_by="cpus")
         inline = run()
         _force_gate(monkeypatch, True)
         threads = _threads_running(monkeypatch, "lstm_gates")
+        handed = _handed_to_worker(monkeypatch)
         for threaded, want in zip(run(), inline):
             assert threaded.tobytes() == want.tobytes()
         assert len(threads) == dirs     # a second direction ran on the worker
+        # Work went to the worker: a direction, or one direction's halves.
+        assert handed and threading.get_ident() not in handed
 
     @pytest.mark.parametrize("case", ["bi_masks", "bi_reverse", "bi_one"])
     def test_lstm_sequence_passes_grad_check(self, case, monkeypatch):
@@ -749,6 +826,13 @@ class TestWorker:
         threads = _threads_running(monkeypatch, "lstm_gates")
         _lstm_gradients(case, 4)
         assert len(threads) == 2
+
+    @pytest.mark.parametrize("case", ["h_mask", "reverse"])
+    def test_one_direction_halves_pass_grad_check(self, case, monkeypatch):
+        _force_gate(monkeypatch, True)
+        handed = _handed_to_worker(monkeypatch)
+        _lstm_gradients(case, 4)
+        assert handed and threading.get_ident() not in handed
 
     def test_adam_step_keeps_its_bits(self, monkeypatch):
         # Tensors in one piece, in row blocks, with a row longer than a block,

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: pipelines, exit codes, repro records."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -65,6 +66,17 @@ class TestTrainVerb:
                     "--out", str(out)])
         assert code == 0
         assert "config.max_epochs=1" in (tmp_path / "m2.ckpt.repro").read_text()
+
+
+    def test_an_empty_deprel_is_refused_naming_its_line(self, work, tmp_path, capsys):
+        # It would become the label '' and parse into a malformed CoNLL-X row.
+        bad = tmp_path / "train.conllx"
+        bad.write_text("1\ta\t_\tNN\tNN\t_\t0\t\t_\t_\n\n", encoding="utf-8")
+        out = tmp_path / "m.ckpt"
+        assert run(["train", "--train", str(bad), "--dev", str(bad), "--out", str(out),
+                    *TINY]) == 1
+        assert "line 1: empty DEPREL field" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParseVerb:
@@ -172,6 +184,59 @@ class TestFailedRunKeepsOutputsItDidNotWrite:
         assert code == 1
         assert not out.exists()
         assert Path(f"{out}.repro").read_bytes() == before[Path(f"{out}.repro")]
+
+
+class TestReproNamesTheBytesTheRunRead:
+    """Each input is read once; its digest and its parse come from the same
+    bytes, however long the run takes and whatever happens to the file."""
+
+    @pytest.mark.parametrize("verb", ["train", "finetune", "parse"])
+    def test_an_input_rewritten_during_the_run(self, work, tmp_path, verb):
+        inputs = {"train": {"train": work.train, "dev": work.dev},
+                  "finetune": {"source": work.model, "train": work.train, "dev": work.dev},
+                  "parse": {"model": work.model, "input": work.dev}}[verb]
+        copies = {}
+        for name, path in inputs.items():
+            copies[name] = tmp_path / f"{name}{path.suffix}"
+            copies[name].write_bytes(path.read_bytes())
+        original = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for name, path in copies.items()}
+        out = tmp_path / ("pred.conllx" if verb == "parse" else "out.ckpt")
+        flags = [arg for name, path in copies.items() for arg in (f"--{name}", str(path))]
+        argv = [verb, *flags, "--output" if verb == "parse" else "--out", str(out),
+                *{"train": TINY, "finetune": ["--set", "max_epochs=1"], "parse": []}[verb]]
+        # The verb's long call: train and finetune train, parse parses.
+        target, name = {"train": (cli, "train"), "finetune": (cli, "finetune"),
+                        "parse": (cli.Parser, "parse_corpus")}[verb]
+        real = getattr(target, name)
+
+        def rewriting(*args, **kwargs):
+            for path in copies.values():
+                path.write_bytes(b"rewritten while the run went on\n")
+            return real(*args, **kwargs)
+
+        reads = []
+        real_read = Path.read_bytes
+        with mock.patch.object(target, name, rewriting), \
+                mock.patch.object(Path, "read_bytes",
+                                  lambda self: reads.append(self) or real_read(self)):
+            assert run(argv) == 0
+        repro = Path(f"{out}.repro").read_text().splitlines()
+        assert [line for line in repro if line.startswith("input.")] == \
+            [f"input.{name}={digest}" for name, digest in sorted(original.items())]
+        assert sorted(reads) == sorted(copies.values())     # each input read once
+
+
+def test_the_argument_parser_is_built_once_per_process(work, monkeypatch, capsys):
+    built = []
+    real = cli.build_arg_parser
+    monkeypatch.setattr(cli, "_arg_parser", None)
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or real())
+    for _ in range(2):
+        assert run(["eval", "--gold", str(work.dev), "--pred", str(work.dev)]) == 0
+    assert run(["eval", "--gold", str(work.dev)]) == 1
+    assert "average_las=100.0" in capsys.readouterr().out
+    assert built == [1]
 
 
 class TestEvalVerb:

@@ -368,15 +368,19 @@ class TestStepMemory:
 # One full-size training step (TrainConfig() dims, two 40-token trees): loss,
 # backward, clipping and Adam. Prints the digests of the loss, of the
 # gradients and of the parameters after Adam, and whether the worker ran.
+# "shut" closes the worker gate by size (no job is split), "one-cpu" by CPU
+# count (the decoder still runs its products in halves, one after the other).
 FULL_SIZE_STEP = """
-import hashlib, json, sys
+import hashlib, json, os, sys
 from stackptr import autodiff as ad
 from stackptr.config import TrainConfig
 from stackptr.model import Parser
 from stackptr.trainer import compute_loss
 from stackptr.treebank import DependencyTree, Token, build_vocabulary
 if sys.argv[1] == "shut":
-    ad.WORKER_MIN_WHH = ad.WORKER_MIN_PARAMS = 1 << 62
+    ad.WORKER_MIN_WHH = ad.WORKER_MIN_PARAMS = ad.WORKER_MIN_SPLIT = 1 << 62
+if sys.argv[1] == "one-cpu":
+    os.sched_getaffinity = lambda pid: {0}
 rng = ad.Rng(3)
 trees = []
 for b in range(2):
@@ -405,16 +409,18 @@ print(json.dumps(record))
 def test_a_full_size_step_repeats_its_bits_in_new_processes():
     # The release gate trains at tiny dims, where neither BLAS threading nor
     # the worker thread takes part. Two processes at one pinned BLAS thread
-    # count repeat a full-size step's bits, and so does one with the worker
-    # gate shut: the worker changes no bit where it runs.
+    # count repeat a full-size step's bits, and so do one with the worker
+    # gate shut by size and one on one CPU: the worker changes no bit where
+    # it runs, the decoder's halves none against its one products, and the
+    # CPU count none.
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     records = []
-    for gate in ("as-measured", "as-measured", "shut"):
+    for gate in ("as-measured", "as-measured", "shut", "one-cpu"):
         run = subprocess.run([sys.executable, "-c", FULL_SIZE_STEP, gate], env=env,
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         records.append(json.loads(run.stdout))
     two_cpus = len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)) >= 2
-    assert [r.pop("worker") for r in records] == [two_cpus, two_cpus, False]
-    assert records[0] == records[1] == records[2]
+    assert [r.pop("worker") for r in records] == [two_cpus, two_cpus, False, False]
+    assert records[0] == records[1] == records[2] == records[3]

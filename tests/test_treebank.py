@@ -115,6 +115,34 @@ class TestParseConll:
         with pytest.raises(TreebankError):
             parse_conll(io.StringIO(text))
 
+    @pytest.mark.parametrize("column, cpos, message", [
+        (1, "NN", "empty FORM field"),
+        (3, "", "empty CPOSTAG field"),
+        (4, "_", "empty POSTAG field (CPOSTAG is '_')"),
+        (7, "VV", "empty DEPREL field"),
+    ], ids=["FORM", "CPOSTAG", "POSTAG", "DEPREL"])
+    @pytest.mark.parametrize("read", [parse_conll, parse_conll_blocks])
+    def test_an_empty_field_that_reaches_a_vocabulary_names_line(self, read, column, cpos,
+                                                                  message):
+        # FORM feeds the word and char vocabularies, CPOSTAG (or POSTAG
+        # under a '_' CPOSTAG) the POS one, DEPREL the labels; an empty one
+        # would become the symbol ''. The block reader leaves DEPREL alone.
+        row = TWO_TOKEN.splitlines()[1].split("\t")
+        row[3] = cpos
+        row[column] = ""
+        text = TWO_TOKEN.splitlines()[0] + "\n" + "\t".join(row) + "\n"
+        if read is parse_conll_blocks and column == 7:
+            assert read(io.StringIO(text))[0][1][1][7] == ""
+            return
+        with pytest.raises(TreebankError, match=re.escape(f"line 2: {message}")):
+            read(io.StringIO(text))
+
+    def test_a_files_bytes_parse_as_the_file(self, tmp_path):
+        path = tmp_path / "two.conllx"
+        path.write_bytes(TWO_TOKEN.encode())
+        assert parse_conll(path.read_bytes()) == parse_conll(path)
+        assert parse_conll_blocks(path.read_bytes()) == parse_conll_blocks(path)
+
     @pytest.mark.parametrize("read", [parse_conll, parse_conll_blocks])
     def test_non_utf8_file_names_line(self, tmp_path, read):
         path = tmp_path / "latin1.conllx"
