@@ -655,7 +655,7 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
     def by_direction(job: Callable[[slice], None]) -> None:
         """``job`` over every direction: in one call, or in two halves, the
         second on the worker."""
-        if pool is None or halves:
+        if pool is None or halves:      # one direction splits its products instead
             job(slice(None))
         else:
             _in_parallel(pool, lambda: job(slice(dirs // 2)),
@@ -720,12 +720,11 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
             for k in range(dirs)[ks]:
                 dz_rows = dz[k].reshape(-1, 4 * hidden)
                 rows = xs[k].reshape(-1, width)
-                h_in = states[k, :-1] if h_mask is None or not wanted[k][1] else \
-                    states[k, :-1] * h_mask[k]
+                h_in = states[k, :-1] if h_mask is None else states[k, :-1] * h_mask[k]
                 h_rows = h_in.reshape(-1, hidden)
-                d_ih, d_hh, dx = (np.empty(shape) if want else None for shape, want in (
-                    ((4 * hidden, width), wanted[k][0]), ((4 * hidden, hidden), wanted[k][1]),
-                    ((steps * batch, width), x_wanted)))
+                d_ih = np.empty((4 * hidden, width)) if wanted[k][0] else None
+                d_hh = np.empty((4 * hidden, hidden)) if wanted[k][1] else None
+                dx = np.empty((steps * batch, width)) if x_wanted else None
 
                 def products(c: slice, cx: slice) -> None:
                     # Gate rows c of the weight gradients, input columns cx of dx.
