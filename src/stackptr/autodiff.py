@@ -686,7 +686,10 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
         for t in range(steps):
             h_in = h_[:, t] if mask is None else h_[:, t] * mask
             for z, h, w in zip(z_[:, t], h_in, w_hh[ks]):
-                by_columns(lambda c: np.add(z[:, c], h @ w[c].T, out=z[:, c]), 4 * hidden)
+                if halves:
+                    by_columns(lambda c: np.add(z[:, c], h @ w[c].T, out=z[:, c]), 4 * hidden)
+                else:
+                    z += h @ w.T
             z_[:, t], c_[t + 1], tanh_c_[t], h_[:, t + 1] = lstm_gates(z_[:, t], c_[t])
 
     by_direction(forward)
@@ -714,7 +717,10 @@ def lstm_sequence(x: Tensor, weights: Sequence[tuple[Tensor, Tensor, Tensor]],
                 dc_next = dc * f
                 if t:
                     for d, out, w in zip(dz_[:, t], dh_next, w_hh[ks]):
-                        by_columns(lambda c: np.matmul(d, w[:, c], out=out[:, c]), hidden)
+                        if halves:
+                            by_columns(lambda c: np.matmul(d, w[:, c], out=out[:, c]), hidden)
+                        else:
+                            np.matmul(d, w, out=out)
                     if mask is not None:
                         dh_next *= mask
             for k in range(dirs)[ks]:
