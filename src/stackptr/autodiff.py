@@ -41,9 +41,9 @@ it runs every product in two halves of its output columns, and the second
 half goes to the worker where the gate allows; a process on one CPU runs
 both halves in turn. The halves are the op's shape at that size whatever
 the CPU count, so the gate moves no bit. That the two halves give the
-columns of the one product bit for bit is a property of the BLAS build,
-which holds for this package's OpenBLAS at the decoder's sizes and not at
-every size (tests/test_autodiff.py checks it).
+columns of the one product bit for bit is a property of the BLAS build:
+this package's OpenBLAS has it at the full-size decoder (h = 512), which
+tests/test_autodiff.py checks, but not at every width past the minimum.
 
 Determinism contract: all randomness flows through :class:`Rng` (Philox
 counter RNG, children derived from SHA-256 of a name), parameter values

@@ -737,8 +737,9 @@ def test_halves_of_a_decoder_product_are_its_columns_bit_for_bit(rows):
     # A full-size one-direction lstm_sequence runs each product in two halves
     # of its output. It keeps the one product's bits only because this BLAS
     # build computes a block of output columns (or gate rows) as it does
-    # inside the whole product; at the (16, 4) test dims, or cut in quarters
-    # at B = 2, it did not. A failure names the product and shape that broke.
+    # inside the whole product; at the (16, 4) test dims, at h = 256, or cut
+    # in quarters at B = 2, it did not. A failure names the product and shape
+    # that broke.
     h, d = TrainConfig().decoder_dim, 2 * TrainConfig().d_h
     rng = Rng(31).split(str(rows))
     w_ih, w_hh = rng.split("ih").random((4 * h, d)) - 0.5, rng.split("hh").random((4 * h, h)) - 0.5
