@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import stackptr
 from stackptr import autodiff as ad
-from stackptr.config import TrainConfig
 from stackptr.autodiff import (
     AdamState,
     ParameterStore,
@@ -25,6 +24,7 @@ from stackptr.autodiff import (
     adam_step,
     grad_check,
 )
+from stackptr.config import TrainConfig
 
 import reference_loss
 
